@@ -1,5 +1,6 @@
-// Durable small-file replacement: the tmp + fsync + rename + dir-fsync
-// dance POSIX requires before a file update can be called crash-safe.
+// Small-file I/O: whole-file reads, and the durable replacement — the
+// tmp + fsync + rename + dir-fsync dance POSIX requires before a file
+// update can be called crash-safe.
 //
 // Plain tmp+rename (what placement.map and the .ckp writers used before
 // PR 8) survives a crash *between* the two steps, but not a power cut
@@ -24,10 +25,26 @@
 
 #include <cerrno>
 #include <cstddef>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace ocep {
+
+/// Reads the whole file at `path` into `out`; false when it cannot be
+/// opened.
+inline bool read_whole_file(const std::string& path, std::string& out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return false;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  out = std::move(buffer).str();
+  return true;
+}
 
 /// fsync(2) on a path opened read-only; works for directories too (the
 /// only portable way to flush a rename).  False on open/fsync failure.

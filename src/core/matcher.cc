@@ -1099,7 +1099,7 @@ void OcepMatcher::checkpoint(std::ostream& out) {
   const std::size_t k = pattern_.size();
   for_each_stat(stats_,
                 [&out](std::uint64_t field) { poet::put_varint(out, field); });
-  // v2 governance counters.  breaker_trips and history_evicted are not
+  // Governance counters.  breaker_trips and history_evicted are not
   // written: they are recomputed on restore from the governor blob and the
   // per-leaf evicted counters, keeping each figure stored exactly once.
   poet::put_varint(out, stats_.searches_aborted);
@@ -1135,7 +1135,7 @@ void OcepMatcher::checkpoint(std::ostream& out) {
     }
   }
   governor_.checkpoint(out);
-  // v3 span-spill state: the spill sequence, fault counters, and the
+  // Span-spill state: the spill sequence, fault counters, and the
   // per-(leaf, trace) spilled-span metas.  The entries themselves are not
   // written — they live in the tenant's log as span records, addressed by
   // the (pattern, leaf, trace, seq) fingerprints recorded here.
@@ -1158,20 +1158,16 @@ void OcepMatcher::checkpoint(std::ostream& out) {
   }
 }
 
-void OcepMatcher::restore(std::istream& in, int version) {
+void OcepMatcher::restore(std::istream& in) {
   OCEP_ASSERT_MSG(stats_.events_observed == 0,
                   "restore requires a fresh matcher");
-  OCEP_ASSERT_MSG(version >= 1 && version <= kCheckpointVersion,
-                  "unsupported matcher checkpoint version");
   lazy_init();
   const std::size_t k = pattern_.size();
   for_each_stat(stats_,
                 [&in](std::uint64_t& field) { field = poet::get_varint(in); });
-  if (version >= 2) {
-    stats_.searches_aborted = poet::get_varint(in);
-    stats_.observes_shed = poet::get_varint(in);
-    stats_.callback_errors = poet::get_varint(in);
-  }
+  stats_.searches_aborted = poet::get_varint(in);
+  stats_.observes_shed = poet::get_varint(in);
+  stats_.callback_errors = poet::get_varint(in);
   for (TraceId t = 0; t < traces_; ++t) {
     comm_before_[t] = static_cast<std::uint32_t>(poet::get_varint(in));
   }
@@ -1180,7 +1176,7 @@ void OcepMatcher::restore(std::istream& in, int version) {
     // unspecified.
     const std::uint64_t merged = poet::get_varint(in);
     const std::uint64_t pruned = poet::get_varint(in);
-    const std::uint64_t evicted = version >= 2 ? poet::get_varint(in) : 0;
+    const std::uint64_t evicted = poet::get_varint(in);
     histories_[leaf].set_counters(merged, pruned, evicted);
     for (TraceId t = 0; t < traces_; ++t) {
       const std::uint64_t count = poet::get_varint(in);
@@ -1229,44 +1225,39 @@ void OcepMatcher::restore(std::istream& in, int version) {
     }
   }
   subset_.restore(std::move(slots), std::move(matches));
-  if (version >= 2) {
-    governor_.restore(in);
-  }
-  if (version >= 3) {
-    next_span_seq_ = poet::get_varint(in);
-    stats_.history_faulted = poet::get_varint(in);
-    stats_.spans_lost = poet::get_varint(in);
-    for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
-      histories_[leaf].set_spilled_counter(poet::get_varint(in));
-      for (TraceId t = 0; t < traces_; ++t) {
-        const std::uint64_t meta_count = poet::get_varint(in);
-        if (meta_count > store_.trace_size(t)) {
-          throw SerializationError("checkpoint spans exceed the trace");
+  governor_.restore(in);
+  next_span_seq_ = poet::get_varint(in);
+  stats_.history_faulted = poet::get_varint(in);
+  stats_.spans_lost = poet::get_varint(in);
+  for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
+    histories_[leaf].set_spilled_counter(poet::get_varint(in));
+    for (TraceId t = 0; t < traces_; ++t) {
+      const std::uint64_t meta_count = poet::get_varint(in);
+      if (meta_count > store_.trace_size(t)) {
+        throw SerializationError("checkpoint spans exceed the trace");
+      }
+      EventIndex prev_last = kNoEvent;
+      for (std::uint64_t i = 0; i < meta_count; ++i) {
+        LeafHistory::SpanMeta meta;
+        meta.seq = poet::get_varint(in);
+        meta.first_index = static_cast<EventIndex>(poet::get_varint(in));
+        meta.last_index = static_cast<EventIndex>(poet::get_varint(in));
+        meta.count = static_cast<std::uint32_t>(poet::get_varint(in));
+        if (meta.count == 0 || meta.first_index == kNoEvent ||
+            meta.first_index > meta.last_index ||
+            meta.last_index > store_.trace_size(t) ||
+            (prev_last != kNoEvent && meta.first_index <= prev_last)) {
+          throw SerializationError("checkpoint span meta out of range");
         }
-        EventIndex prev_last = kNoEvent;
-        for (std::uint64_t i = 0; i < meta_count; ++i) {
-          LeafHistory::SpanMeta meta;
-          meta.seq = poet::get_varint(in);
-          meta.first_index =
-              static_cast<EventIndex>(poet::get_varint(in));
-          meta.last_index = static_cast<EventIndex>(poet::get_varint(in));
-          meta.count = static_cast<std::uint32_t>(poet::get_varint(in));
-          if (meta.count == 0 || meta.first_index == kNoEvent ||
-              meta.first_index > meta.last_index ||
-              meta.last_index > store_.trace_size(t) ||
-              (prev_last != kNoEvent && meta.first_index <= prev_last)) {
-            throw SerializationError("checkpoint span meta out of range");
-          }
-          prev_last = meta.last_index;
-          histories_[leaf].restore_spilled(t, meta);
-        }
-        const std::span<const HistoryEntry> resident =
-            histories_[leaf].on_trace(t);
-        if (prev_last != kNoEvent && !resident.empty() &&
-            prev_last >= resident.front().index) {
-          throw SerializationError(
-              "checkpoint span metas overlap resident history");
-        }
+        prev_last = meta.last_index;
+        histories_[leaf].restore_spilled(t, meta);
+      }
+      const std::span<const HistoryEntry> resident =
+          histories_[leaf].on_trace(t);
+      if (prev_last != kNoEvent && !resident.empty() &&
+          prev_last >= resident.front().index) {
+        throw SerializationError(
+            "checkpoint span metas overlap resident history");
       }
     }
   }

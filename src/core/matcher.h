@@ -221,16 +221,10 @@ class OcepMatcher {
   /// they are not written either.
   void checkpoint(std::ostream& out);
 
-  /// Checkpoint blob format written by checkpoint() (OCEPCKP3).  restore()
-  /// also accepts `version` 2 (OCEPCKP2, PR 6) and 1 (OCEPCKP1, PR 3)
-  /// blobs: the span-spill state (v3) and the governance counters and
-  /// breaker state (v2) then start from their defaults.
-  static constexpr int kCheckpointVersion = 3;
-
   /// Counterpart of checkpoint().  Requires a fresh matcher (no events
   /// observed) whose store already holds every checkpointed event; throws
   /// SerializationError when the blob is inconsistent with the store.
-  void restore(std::istream& in, int version = kCheckpointVersion);
+  void restore(std::istream& in);
 
  private:
   /// A constraint as seen from one endpoint leaf.

@@ -5,8 +5,8 @@
 #include <string>
 
 #include "common/assert.h"
-#include "common/crc32c.h"
 #include "common/error.h"
+#include "common/frame.h"
 #include "metrics/stopwatch.h"
 #include "poet/dump.h"
 #include "poet/varint.h"
@@ -238,16 +238,7 @@ HealthReport Monitor::health() const {
 
 namespace {
 
-// Checkpoint framing magic: "OCEPCKP" + format version digit.  Version 3
-// (this layout) added the span-spill state; version 2 added the
-// governance counters and breaker state; both older versions (PRs 3 and
-// 6) still restore, with the newer sections starting from their defaults.
-constexpr char kCheckpointMagic[8] = {'O', 'C', 'E', 'P',
-                                      'C', 'K', 'P', '3'};
-constexpr char kCheckpointMagicV2[8] = {'O', 'C', 'E', 'P',
-                                        'C', 'K', 'P', '2'};
-constexpr char kCheckpointMagicV1[8] = {'O', 'C', 'E', 'P',
-                                        'C', 'K', 'P', '1'};
+constexpr std::string_view kCheckpointMagic = "OCEPCKP4";
 
 }  // namespace
 
@@ -255,8 +246,6 @@ void Monitor::checkpoint(std::ostream& out) {
   OCEP_ASSERT_MSG(traces_known_,
                   "nothing to checkpoint before traces are announced");
   drain();
-  // Body first: framing carries its length and CRC so restore() can tell
-  // a torn or bit-flipped checkpoint from a valid one.
   std::ostringstream body;
   dump(store_, *pool_, body);
   poet::put_varint(body, events_seen_);
@@ -264,49 +253,17 @@ void Monitor::checkpoint(std::ostream& out) {
   for (const std::unique_ptr<OcepMatcher>& matcher : matchers_) {
     matcher->checkpoint(body);
   }
-  const std::string bytes = body.str();
-  out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-  poet::put_varint(out, bytes.size());
-  poet::put_varint(out, crc32c(bytes));
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  write_frame(out, kCheckpointMagic, body.str());
 }
 
 void Monitor::restore(std::istream& in) {
   OCEP_ASSERT_MSG(events_seen_ == 0 && !traces_known_,
                   "restore requires a fresh monitor (patterns added, no "
                   "events seen)");
-  char magic[sizeof(kCheckpointMagic)] = {};
-  in.read(magic, sizeof(magic));
-  int version = 0;
-  if (in.gcount() == sizeof(magic)) {
-    if (std::equal(std::begin(magic), std::end(magic),
-                   std::begin(kCheckpointMagic))) {
-      version = 3;
-    } else if (std::equal(std::begin(magic), std::end(magic),
-                          std::begin(kCheckpointMagicV2))) {
-      version = 2;
-    } else if (std::equal(std::begin(magic), std::end(magic),
-                          std::begin(kCheckpointMagicV1))) {
-      version = 1;
-    }
-  }
-  if (version == 0) {
-    throw SerializationError("not an OCEP checkpoint (bad magic)");
-  }
-  const std::uint64_t length = poet::get_varint(in);
-  const auto expected_crc =
-      static_cast<std::uint32_t>(poet::get_varint(in));
-  if (length > (1ULL << 32)) {
-    throw SerializationError("corrupt checkpoint: unreasonable body length");
-  }
-  std::string bytes(length, '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(length));
-  if (static_cast<std::uint64_t>(in.gcount()) != length) {
-    throw SerializationError("truncated checkpoint body");
-  }
-  if (crc32c(bytes) != expected_crc) {
-    throw SerializationError("checkpoint body fails its CRC");
-  }
+  // The whole frame is read and its CRC checked before anything is
+  // replayed, so a torn or bit-flipped checkpoint changes nothing.
+  const std::string bytes =
+      read_frame(in, kCheckpointMagic, kMaxFrameBody, "checkpoint");
 
   // Replay the embedded dump straight into the store, bypassing the
   // matchers: their state is restored from the per-matcher blobs below,
@@ -340,7 +297,7 @@ void Monitor::restore(std::istream& in) {
         "checkpoint pattern count does not match the registered patterns");
   }
   for (const std::unique_ptr<OcepMatcher>& matcher : matchers_) {
-    matcher->restore(body, version);
+    matcher->restore(body);
   }
   if (pipeline_) {
     pipeline_->resume_at(events_seen_);

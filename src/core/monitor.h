@@ -149,14 +149,16 @@ class Monitor final : public EventSink {
                                TraceId trace, std::uint64_t seq)>& fn) const;
 
   /// Serializes the monitor's full matching state — store contents, event
-  /// watermark, and every matcher's incremental state — framed with a
-  /// magic, a length, and a CRC32C so a torn write is detected on restore.
-  /// Drains the pipeline first; layout in docs/ROBUSTNESS.md.
+  /// watermark, and every matcher's incremental state — as one
+  /// "OCEPCKP4" frame (common/frame.h), so a torn write or flipped bit is
+  /// detected on restore.  Drains the pipeline first; layout in
+  /// docs/ROBUSTNESS.md.
   void checkpoint(std::ostream& out);
 
-  /// Restores a checkpoint into this monitor.  Requires a fresh monitor
-  /// (no traces announced, no events seen) constructed with the same
-  /// configuration and with the same patterns added in the same order;
+  /// Restores a checkpoint, which must be all of `in`, into this monitor.
+  /// Requires a fresh monitor (no traces announced, no events seen)
+  /// constructed with the same configuration and with the same patterns
+  /// added in the same order;
   /// throws SerializationError on a corrupt or mismatched checkpoint.
   /// Afterwards the monitor continues exactly where checkpoint() left
   /// off: feeding it the remaining suffix of the event stream yields the

@@ -2,31 +2,22 @@
 
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
+#include <vector>
 
-#include "common/crc32c.h"
+#include "common/bytes.h"
 #include "common/durable.h"
 #include "common/error.h"
-#include "poet/varint.h"
+#include "common/frame.h"
 
 namespace ocep::net {
 namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::string_view kPlacementMagic = "OCEPPLC1";
+constexpr std::string_view kPlacementMagic = "OCEPPLC2";
 constexpr std::string_view kPlacementFile = "placement.map";
 constexpr std::uint64_t kMaxPlacementEntries = 1U << 20U;
-
-void put_u32le(std::ostream& out, std::uint32_t value) {
-  char raw[4];
-  raw[0] = static_cast<char>(value & 0xffU);
-  raw[1] = static_cast<char>((value >> 8U) & 0xffU);
-  raw[2] = static_cast<char>((value >> 16U) & 0xffU);
-  raw[3] = static_cast<char>((value >> 24U) & 0xffU);
-  out.write(raw, 4);
-}
 
 }  // namespace
 
@@ -164,7 +155,7 @@ std::size_t PlacementMap::override_count() const {
 }
 
 void PlacementMap::save(std::ostream& out) const {
-  std::ostringstream body;
+  std::string body;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     std::size_t overridden = 0;
@@ -173,65 +164,46 @@ void PlacementMap::save(std::ostream& out) const {
         ++overridden;
       }
     }
-    poet::put_varint(body, overridden);
+    put_varint(body, overridden);
     for (const auto& [name, entry] : entries_) {
       if (!entry.overridden) {
         continue;
       }
-      poet::put_string(body, name);
-      poet::put_varint(body, entry.shard);
+      put_string(body, name);
+      put_varint(body, entry.shard);
     }
   }
-  const std::string bytes = body.str();
-  out.write(kPlacementMagic.data(),
-            static_cast<std::streamsize>(kPlacementMagic.size()));
-  put_u32le(out, crc32c(bytes));
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  write_frame(out, kPlacementMagic, body);
   if (!out) {
     throw SerializationError("placement map: write failed");
   }
 }
 
 void PlacementMap::load(std::istream& in) {
-  char magic[8];
-  in.read(magic, 8);
-  if (in.gcount() != 8 || std::string_view(magic, 8) != kPlacementMagic) {
-    throw SerializationError("placement map: bad magic");
-  }
-  char raw_crc[4];
-  in.read(raw_crc, 4);
-  if (in.gcount() != 4) {
-    throw SerializationError("placement map: truncated header");
-  }
-  std::uint32_t expect = 0;
-  for (int i = 3; i >= 0; --i) {
-    expect = (expect << 8U) | static_cast<unsigned char>(raw_crc[i]);
-  }
-  std::string body((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (crc32c(body) != expect) {
-    throw SerializationError("placement map: CRC mismatch");
-  }
-  std::istringstream body_in(body);
-  const std::uint64_t count = poet::get_varint(body_in);
+  const std::string body =
+      read_frame(in, kPlacementMagic, kMaxFrameBody, "placement map");
+  ByteReader reader(body);
+  const std::uint64_t count = reader.varint();
   if (count > kMaxPlacementEntries) {
     throw SerializationError("placement map: implausible entry count");
   }
+  std::vector<std::pair<std::string_view, std::uint64_t>> parsed;
+  for (std::uint64_t i = 0; reader.ok() && i < count; ++i) {
+    const std::string_view name = reader.str();
+    parsed.emplace_back(name, reader.varint());
+  }
+  if (!reader.done()) {
+    throw SerializationError("placement map: malformed body");
+  }
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::string name = poet::get_string(body_in);
-    const std::uint64_t shard = poet::get_varint(body_in);
+  for (const auto& [name, shard] : parsed) {
     // A shard index from a bigger daemon falls back to the hash: the
     // tenant's checkpoint is then restored by its hash owner.
-    if (shard >= shard_count_) {
-      continue;
+    if (shard < shard_count_) {
+      entries_[std::string(name)] =
+          Entry{static_cast<std::size_t>(shard), /*overridden=*/true,
+                /*migrating=*/false};
     }
-    entries_[name] =
-        Entry{static_cast<std::size_t>(shard), /*overridden=*/true,
-              /*migrating=*/false};
-  }
-  if (body_in.peek() != std::char_traits<char>::eof()) {
-    throw SerializationError("placement map: trailing bytes");
   }
 }
 

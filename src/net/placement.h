@@ -83,15 +83,15 @@ class PlacementMap {
   }
   [[nodiscard]] std::size_t override_count() const;
 
-  /// Persistence: `magic "OCEPPLC1" | u32le crc32c(body) | body` where
-  /// body = varint count, count x (string name, varint shard).  Only
+  /// Persistence: one "OCEPPLC2" frame (common/frame.h) whose body is
+  /// varint count, count x (string name, varint shard).  Only
   /// overridden entries are written — hash-placed tenants re-home by
   /// hash, which is what keeps a plain (never rebalanced) daemon's
   /// reshard-restart behaviour byte-for-byte unchanged.
   void save(std::ostream& out) const;
-  /// Throws SerializationError on corruption.  Entries naming a shard
-  /// index >= shard_count() are dropped: after a --shards shrink those
-  /// tenants fall back to the affinity hash.
+  /// Throws SerializationError on corruption, leaving the map as it
+  /// was.  Entries naming a shard index >= shard_count() are dropped:
+  /// after a --shards shrink those tenants fall back to the affinity hash.
   void load(std::istream& in);
   /// tmp + rename into `<dir>/placement.map`; false (counted by the
   /// caller) on I/O failure.  No-op when dir is empty.

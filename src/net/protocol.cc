@@ -1,125 +1,35 @@
 #include "net/protocol.h"
 
-#include <cstring>
-#include <limits>
-
-#include "common/crc32c.h"
+#include "common/bytes.h"
+#include "common/frame.h"
 
 namespace ocep::net {
 namespace {
 
-void put_varint(std::string& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
+/// Decodes one frame at `buf[pos..)` with the shared codec; `pos` moves
+/// past it only on kDone.
+ParseStatus decode(std::string_view buf, std::size_t& pos,
+                   std::string_view tag, std::string_view& body,
+                   std::string& error) {
+  const DecodedFrame frame =
+      decode_frame(buf.substr(pos), tag, kMaxHandshakeBody);
+  switch (frame.status) {
+    case FrameStatus::kNeedMore:
+      return ParseStatus::kNeedMore;
+    case FrameStatus::kCorrupt:
+      error = std::string(frame.error) + " at byte " +
+              std::to_string(frame.error_offset);
+      return ParseStatus::kError;
+    case FrameStatus::kDone:
+      break;
   }
-  out.push_back(static_cast<char>(value));
-}
-
-void put_string(std::string& out, std::string_view s) {
-  put_varint(out, s.size());
-  out.append(s);
-}
-
-void put_u32le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xffU));
-  out.push_back(static_cast<char>((v >> 8U) & 0xffU));
-  out.push_back(static_cast<char>((v >> 16U) & 0xffU));
-  out.push_back(static_cast<char>((v >> 24U) & 0xffU));
-}
-
-std::uint32_t read_u32le(const char* bytes) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[0])) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[1]))
-          << 8U) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[2]))
-          << 16U) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[3]))
-          << 24U);
-}
-
-/// Bounded decoder over a complete, CRC-verified body.
-class Cursor {
- public:
-  explicit Cursor(std::string_view buf) : buf_(buf) {}
-
-  std::uint64_t u64() {
-    std::uint64_t value = 0;
-    int shift = 0;
-    while (ok_) {
-      if (pos_ >= buf_.size() || shift >= 64) {
-        ok_ = false;
-        break;
-      }
-      const auto c = static_cast<unsigned char>(buf_[pos_++]);
-      value |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-      if ((c & 0x80) == 0) {
-        return value;
-      }
-      shift += 7;
-    }
-    return 0;
-  }
-
-  std::string_view str() {
-    const std::uint64_t size = u64();
-    if (!ok_ || size > buf_.size() - pos_) {
-      ok_ = false;
-      return {};
-    }
-    const std::string_view s = buf_.substr(pos_, size);
-    pos_ += size;
-    return s;
-  }
-
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-  [[nodiscard]] bool done() const noexcept {
-    return ok_ && pos_ == buf_.size();
-  }
-
- private:
-  std::string_view buf_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-std::string envelope(const char magic[8], std::string_view body) {
-  std::string out;
-  out.reserve(8 + 8 + body.size());
-  out.append(magic, 8);
-  put_u32le(out, static_cast<std::uint32_t>(body.size()));
-  put_u32le(out, crc32c(body));
-  out.append(body);
-  return out;
-}
-
-/// Shared envelope scanner: magic(8) | len u32le | crc u32le | body.
-ParseStatus parse_envelope(std::string_view buf, std::size_t& pos,
-                           const char magic[8], std::string_view& body,
-                           std::string& error) {
-  if (buf.size() - pos < 16) {
-    return ParseStatus::kNeedMore;
-  }
-  if (std::memcmp(buf.data() + pos, magic, 8) != 0) {
-    error = "bad protocol magic";
-    return ParseStatus::kError;
-  }
-  const std::uint32_t len = read_u32le(buf.data() + pos + 8);
-  if (len > kMaxHandshakeBody) {
-    error = "oversized body (" + std::to_string(len) + " bytes)";
-    return ParseStatus::kError;
-  }
-  if (buf.size() - pos < 16 + static_cast<std::size_t>(len)) {
-    return ParseStatus::kNeedMore;
-  }
-  const std::uint32_t stored_crc = read_u32le(buf.data() + pos + 12);
-  body = buf.substr(pos + 16, len);
-  if (crc32c(body) != stored_crc) {
-    error = "body CRC mismatch";
-    return ParseStatus::kError;
-  }
-  pos += 16 + len;
+  body = frame.body;
+  pos += frame.consumed;
   return ParseStatus::kDone;
+}
+
+std::string reverse_frame(char type, std::string_view body) {
+  return encode_frame(std::string_view(&type, 1), body);
 }
 
 }  // namespace
@@ -132,7 +42,7 @@ std::string encode_handshake(const HandshakeRequest& request) {
   for (const std::string& pattern : request.patterns) {
     put_string(body, pattern);
   }
-  return envelope(kHandshakeMagic, body);
+  return encode_frame(kHandshakeMagic, body);
 }
 
 std::string encode_ack(const HandshakeAck& ack) {
@@ -141,66 +51,50 @@ std::string encode_ack(const HandshakeAck& ack) {
   put_varint(body, ack.resume_position);
   put_string(body, ack.message);
   put_varint(body, ack.shard);
-  return envelope(kAckMagic, body);
+  return encode_frame(kAckMagic, body);
 }
 
 std::string encode_resync_frame(const ResyncRequest& request) {
   std::string body;
   put_varint(body, request.request_id);
   put_varint(body, request.next_position);
-  std::string out;
-  out.push_back(kReverseResync);
-  put_u32le(out, static_cast<std::uint32_t>(body.size()));
-  put_u32le(out, crc32c(body));
-  out.append(body);
-  return out;
+  return reverse_frame(kReverseResync, body);
 }
 
 std::string encode_fin_frame(bool degraded, std::string_view message) {
   std::string body;
   put_varint(body, degraded ? 1 : 0);
   put_string(body, message);
-  std::string out;
-  out.push_back(kReverseFin);
-  put_u32le(out, static_cast<std::uint32_t>(body.size()));
-  put_u32le(out, crc32c(body));
-  out.append(body);
-  return out;
+  return reverse_frame(kReverseFin, body);
 }
 
 std::string encode_notice_frame(std::string_view message) {
   std::string body;
   put_string(body, message);
-  std::string out;
-  out.push_back(kReverseNotice);
-  put_u32le(out, static_cast<std::uint32_t>(body.size()));
-  put_u32le(out, crc32c(body));
-  out.append(body);
-  return out;
+  return reverse_frame(kReverseNotice, body);
 }
 
 ParseStatus parse_handshake(std::string_view buf, std::size_t& pos,
                             HandshakeRequest& out, std::string& error) {
   std::string_view body;
-  const ParseStatus status =
-      parse_envelope(buf, pos, kHandshakeMagic, body, error);
+  const ParseStatus status = decode(buf, pos, kHandshakeMagic, body, error);
   if (status != ParseStatus::kDone) {
     return status;
   }
-  Cursor cursor(body);
-  out.flags = cursor.u64();
-  out.tenant = std::string(cursor.str());
-  const std::uint64_t n = cursor.u64();
-  if (!cursor.ok() || n > 1024) {
+  ByteReader reader(body);
+  out.flags = reader.varint();
+  out.tenant = std::string(reader.str());
+  const std::uint64_t n = reader.varint();
+  if (!reader.ok() || n > 1024) {
     error = "malformed handshake body";
     return ParseStatus::kError;
   }
   out.patterns.clear();
   out.patterns.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    out.patterns.emplace_back(cursor.str());
+    out.patterns.emplace_back(reader.str());
   }
-  if (!cursor.done() || out.tenant.empty()) {
+  if (!reader.done() || out.tenant.empty()) {
     error = "malformed handshake body";
     return ParseStatus::kError;
   }
@@ -210,18 +104,16 @@ ParseStatus parse_handshake(std::string_view buf, std::size_t& pos,
 ParseStatus parse_ack(std::string_view buf, std::size_t& pos,
                       HandshakeAck& out, std::string& error) {
   std::string_view body;
-  const ParseStatus status = parse_envelope(buf, pos, kAckMagic, body, error);
+  const ParseStatus status = decode(buf, pos, kAckMagic, body, error);
   if (status != ParseStatus::kDone) {
     return status;
   }
-  Cursor cursor(body);
-  const std::uint64_t raw_status = cursor.u64();
-  out.resume_position = cursor.u64();
-  out.message = std::string(cursor.str());
-  // The shard field joined the ack later; tolerate its absence so a new
-  // client still parses a pre-rebalance server's acks.
-  out.shard = cursor.done() ? 0 : cursor.u64();
-  if (!cursor.done() ||
+  ByteReader reader(body);
+  const std::uint64_t raw_status = reader.varint();
+  out.resume_position = reader.varint();
+  out.message = std::string(reader.str());
+  out.shard = reader.varint();
+  if (!reader.done() ||
       raw_status > static_cast<std::uint64_t>(AckStatus::kRejected)) {
     error = "malformed ack body";
     return ParseStatus::kError;
@@ -232,7 +124,7 @@ ParseStatus parse_ack(std::string_view buf, std::size_t& pos,
 
 ParseStatus parse_reverse_frame(std::string_view buf, std::size_t& pos,
                                 ReverseFrame& out, std::string& error) {
-  if (buf.size() - pos < 9) {
+  if (pos == buf.size()) {
     return ParseStatus::kNeedMore;
   }
   const char type = buf[pos];
@@ -241,41 +133,32 @@ ParseStatus parse_reverse_frame(std::string_view buf, std::size_t& pos,
     error = "unknown reverse frame type";
     return ParseStatus::kError;
   }
-  const std::uint32_t len = read_u32le(buf.data() + pos + 1);
-  if (len > kMaxHandshakeBody) {
-    error = "oversized reverse frame";
-    return ParseStatus::kError;
+  std::string_view body;
+  const ParseStatus status =
+      decode(buf, pos, buf.substr(pos, 1), body, error);
+  if (status != ParseStatus::kDone) {
+    return status;
   }
-  if (buf.size() - pos < 9 + static_cast<std::size_t>(len)) {
-    return ParseStatus::kNeedMore;
-  }
-  const std::uint32_t stored_crc = read_u32le(buf.data() + pos + 5);
-  const std::string_view body = buf.substr(pos + 9, len);
-  if (crc32c(body) != stored_crc) {
-    error = "reverse frame CRC mismatch";
-    return ParseStatus::kError;
-  }
-  Cursor cursor(body);
+  ByteReader reader(body);
   out = ReverseFrame{};
   out.type = type;
   switch (type) {
     case kReverseResync:
-      out.resync.request_id = cursor.u64();
-      out.resync.next_position = cursor.u64();
+      out.resync.request_id = reader.varint();
+      out.resync.next_position = reader.varint();
       break;
     case kReverseFin:
-      out.degraded = cursor.u64() == 1;
-      out.message = std::string(cursor.str());
+      out.degraded = reader.varint() == 1;
+      out.message = std::string(reader.str());
       break;
     default:  // kReverseNotice
-      out.message = std::string(cursor.str());
+      out.message = std::string(reader.str());
       break;
   }
-  if (!cursor.done()) {
+  if (!reader.done()) {
     error = "malformed reverse frame body";
     return ParseStatus::kError;
   }
-  pos += 9 + len;
   return ParseStatus::kDone;
 }
 

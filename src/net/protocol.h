@@ -11,13 +11,13 @@
 //    snapshot refill — carries over to TCP unchanged.
 //  * reverse (server -> client): small typed control frames — resync
 //    requests, the final FIN, operator notices.  TCP already guarantees
-//    integrity and order here, so the framing is a plain type byte plus a
-//    length-prefixed CRC'd body; the CRC guards against a desynchronized
+//    integrity and order here; the CRC guards against a desynchronized
 //    *implementation* (a parser bug), not the wire.
 //
-// Handshake and ack share one envelope:  magic(8) | body_len u32le |
-// body_crc32c u32le | body.  The length prefix makes incremental parsing
-// trivial and bounds memory before a peer is trusted.
+// The handshake, the ack and the reverse frames are frames of the shared
+// codec (common/frame.h), tagged with the handshake magic, the ack magic,
+// or the control frame's type byte.  The length prefix makes incremental
+// parsing trivial and bounds memory before a peer is trusted.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +29,8 @@
 
 namespace ocep::net {
 
-inline constexpr char kHandshakeMagic[8] = {'O', 'C', 'E', 'P',
-                                            'N', 'E', 'T', '1'};
-inline constexpr char kAckMagic[8] = {'O', 'C', 'E', 'P', 'N', 'E', 'T', 'A'};
+inline constexpr std::string_view kHandshakeMagic = "OCEPNET2";
+inline constexpr std::string_view kAckMagic = "OCEPNTA2";
 
 /// Bound on a handshake/ack body; larger advertisements are rejected
 /// before any allocation trusts the peer.
@@ -67,8 +66,7 @@ struct HandshakeAck {
   std::string message;
   /// Index of the shard that answered (the tenant's current placement —
   /// which live rebalancing may have moved off the affinity hash).
-  /// Informational: producers need not act on it.  Absent in pre-rebalance
-  /// acks; the parser defaults it to 0.
+  /// Informational: producers need not act on it.
   std::uint64_t shard = 0;
 };
 
@@ -99,7 +97,8 @@ enum class ParseStatus : std::uint8_t {
 
 /// Incremental parsers over an accumulation buffer.  They consume from
 /// `buf[pos..)` and advance `pos` only on kDone; on kError the message
-/// explains what broke (bad magic, oversized body, CRC mismatch).
+/// explains what broke (bad tag or version, oversized body, CRC
+/// mismatch) and at which byte of the frame.
 [[nodiscard]] ParseStatus parse_handshake(std::string_view buf,
                                           std::size_t& pos,
                                           HandshakeRequest& out,

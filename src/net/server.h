@@ -53,7 +53,7 @@ class Shard;
 
 /// Phases of a live tenant migration (docs/SERVER.md "Rebalancing"):
 /// freeze quiesces the tenant on the source shard (pipeline drained at a
-/// frame boundary), transfer serializes the OCEPNTC1 blob plus any
+/// frame boundary), transfer serializes the OCEPNTC2 blob plus any
 /// attached socket through the destination's mailbox, adopt rebuilds the
 /// tenant there and resumes byte-identically.
 enum class MigrationPhase : std::uint8_t { kFreeze, kTransfer, kAdopt };
@@ -75,7 +75,7 @@ struct ServerConfig {
   std::size_t shards = 1;
   /// Monitor / matcher / session configuration stamped onto every tenant.
   TenantConfig tenant;
-  /// Directory for OCEPNTC1 tenant checkpoints.  Non-empty enables
+  /// Directory for OCEPNTC2 tenant checkpoints.  Non-empty enables
   /// checkpoint-on-shutdown, the /checkpoint admin trigger, and
   /// restore-on-start (every *.ckp found is loaded before serving, each
   /// shard restoring its affinity partition).

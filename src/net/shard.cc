@@ -700,7 +700,7 @@ bool Shard::migrate_tenant(const std::string& name, std::size_t target) {
   std::ostringstream blob;
   try {
     // Freeze: checkpoint() drains the pipeline at a frame boundary, so
-    // the blob is the same OCEPNTC1 image a restart would read.
+    // the blob is the same OCEPNTC2 image a restart would read.
     tenant->checkpoint(blob);
   } catch (const Error&) {
     placement_.cancel_migration(name, index_);

@@ -59,7 +59,7 @@ struct ConnHandoff {
   std::string leftover;
 };
 
-/// A whole tenant mid-migration between shards: the serialized OCEPNTC1
+/// A whole tenant mid-migration between shards: the serialized OCEPNTC2
 /// image (the same bytes a checkpoint file would hold), bookkeeping the
 /// image deliberately omits, and — when a producer was attached — the
 /// live socket with both directions' buffered bytes so the stream
@@ -211,7 +211,7 @@ class Shard {
   void adopt_now(ConnHandoff handoff);
   void adopt_tenant_now(TenantHandoff handoff);
   void bounce_or_drop(TenantHandoff handoff);
-  /// Raw OCEPNTC1 bytes straight to `<name>.ckp` (tmp + rename): the
+  /// Raw OCEPNTC2 bytes straight to `<name>.ckp` (tmp + rename): the
   /// stop_-raced adoption path, where no reactor will run again.
   void write_blob_checkpoint(const std::string& name,
                              const std::string& blob);

@@ -5,24 +5,15 @@
 #include <sstream>
 #include <utility>
 
-#include "common/crc32c.h"
+#include "common/bytes.h"
 #include "common/error.h"
-#include "poet/varint.h"
+#include "common/frame.h"
 
 namespace ocep::net {
 namespace {
 
-constexpr std::string_view kTenantCkpMagic = "OCEPNTC1";
+constexpr std::string_view kTenantCkpMagic = "OCEPNTC2";
 constexpr std::size_t kMaxCheckpointPatterns = 1024;
-
-void put_u32le(std::ostream& out, std::uint32_t value) {
-  char raw[4];
-  raw[0] = static_cast<char>(value & 0xffU);
-  raw[1] = static_cast<char>((value >> 8U) & 0xffU);
-  raw[2] = static_cast<char>((value >> 16U) & 0xffU);
-  raw[3] = static_cast<char>((value >> 24U) & 0xffU);
-  out.write(raw, 4);
-}
 
 }  // namespace
 
@@ -155,22 +146,18 @@ bool Tenant::degraded() const {
 }
 
 void Tenant::checkpoint(std::ostream& out) {
-  std::ostringstream body;
-  poet::put_varint(body, patterns_.size());
+  std::string body;
+  put_varint(body, patterns_.size());
   for (const std::string& pattern : patterns_) {
-    poet::put_string(body, pattern);
+    put_string(body, pattern);
   }
   std::ostringstream monitor_blob;
   monitor_->checkpoint(monitor_blob);
-  poet::put_string(body, monitor_blob.str());
+  put_string(body, monitor_blob.str());
   std::ostringstream session_blob;
   session_->checkpoint(session_blob);
-  poet::put_string(body, session_blob.str());
-  const std::string bytes = body.str();
-  out.write(kTenantCkpMagic.data(),
-            static_cast<std::streamsize>(kTenantCkpMagic.size()));
-  put_u32le(out, crc32c(bytes));
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  put_string(body, session_blob.str());
+  write_frame(out, kTenantCkpMagic, body);
   if (!out) {
     throw SerializationError("tenant checkpoint: write failed");
   }
@@ -198,40 +185,26 @@ void Tenant::restore(std::istream& in) {
 }
 
 TenantCheckpoint read_tenant_checkpoint(std::istream& in) {
-  char magic[8];
-  in.read(magic, 8);
-  if (in.gcount() != 8 ||
-      std::string_view(magic, 8) != kTenantCkpMagic) {
-    throw SerializationError("tenant checkpoint: bad magic");
-  }
-  char raw_crc[4];
-  in.read(raw_crc, 4);
-  if (in.gcount() != 4) {
-    throw SerializationError("tenant checkpoint: truncated header");
-  }
-  std::uint32_t expect = 0;
-  for (int i = 3; i >= 0; --i) {
-    expect = (expect << 8U) | static_cast<unsigned char>(raw_crc[i]);
-  }
-  std::string body((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (crc32c(body) != expect) {
-    throw SerializationError("tenant checkpoint: CRC mismatch");
-  }
-  std::istringstream body_in(body);
+  const std::string body =
+      read_frame(in, kTenantCkpMagic, kMaxFrameBody, "tenant checkpoint");
+  ByteReader reader(body);
   TenantCheckpoint ckp;
-  const std::uint64_t count = poet::get_varint(body_in);
+  const std::uint64_t count = reader.varint();
   if (count > kMaxCheckpointPatterns) {
     throw SerializationError("tenant checkpoint: implausible pattern count");
   }
-  ckp.patterns.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ckp.patterns.push_back(poet::get_string(body_in));
+  for (std::uint64_t i = 0; reader.ok() && i < count; ++i) {
+    ckp.patterns.emplace_back(reader.str());
   }
-  ckp.monitor_blob = poet::get_string(body_in);
-  ckp.session_blob = poet::get_string(body_in);
-  if (body_in.peek() != std::char_traits<char>::eof()) {
-    throw SerializationError("tenant checkpoint: trailing bytes");
+  // The nested blobs are bounded only by the body, whose CRC has already
+  // been checked.
+  ckp.monitor_blob = reader.str();
+  ckp.session_blob = reader.str();
+  if (!reader.done()) {
+    throw SerializationError(
+        "tenant checkpoint: malformed body",
+        static_cast<std::int64_t>(kTenantCkpMagic.size() + kFrameFieldBytes +
+                                  reader.pos()));
   }
   return ckp;
 }

@@ -80,7 +80,7 @@ class Tenant {
   /// SerializationError on corruption.
   void restore(std::istream& in);
 
-  /// Serializes patterns, monitor (OCEPCKP2), and session state, CRC
+  /// Serializes patterns, monitor (OCEPCKP4), and session state, CRC
   /// framed.  Drains the pipeline first; safe mid-stream.
   void checkpoint(std::ostream& out);
 
@@ -135,7 +135,7 @@ class Tenant {
   [[nodiscard]] bool degraded() const;
 
   /// Reinstates the cumulative received-byte count after a live shard
-  /// migration: the OCEPNTC1 image deliberately omits it (a restart
+  /// migration: the OCEPNTC2 image deliberately omits it (a restart
   /// resets governance budgets), but an in-flight hop must not.
   void restore_bytes_in(std::uint64_t bytes) noexcept { bytes_in_ = bytes; }
 
@@ -191,12 +191,12 @@ class Tenant {
   std::uint64_t released_ = 0;
 };
 
-/// Parsed tenant checkpoint:  magic "OCEPNTC1" | u32le crc32c(body) |
-/// body, where body = varint pattern count, each pattern string, varint
-/// monitor blob length + blob (OCEPCKP2 inside), varint session blob
-/// length + blob.  Exposed so tests and tools can split the sections —
-/// the monitor blob is the byte-identity surface across resumed runs
-/// (session counters legitimately differ once a resync replayed data).
+/// Parsed tenant checkpoint: one "OCEPNTC2" frame (common/frame.h) whose
+/// body is varint pattern count, each pattern string, then the monitor
+/// blob (an OCEPCKP4 frame) and the session blob, each varint-length-
+/// prefixed.  Exposed so tests and tools can split the sections — the
+/// monitor blob is the byte-identity surface across resumed runs (session
+/// counters legitimately differ once a resync replayed data).
 struct TenantCheckpoint {
   std::vector<std::string> patterns;
   std::string monitor_blob;

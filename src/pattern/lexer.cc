@@ -38,9 +38,9 @@ bool is_ident_char(char c) noexcept {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-class Cursor {
+class Scanner {
  public:
-  explicit Cursor(std::string_view source) : source_(source) {}
+  explicit Scanner(std::string_view source) : source_(source) {}
 
   [[nodiscard]] bool done() const noexcept { return pos_ >= source_.size(); }
   [[nodiscard]] char peek(std::size_t ahead = 0) const noexcept {
@@ -70,7 +70,7 @@ class Cursor {
 
 std::vector<Token> lex(std::string_view source) {
   std::vector<Token> tokens;
-  Cursor cursor(source);
+  Scanner cursor(source);
 
   auto push = [&tokens](TokenKind kind, std::string text, int line,
                         int column) {

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "common/assert.h"
+#include "common/bytes.h"
 #include "common/crc32c.h"
 #include "common/error.h"
 #include "poet/varint.h"
@@ -23,80 +24,6 @@ enum class Payload : std::uint8_t {
   kSnapshot = 3,
   kBye = 4,
 };
-
-void put_varint(std::string& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out.push_back(static_cast<char>(value));
-}
-
-void put_string(std::string& out, std::string_view s) {
-  put_varint(out, s.size());
-  out.append(s);
-}
-
-void put_u32le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xffU));
-  out.push_back(static_cast<char>((v >> 8U) & 0xffU));
-  out.push_back(static_cast<char>((v >> 16U) & 0xffU));
-  out.push_back(static_cast<char>((v >> 24U) & 0xffU));
-}
-
-/// Bounded decoder over an in-memory payload.  Any malformed or truncated
-/// read flips ok() and poisons subsequent reads; the caller checks once.
-class Cursor {
- public:
-  explicit Cursor(std::string_view buf) : buf_(buf) {}
-
-  std::uint64_t u64() {
-    std::uint64_t value = 0;
-    int shift = 0;
-    while (ok_) {
-      if (pos_ >= buf_.size() || shift >= 64) {
-        ok_ = false;
-        break;
-      }
-      const auto c = static_cast<unsigned char>(buf_[pos_++]);
-      value |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-      if ((c & 0x80) == 0) {
-        return value;
-      }
-      shift += 7;
-    }
-    return 0;
-  }
-
-  std::string_view str() {
-    const std::uint64_t size = u64();
-    if (!ok_ || size > buf_.size() - pos_) {
-      ok_ = false;
-      return {};
-    }
-    const std::string_view s = buf_.substr(pos_, size);
-    pos_ += size;
-    return s;
-  }
-
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-  [[nodiscard]] bool done() const noexcept { return ok_ && pos_ == buf_.size(); }
-
- private:
-  std::string_view buf_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-std::uint32_t read_u32le(std::string_view bytes) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[0])) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[1]))
-          << 8U) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[2]))
-          << 16U) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[3]))
-          << 24U);
-}
 
 }  // namespace
 
@@ -300,36 +227,23 @@ bool SessionClient::try_parse_frame() {
     buffer_pos_ = start;
   }
 
-  // Header: seq varint, len varint.  Bounded at 10 bytes each.
-  std::size_t pos = start + sizeof(kMarker);
-  std::uint64_t seq = 0;
-  std::uint64_t len = 0;
-  for (std::uint64_t* field : {&seq, &len}) {
-    std::uint64_t value = 0;
-    int shift = 0;
-    while (true) {
-      if (pos >= buf.size()) {
-        if (input_done_) {
-          note_corrupt(buf.size() - start);
-          buffer_pos_ = buf.size();
-          return false;
-        }
-        return false;  // wait for more bytes
-      }
-      if (shift >= 64) {
-        note_corrupt(1);
-        buffer_pos_ = start + 1;
-        return true;
-      }
-      const auto c = static_cast<unsigned char>(buf[pos++]);
-      value |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-      if ((c & 0x80) == 0) {
-        break;
-      }
-      shift += 7;
+  // Header: seq varint, len varint.
+  ByteReader header_reader(buf.substr(start + sizeof(kMarker)));
+  const std::uint64_t seq = header_reader.varint();
+  const std::uint64_t len = header_reader.varint();
+  if (header_reader.short_input()) {
+    if (input_done_) {
+      note_corrupt(buf.size() - start);
+      buffer_pos_ = buf.size();
     }
-    *field = value;
+    return false;  // wait for more bytes
   }
+  if (!header_reader.ok()) {
+    note_corrupt(1);
+    buffer_pos_ = start + 1;
+    return true;
+  }
+  const std::size_t pos = start + sizeof(kMarker) + header_reader.pos();
   if (len > config_.max_frame_payload) {
     note_corrupt(1);
     buffer_pos_ = start + 1;
@@ -346,7 +260,7 @@ bool SessionClient::try_parse_frame() {
   }
   const std::string_view header = buf.substr(start + sizeof(kMarker),
                                              pos - start - sizeof(kMarker));
-  const std::uint32_t stored_crc = read_u32le(buf.substr(pos, 4));
+  const std::uint32_t stored_crc = get_u32le(buf.data() + pos);
   const std::string_view payload = buf.substr(pos + 4, len);
   if (crc32c(payload, crc32c(header)) != stored_crc) {
     note_corrupt(1);
@@ -414,8 +328,8 @@ void SessionClient::announce_traces(const std::vector<std::string>& names) {
 }
 
 void SessionClient::handle_hello(std::string_view payload) {
-  Cursor cursor(payload);
-  const std::uint64_t n = cursor.u64();
+  ByteReader cursor(payload);
+  const std::uint64_t n = cursor.varint();
   if (!cursor.ok() || n == 0 || n > std::numeric_limits<TraceId>::max()) {
     ++frames_corrupt_;
     return;
@@ -441,14 +355,14 @@ struct ParsedEvent {
   std::vector<std::uint32_t> clock;
 };
 
-bool parse_event_body(Cursor& cursor, ParsedEvent& out) {
-  const std::uint64_t trace = cursor.u64();
-  const std::uint64_t index = cursor.u64();
-  const std::uint64_t kind = cursor.u64();
+bool parse_event_body(ByteReader& cursor, ParsedEvent& out) {
+  const std::uint64_t trace = cursor.varint();
+  const std::uint64_t index = cursor.varint();
+  const std::uint64_t kind = cursor.varint();
   out.type = cursor.str();
   out.text = cursor.str();
-  const std::uint64_t message = cursor.u64();
-  const std::uint64_t clock_size = cursor.u64();
+  const std::uint64_t message = cursor.varint();
+  const std::uint64_t clock_size = cursor.varint();
   if (!cursor.ok() || index == 0 || clock_size == 0 ||
       clock_size > std::numeric_limits<TraceId>::max() ||
       trace >= clock_size ||
@@ -458,7 +372,7 @@ bool parse_event_body(Cursor& cursor, ParsedEvent& out) {
   }
   out.clock.resize(clock_size);
   for (std::uint64_t s = 0; s < clock_size; ++s) {
-    const std::uint64_t entry = cursor.u64();
+    const std::uint64_t entry = cursor.varint();
     if (entry > std::numeric_limits<std::uint32_t>::max()) {
       return false;
     }
@@ -477,8 +391,8 @@ bool parse_event_body(Cursor& cursor, ParsedEvent& out) {
 }  // namespace
 
 void SessionClient::handle_event(std::string_view payload) {
-  Cursor cursor(payload);
-  const std::uint64_t position = cursor.u64();
+  ByteReader cursor(payload);
+  const std::uint64_t position = cursor.varint();
   ParsedEvent parsed;
   if (!cursor.ok() || !parse_event_body(cursor, parsed) || !cursor.done()) {
     ++frames_corrupt_;
@@ -493,9 +407,9 @@ void SessionClient::handle_event(std::string_view payload) {
 }
 
 void SessionClient::handle_snapshot(std::string_view payload) {
-  Cursor cursor(payload);
-  static_cast<void>(cursor.u64());  // request id, informational only
-  const std::uint64_t n = cursor.u64();
+  ByteReader cursor(payload);
+  static_cast<void>(cursor.varint());  // request id, informational only
+  const std::uint64_t n = cursor.varint();
   if (!cursor.ok() || n == 0 || n > std::numeric_limits<TraceId>::max()) {
     ++frames_corrupt_;
     return;
@@ -505,10 +419,10 @@ void SessionClient::handle_snapshot(std::string_view payload) {
   for (std::uint64_t t = 0; t < n; ++t) {
     names.emplace_back(cursor.str());
   }
-  const std::uint64_t total = cursor.u64();
-  const std::uint64_t finished = cursor.u64();
-  const std::uint64_t baseline = cursor.u64();
-  const std::uint64_t count = cursor.u64();
+  const std::uint64_t total = cursor.varint();
+  const std::uint64_t finished = cursor.varint();
+  const std::uint64_t baseline = cursor.varint();
+  const std::uint64_t count = cursor.varint();
   if (!cursor.ok() || finished > 1) {
     ++frames_corrupt_;
     return;
@@ -540,8 +454,8 @@ void SessionClient::handle_snapshot(std::string_view payload) {
 }
 
 void SessionClient::handle_bye(std::string_view payload) {
-  Cursor cursor(payload);
-  const std::uint64_t total = cursor.u64();
+  ByteReader cursor(payload);
+  const std::uint64_t total = cursor.varint();
   if (!cursor.ok() || !cursor.done()) {
     ++frames_corrupt_;
     return;

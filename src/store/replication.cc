@@ -7,108 +7,41 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/crc32c.h"
 #include "common/durable.h"
 #include "common/error.h"
+#include "common/frame.h"
 
 namespace ocep::store {
 namespace {
 
 namespace fs = std::filesystem;
 
-void put_u32le(std::string& out, std::uint32_t value) {
-  out.push_back(static_cast<char>(value & 0xffU));
-  out.push_back(static_cast<char>((value >> 8U) & 0xffU));
-  out.push_back(static_cast<char>((value >> 16U) & 0xffU));
-  out.push_back(static_cast<char>((value >> 24U) & 0xffU));
-}
-
-std::uint32_t get_u32le(std::string_view data, std::uint64_t offset) {
-  return static_cast<std::uint32_t>(
-             static_cast<unsigned char>(data[offset])) |
-         (static_cast<std::uint32_t>(
-              static_cast<unsigned char>(data[offset + 1]))
-          << 8U) |
-         (static_cast<std::uint32_t>(
-              static_cast<unsigned char>(data[offset + 2]))
-          << 16U) |
-         (static_cast<std::uint32_t>(
-              static_cast<unsigned char>(data[offset + 3]))
-          << 24U);
-}
-
-void put_varint(std::string& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7fU) | 0x80U));
-    value >>= 7U;
-  }
-  out.push_back(static_cast<char>(value));
-}
-
-bool get_varint(std::string_view data, std::uint64_t& pos,
-                std::uint64_t& out) {
-  out = 0;
-  int shift = 0;
-  while (pos < data.size()) {
-    const auto byte = static_cast<unsigned char>(data[pos++]);
-    if (shift >= 64) {
-      return false;
-    }
-    out |= static_cast<std::uint64_t>(byte & 0x7fU) << shift;
-    if ((byte & 0x80U) == 0) {
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
-bool read_whole_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  out.assign((std::istreambuf_iterator<char>(in)),
-             std::istreambuf_iterator<char>());
-  return true;
-}
-
-/// magic(8) | u32 len | u32 crc | body, shared by hello and state.
-std::string encode_envelope(std::string_view magic, std::string_view body) {
-  std::string out(magic);
-  put_u32le(out, static_cast<std::uint32_t>(body.size()));
-  put_u32le(out, crc32c(body));
-  out += body;
-  return out;
-}
+constexpr std::uint64_t kMaxSegmentId = 1U << 20U;
 
 /// Consumed bytes (> 0) with `body` set, 0 for short input, -1 corrupt.
-std::int64_t try_decode_envelope(std::string_view buf, std::string_view magic,
-                                 std::string_view& body) {
-  if (buf.size() < magic.size() + 8) {
-    return buf.size() >= magic.size() && buf.substr(0, magic.size()) != magic
-               ? -1
-               : 0;
+std::int64_t try_decode(std::string_view buf, std::string_view tag,
+                        std::string_view& body) {
+  const DecodedFrame frame = decode_frame(buf, tag, kReplMaxFrameBytes);
+  switch (frame.status) {
+    case FrameStatus::kNeedMore:
+      return 0;
+    case FrameStatus::kCorrupt:
+      return -1;
+    case FrameStatus::kDone:
+      break;
   }
-  if (buf.substr(0, magic.size()) != magic) {
-    return -1;
-  }
-  const std::uint64_t len = get_u32le(buf, magic.size());
-  if (len > kReplMaxFrameBytes) {
-    return -1;
-  }
-  const std::uint64_t total = magic.size() + 8 + len;
-  if (buf.size() < total) {
-    return 0;
-  }
-  body = buf.substr(magic.size() + 8, len);
-  if (crc32c(body) != get_u32le(buf, magic.size() + 4)) {
-    return -1;
-  }
-  return static_cast<std::int64_t>(total);
+  body = frame.body;
+  return static_cast<std::int64_t>(frame.consumed);
+}
+
+/// Reads a segment id; 0 (never a valid id) when it is out of range.
+std::uint32_t segment_id(ByteReader& reader) {
+  const std::uint64_t id = reader.varint();
+  return id == 0 || id > kMaxSegmentId ? 0 : static_cast<std::uint32_t>(id);
 }
 
 }  // namespace
@@ -118,22 +51,20 @@ std::string encode_repl_hello(const ReplHello& hello) {
   put_varint(body, hello.proto);
   put_varint(body, hello.shard_index);
   put_varint(body, hello.shard_count);
-  return encode_envelope(kReplHelloMagic, body);
+  return encode_frame(kReplHelloMagic, body);
 }
 
 std::int64_t try_decode_repl_hello(std::string_view buf, ReplHello& out) {
   std::string_view body;
-  const std::int64_t consumed = try_decode_envelope(buf, kReplHelloMagic, body);
+  const std::int64_t consumed = try_decode(buf, kReplHelloMagic, body);
   if (consumed <= 0) {
     return consumed;
   }
-  std::uint64_t pos = 0;
-  if (!get_varint(body, pos, out.proto) ||
-      !get_varint(body, pos, out.shard_index) ||
-      !get_varint(body, pos, out.shard_count) || pos != body.size()) {
-    return -1;
-  }
-  return consumed;
+  ByteReader reader(body);
+  out.proto = reader.varint();
+  out.shard_index = reader.varint();
+  out.shard_count = reader.varint();
+  return reader.done() ? consumed : -1;
 }
 
 std::string encode_repl_state(const std::vector<ReplSegmentState>& segments) {
@@ -144,49 +75,38 @@ std::string encode_repl_state(const std::vector<ReplSegmentState>& segments) {
     put_varint(body, seg.bytes);
     put_varint(body, seg.crc);
   }
-  return encode_envelope(kReplStateMagic, body);
+  return encode_frame(kReplStateMagic, body);
 }
 
 std::int64_t try_decode_repl_state(std::string_view buf,
                                    std::vector<ReplSegmentState>& out) {
   std::string_view body;
-  const std::int64_t consumed = try_decode_envelope(buf, kReplStateMagic, body);
+  const std::int64_t consumed = try_decode(buf, kReplStateMagic, body);
   if (consumed <= 0) {
     return consumed;
   }
-  std::uint64_t pos = 0;
-  std::uint64_t count = 0;
-  if (!get_varint(body, pos, count) || count > (1U << 20U)) {
+  ByteReader reader(body);
+  const std::uint64_t count = reader.varint();
+  if (!reader.ok() || count > kMaxSegmentId) {
     return -1;
   }
   out.clear();
   out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t id = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t crc = 0;
-    if (!get_varint(body, pos, id) || !get_varint(body, pos, bytes) ||
-        !get_varint(body, pos, crc) || id == 0 || id > (1U << 20U) ||
-        crc > 0xffffffffULL) {
+    const std::uint32_t id = segment_id(reader);
+    const std::uint64_t bytes = reader.varint();
+    const std::uint64_t crc = reader.varint();
+    if (!reader.ok() || id == 0 || crc > 0xffffffffULL) {
       return -1;
     }
-    out.push_back({static_cast<std::uint32_t>(id), bytes,
-                   static_cast<std::uint32_t>(crc)});
+    out.push_back({id, bytes, static_cast<std::uint32_t>(crc)});
   }
-  if (pos != body.size()) {
-    return -1;
-  }
-  return consumed;
+  return reader.done() ? consumed : -1;
 }
 
 std::string encode_repl_frame(ReplFrameType type, std::string_view payload) {
-  std::string out;
-  out.reserve(9 + payload.size());
-  out.push_back(static_cast<char>(type));
-  put_u32le(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32le(out, crc32c(payload));
-  out += payload;
-  return out;
+  const char tag = static_cast<char>(type);
+  return encode_frame(std::string_view(&tag, 1), payload);
 }
 
 std::int64_t try_decode_repl_frame(std::string_view buf, ReplFrameType& type,
@@ -198,23 +118,13 @@ std::int64_t try_decode_repl_frame(std::string_view buf, ReplFrameType& type,
   if (t != 'R' && t != 'S' && t != 'A' && t != 'C' && t != 'D' && t != 'K') {
     return -1;
   }
-  if (buf.size() < 9) {
-    return 0;
+  std::string_view body;
+  const std::int64_t consumed = try_decode(buf, buf.substr(0, 1), body);
+  if (consumed > 0) {
+    type = static_cast<ReplFrameType>(t);
+    payload.assign(body);
   }
-  const std::uint64_t len = get_u32le(buf, 1);
-  if (len > kReplMaxFrameBytes) {
-    return -1;
-  }
-  if (buf.size() < 9 + len) {
-    return 0;
-  }
-  const std::string_view body = buf.substr(9, len);
-  if (crc32c(body) != get_u32le(buf, 5)) {
-    return -1;
-  }
-  type = static_cast<ReplFrameType>(t);
-  payload.assign(body);
-  return static_cast<std::int64_t>(9 + len);
+  return consumed;
 }
 
 std::string encode_repl_open(std::uint32_t id) {
@@ -224,14 +134,9 @@ std::string encode_repl_open(std::uint32_t id) {
 }
 
 bool decode_repl_open(std::string_view payload, std::uint32_t& id) {
-  std::uint64_t pos = 0;
-  std::uint64_t value = 0;
-  if (!get_varint(payload, pos, value) || value == 0 ||
-      value > (1U << 20U) || pos != payload.size()) {
-    return false;
-  }
-  id = static_cast<std::uint32_t>(value);
-  return true;
+  ByteReader reader(payload);
+  id = segment_id(reader);
+  return reader.done() && id != 0;
 }
 
 std::string encode_repl_append(std::uint32_t id, std::uint64_t offset,
@@ -246,17 +151,11 @@ std::string encode_repl_append(std::uint32_t id, std::uint64_t offset,
 
 bool decode_repl_append(std::string_view payload, std::uint32_t& id,
                         std::uint64_t& offset, std::string_view& bytes) {
-  std::uint64_t pos = 0;
-  std::uint64_t value = 0;
-  if (!get_varint(payload, pos, value) || value == 0 || value > (1U << 20U)) {
-    return false;
-  }
-  id = static_cast<std::uint32_t>(value);
-  if (!get_varint(payload, pos, offset)) {
-    return false;
-  }
-  bytes = payload.substr(pos);
-  return !bytes.empty();
+  ByteReader reader(payload);
+  id = segment_id(reader);
+  offset = reader.varint();
+  bytes = reader.rest();
+  return reader.ok() && id != 0 && !bytes.empty();
 }
 
 std::string encode_repl_commit(std::uint64_t seq) {
@@ -266,8 +165,9 @@ std::string encode_repl_commit(std::uint64_t seq) {
 }
 
 bool decode_repl_commit(std::string_view payload, std::uint64_t& seq) {
-  std::uint64_t pos = 0;
-  return get_varint(payload, pos, seq) && pos == payload.size();
+  ByteReader reader(payload);
+  seq = reader.varint();
+  return reader.done();
 }
 
 std::string encode_repl_drop(std::uint32_t id) {
@@ -290,12 +190,12 @@ std::string encode_repl_ack(const ReplAck& ack) {
 }
 
 bool decode_repl_ack(std::string_view payload, ReplAck& out) {
-  std::uint64_t pos = 0;
-  std::uint64_t segment = 0;
-  if (!get_varint(payload, pos, out.seq) ||
-      !get_varint(payload, pos, segment) || segment > (1U << 20U) ||
-      !get_varint(payload, pos, out.offset) ||
-      !get_varint(payload, pos, out.records) || pos != payload.size()) {
+  ByteReader reader(payload);
+  out.seq = reader.varint();
+  const std::uint64_t segment = reader.varint();
+  out.offset = reader.varint();
+  out.records = reader.varint();
+  if (!reader.done() || segment > kMaxSegmentId) {
     return false;
   }
   out.segment = static_cast<std::uint32_t>(segment);
@@ -312,10 +212,12 @@ std::uint64_t count_record_frames(std::string& pending,
   } else {
     data = chunk;
   }
+  // Record frames carry an empty tag, so each starts with its body
+  // length; counting needs only the lengths.
   std::uint64_t count = 0;
   std::uint64_t pos = 0;
   while (data.size() - pos >= 4) {
-    const std::uint64_t len = get_u32le(data, pos);
+    const std::uint64_t len = get_u32le(data.data() + pos);
     if (len == 0 || len > kMaxRecordBytes) {
       // Not a record boundary — the stream is damaged; stop counting
       // rather than buffering unbounded garbage.  Disk CRCs catch the
@@ -323,11 +225,11 @@ std::uint64_t count_record_frames(std::string& pending,
       pending.clear();
       return count;
     }
-    if (data.size() - pos < 8 + len) {
+    if (data.size() - pos < kFrameFieldBytes + len) {
       break;
     }
     count += 1;
-    pos += 8 + len;
+    pos += kFrameFieldBytes + len;
   }
   if (merged) {
     pending.erase(0, pos);
@@ -438,9 +340,9 @@ void ReplicaLog::open_existing() {
     wipe();
     return;
   }
-  std::string error;
   std::uint32_t next_id = 0;
-  if (!decode_manifest_file(manifest, ids_, next_id, error)) {
+  if (DecodeError error; !decode_manifest_file(manifest, ids_, next_id,
+                                               error)) {
     wipe();  // local damage; the primary will drive a full resync
     return;
   }
@@ -460,8 +362,9 @@ void ReplicaLog::open_existing() {
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     const std::string path = segment_path(ids_[i]);
     std::string data;
-    if (!read_whole_file(path, data) || data.size() < kSegmentHeaderBytes ||
-        data.substr(0, kSegmentMagic.size()) != kSegmentMagic) {
+    DecodeError error;
+    if (!read_whole_file(path, data) ||
+        !check_segment_header(data, ids_[i], error)) {
       wipe();
       return;
     }
@@ -522,7 +425,7 @@ void ReplicaLog::open_segment(std::uint32_t id) {
                          std::string(std::strerror(errno)),
                      path, -1);
   }
-  const std::string header = encode_segment_header_bytes(id);
+  const std::string header = encode_segment_header(id);
   std::size_t written = 0;
   while (written < header.size()) {
     const ssize_t n =
@@ -653,10 +556,11 @@ void compare_logs(const std::string& dir_a, const std::string& dir_b,
     if (!read_whole_file(dir + "/manifest", manifest)) {
       return true;  // empty store: vacuously a prefix of anything
     }
-    std::string error;
     std::uint32_t next_id = 0;
-    if (!decode_manifest_file(manifest, ids, next_id, error)) {
-      report.issues.push_back({dir + "/manifest", "manifest: " + error});
+    if (DecodeError error; !decode_manifest_file(manifest, ids, next_id,
+                                                 error)) {
+      report.issues.push_back(
+          {dir + "/manifest", "manifest: " + error.message});
       return false;
     }
     return true;

@@ -2,17 +2,19 @@
 // to ship its segment logs to a follower, the follower-side log writer,
 // and the offline divergence check between two store directories.
 //
-// Protocol (one TCP connection per primary shard, primary connects):
+// Protocol (one TCP connection per primary shard, primary connects).
+// Every message is a frame of the shared codec (common/frame.h):
+// tag | u32le len | u32le crc32c(tag ‖ body) | body.
 //
-//   primary -> follower   "OCEPREP1" | u32 len | u32 crc32c(body) | body
+//   primary -> follower   tag "OCEPREP2"
 //                         body = varint proto | varint shard index |
 //                                varint shard count
-//   follower -> primary   "OCEPREPA" | u32 len | u32 crc32c(body) | body
+//   follower -> primary   tag "OCEPRPA2"
 //                         body = varint segment count, per segment:
 //                                varint id | varint bytes | varint crc32c
 //                                of the first `bytes` file bytes
 //
-// then a stream of frames, each  u8 type | u32 len | u32 crc32c | payload:
+// then a stream of frames tagged with a one-byte type:
 //
 //   'R' reset         ()                      follower wipes its replica dir
 //   'S' open segment  (varint id)             header + manifest, like rotate
@@ -39,9 +41,9 @@
 
 namespace ocep::store {
 
-constexpr std::string_view kReplHelloMagic = "OCEPREP1";
-constexpr std::string_view kReplStateMagic = "OCEPREPA";
-constexpr std::uint64_t kReplProtoVersion = 1;
+constexpr std::string_view kReplHelloMagic = "OCEPREP2";
+constexpr std::string_view kReplStateMagic = "OCEPRPA2";
+constexpr std::uint64_t kReplProtoVersion = 2;
 /// Bound on any single replication frame body; an append chunk is at
 /// most one segment, and segments default to 4 MiB.
 constexpr std::uint64_t kReplMaxFrameBytes = 64ULL << 20U;
@@ -79,7 +81,7 @@ struct ReplAck {
 
 // --- codec ------------------------------------------------------------
 // try_decode_* return the bytes consumed (> 0), 0 when the buffer does
-// not yet hold a whole frame, or -1 on corruption (bad magic, CRC or
+// not yet hold a whole frame, or -1 on corruption (bad tag, CRC or
 // structure) — the caller drops the connection and lets retry handle it.
 
 [[nodiscard]] std::string encode_repl_hello(const ReplHello& hello);

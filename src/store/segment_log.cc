@@ -7,12 +7,12 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
-#include "common/crc32c.h"
+#include "common/bytes.h"
 #include "common/durable.h"
 #include "common/error.h"
+#include "common/frame.h"
 #include "store/tenant_store.h"  // span payload codec, for verify_log
 
 namespace ocep::store {
@@ -23,55 +23,120 @@ namespace fs = std::filesystem;
 constexpr std::uint64_t kMaxSegments = 1U << 20U;
 constexpr std::uint64_t kMaxNameBytes = 1024;
 
-void put_u32le(std::string& out, std::uint32_t value) {
-  out.push_back(static_cast<char>(value & 0xffU));
-  out.push_back(static_cast<char>((value >> 8U) & 0xffU));
-  out.push_back(static_cast<char>((value >> 16U) & 0xffU));
-  out.push_back(static_cast<char>((value >> 24U) & 0xffU));
-}
-
-std::uint32_t get_u32le(std::string_view data, std::uint64_t offset) {
-  return static_cast<std::uint32_t>(
-             static_cast<unsigned char>(data[offset])) |
-         (static_cast<std::uint32_t>(
-              static_cast<unsigned char>(data[offset + 1]))
-          << 8U) |
-         (static_cast<std::uint32_t>(
-              static_cast<unsigned char>(data[offset + 2]))
-          << 16U) |
-         (static_cast<std::uint32_t>(
-              static_cast<unsigned char>(data[offset + 3]))
-          << 24U);
-}
-
-void put_varint(std::string& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7fU) | 0x80U));
-    value >>= 7U;
-  }
-  out.push_back(static_cast<char>(value));
-}
-
-bool get_varint(std::string_view data, std::uint64_t& pos,
-                std::uint64_t& out) {
-  out = 0;
-  int shift = 0;
-  while (pos < data.size()) {
-    const auto byte = static_cast<unsigned char>(data[pos++]);
-    if (shift >= 64) {
-      return false;
-    }
-    out |= static_cast<std::uint64_t>(byte & 0x7fU) << shift;
-    if ((byte & 0x80U) == 0) {
+/// Any parseable record at or after `offset`?  Distinguishes a torn tail
+/// (garbage to end of file — safe to truncate) from mid-log corruption
+/// (valid data beyond the failure — records would vanish silently).
+bool valid_frame_after(std::string_view data, std::uint64_t offset) {
+  Record scratch;
+  for (std::uint64_t p = offset; p + kFrameFieldBytes + 1 <= data.size();
+       ++p) {
+    if (try_parse_frame(data, p, scratch) != 0) {
       return true;
     }
-    shift += 7;
   }
   return false;
 }
 
-/// seg-NNNNNNNN.log -> id, or 0 when the name does not match the scheme.
-std::uint32_t parse_segment_name(const std::string& name) {
+}  // namespace
+
+std::string encode_record_body(const Record& record) {
+  std::string body;
+  body.reserve(2 + 10 + record.name.size() + record.payload.size());
+  body.push_back(static_cast<char>(record.type));
+  put_varint(body, record.epoch);
+  put_string(body, record.name);
+  body += record.payload;
+  return body;
+}
+
+bool decode_record_body(std::string_view body, Record& out) {
+  ByteReader reader(body);
+  const std::uint8_t type = reader.u8();
+  const std::uint64_t epoch = reader.varint();
+  const std::string_view name = reader.str();
+  if (!reader.ok() ||
+      type < static_cast<std::uint8_t>(RecordType::kGenesis) ||
+      type > static_cast<std::uint8_t>(RecordType::kSpan) || name.empty() ||
+      name.size() > kMaxNameBytes) {
+    return false;
+  }
+  out.type = static_cast<RecordType>(type);
+  out.epoch = epoch;
+  out.name.assign(name);
+  out.payload.assign(reader.rest());
+  return true;
+}
+
+std::string encode_manifest_file(const std::vector<std::uint32_t>& ids,
+                                 std::uint32_t next_id) {
+  std::string body;
+  put_varint(body, ids.size());
+  for (const std::uint32_t id : ids) {
+    put_varint(body, id);
+  }
+  put_varint(body, next_id);
+  return encode_frame(kManifestMagic, body);
+}
+
+bool decode_manifest_file(std::string_view file,
+                          std::vector<std::uint32_t>& ids,
+                          std::uint32_t& next_id, DecodeError& error) {
+  const DecodedFrame frame =
+      decode_exact_frame(file, kManifestMagic, kMaxFrameBody);
+  if (frame.status != FrameStatus::kDone) {
+    error = {frame.error, static_cast<std::int64_t>(frame.error_offset)};
+    return false;
+  }
+  const std::int64_t body_at =
+      static_cast<std::int64_t>(file.size() - frame.body.size());
+  ByteReader reader(frame.body);
+  const std::uint64_t count = reader.varint();
+  if (!reader.ok() || count == 0 || count > kMaxSegments) {
+    error = {"implausible segment count", body_at};
+    return false;
+  }
+  ids.clear();
+  std::uint64_t prev = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t id = reader.varint();
+    if (!reader.ok() || id == 0 || id <= prev || id > kMaxSegments) {
+      error = {"segment ids not ascending", body_at};
+      return false;
+    }
+    ids.push_back(static_cast<std::uint32_t>(id));
+    prev = id;
+  }
+  const std::uint64_t next = reader.varint();
+  if (!reader.done() || next <= prev) {
+    error = {"bad next segment id", body_at};
+    return false;
+  }
+  next_id = static_cast<std::uint32_t>(next);
+  return true;
+}
+
+std::string encode_segment_header(std::uint32_t id) {
+  std::string body;
+  put_u32le(body, id);
+  return encode_frame(kSegmentMagic, body);
+}
+
+bool check_segment_header(std::string_view data, std::uint32_t id,
+                          DecodeError& error) {
+  const DecodedFrame frame = decode_frame(data, kSegmentMagic, 4);
+  if (frame.status == FrameStatus::kCorrupt) {
+    error = {frame.error, static_cast<std::int64_t>(frame.error_offset)};
+    return false;
+  }
+  if (frame.status == FrameStatus::kNeedMore || frame.body.size() != 4 ||
+      get_u32le(frame.body.data()) != id) {
+    error = {"bad segment header", 0};
+    return false;
+  }
+  return true;
+}
+
+std::uint32_t parse_segment_file_name(const std::string& name) {
   if (name.size() != 16 || name.compare(0, 4, "seg-") != 0 ||
       name.compare(12, 4, ".log") != 0) {
     return 0;
@@ -87,164 +152,18 @@ std::uint32_t parse_segment_name(const std::string& name) {
   return id;
 }
 
-std::string encode_manifest(const std::vector<std::uint32_t>& ids,
-                            std::uint32_t next_id) {
-  std::string body;
-  put_varint(body, ids.size());
-  for (const std::uint32_t id : ids) {
-    put_varint(body, id);
-  }
-  put_varint(body, next_id);
-  std::string file(kManifestMagic);
-  put_u32le(file, crc32c(body));
-  file += body;
-  return file;
-}
-
-bool parse_manifest(std::string_view file, std::vector<std::uint32_t>& ids,
-                    std::uint32_t& next_id, std::string& error) {
-  if (file.size() < kManifestMagic.size() + 4 ||
-      file.substr(0, kManifestMagic.size()) != kManifestMagic) {
-    error = "bad magic";
-    return false;
-  }
-  const std::string_view body = file.substr(kManifestMagic.size() + 4);
-  if (crc32c(body) != get_u32le(file, kManifestMagic.size())) {
-    error = "CRC mismatch";
-    return false;
-  }
-  std::uint64_t pos = 0;
-  std::uint64_t count = 0;
-  if (!get_varint(body, pos, count) || count == 0 || count > kMaxSegments) {
-    error = "implausible segment count";
-    return false;
-  }
-  ids.clear();
-  std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t id = 0;
-    if (!get_varint(body, pos, id) || id == 0 || id <= prev ||
-        id > kMaxSegments) {
-      error = "segment ids not ascending";
-      return false;
-    }
-    ids.push_back(static_cast<std::uint32_t>(id));
-    prev = id;
-  }
-  std::uint64_t next = 0;
-  if (!get_varint(body, pos, next) || next <= prev || pos != body.size()) {
-    error = "trailing bytes";
-    return false;
-  }
-  next_id = static_cast<std::uint32_t>(next);
-  return true;
-}
-
-std::string encode_segment_header(std::uint32_t id) {
-  std::string head(kSegmentMagic);
-  std::string id_bytes;
-  put_u32le(id_bytes, id);
-  head += id_bytes;
-  put_u32le(head, crc32c(id_bytes));
-  return head;
-}
-
-bool read_whole_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  out.assign((std::istreambuf_iterator<char>(in)),
-             std::istreambuf_iterator<char>());
-  return true;
-}
-
-/// Any parseable record at or after `offset`?  Distinguishes a torn tail
-/// (garbage to end of file — safe to truncate) from mid-log corruption
-/// (valid data beyond the failure — records would vanish silently).
-bool valid_frame_after(std::string_view data, std::uint64_t offset) {
-  Record scratch;
-  for (std::uint64_t p = offset; p + 9 <= data.size(); ++p) {
-    if (try_parse_frame(data, p, scratch) != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-std::string encode_record_body(const Record& record) {
-  std::string body;
-  body.reserve(2 + 10 + record.name.size() + record.payload.size());
-  body.push_back(static_cast<char>(record.type));
-  put_varint(body, record.epoch);
-  put_varint(body, record.name.size());
-  body += record.name;
-  body += record.payload;
-  return body;
-}
-
-bool decode_record_body(std::string_view body, Record& out) {
-  if (body.empty()) {
-    return false;
-  }
-  const auto type = static_cast<std::uint8_t>(body[0]);
-  if (type < static_cast<std::uint8_t>(RecordType::kGenesis) ||
-      type > static_cast<std::uint8_t>(RecordType::kSpan)) {
-    return false;
-  }
-  std::uint64_t pos = 1;
-  std::uint64_t epoch = 0;
-  std::uint64_t name_len = 0;
-  if (!get_varint(body, pos, epoch) || !get_varint(body, pos, name_len) ||
-      name_len == 0 || name_len > kMaxNameBytes ||
-      pos + name_len > body.size()) {
-    return false;
-  }
-  out.type = static_cast<RecordType>(type);
-  out.epoch = epoch;
-  out.name.assign(body.substr(pos, name_len));
-  out.payload.assign(body.substr(pos + name_len));
-  return true;
-}
-
-std::string encode_manifest_file(const std::vector<std::uint32_t>& ids,
-                                 std::uint32_t next_id) {
-  return encode_manifest(ids, next_id);
-}
-
-bool decode_manifest_file(std::string_view file,
-                          std::vector<std::uint32_t>& ids,
-                          std::uint32_t& next_id, std::string& error) {
-  return parse_manifest(file, ids, next_id, error);
-}
-
-std::string encode_segment_header_bytes(std::uint32_t id) {
-  return encode_segment_header(id);
-}
-
-std::uint32_t parse_segment_file_name(const std::string& name) {
-  return parse_segment_name(name);
-}
-
 std::uint64_t try_parse_frame(std::string_view data, std::uint64_t offset,
                               Record& out) {
-  if (offset + 8 > data.size()) {
+  if (offset > data.size()) {
     return 0;
   }
-  const std::uint64_t len = get_u32le(data, offset);
-  if (len == 0 || len > kMaxRecordBytes || offset + 8 + len > data.size()) {
+  const DecodedFrame frame =
+      decode_frame(data.substr(offset), {}, kMaxRecordBytes);
+  if (frame.status != FrameStatus::kDone ||
+      !decode_record_body(frame.body, out)) {
     return 0;
   }
-  const std::string_view body = data.substr(offset + 8, len);
-  if (crc32c(body) != get_u32le(data, offset + 4)) {
-    return 0;
-  }
-  if (!decode_record_body(body, out)) {
-    return 0;
-  }
-  return 8 + len;
+  return frame.consumed;
 }
 
 SegmentLog::SegmentLog(LogConfig config, const ScanCallback& on_scan)
@@ -305,7 +224,8 @@ void SegmentLog::full_write(std::string_view bytes, const char* what) {
 }
 
 void SegmentLog::write_manifest() {
-  const std::string file = encode_manifest(segment_ids_, next_segment_id_);
+  const std::string file =
+      encode_manifest_file(segment_ids_, next_segment_id_);
   const std::string path = config_.dir + "/manifest";
   const std::string tmp = path + ".tmp";
   const int fd =
@@ -387,7 +307,7 @@ void SegmentLog::open_or_create() {
         continue;
       }
       const std::string name = entry.path().filename().string();
-      if (const std::uint32_t id = parse_segment_name(name); id != 0) {
+      if (const std::uint32_t id = parse_segment_file_name(name); id != 0) {
         present.emplace_back(id, entry.path().string());
       }
     }
@@ -416,9 +336,11 @@ void SegmentLog::open_or_create() {
     return;
   }
 
-  std::string error;
-  if (!parse_manifest(manifest, segment_ids_, next_segment_id_, error)) {
-    throw StoreError("manifest: " + error, manifest_path, -1);
+  DecodeError error;
+  if (!decode_manifest_file(manifest, segment_ids_, next_segment_id_,
+                            error)) {
+    throw StoreError("manifest: " + error.message, manifest_path,
+                     error.offset);
   }
   if (!config_.read_only) {
     // Orphans — a segment created whose manifest write never landed, or
@@ -441,13 +363,10 @@ void SegmentLog::scan_segment(std::uint32_t id, bool last,
   if (!read_whole_file(path, data)) {
     throw StoreError("segment named by manifest is missing", path, -1);
   }
-  if (data.size() < kSegmentHeaderBytes ||
-      data.substr(0, kSegmentMagic.size()) != kSegmentMagic ||
-      get_u32le(data, 8) != id ||
-      crc32c(std::string_view(data).substr(8, 4)) != get_u32le(data, 12)) {
+  if (DecodeError error; !check_segment_header(data, id, error)) {
     // Rotation fsyncs the header before the manifest names the segment,
     // so a bad header is disk corruption, never a torn write.
-    throw StoreError("bad segment header", path, 0);
+    throw StoreError("segment header: " + error.message, path, error.offset);
   }
   std::uint64_t offset = kSegmentHeaderBytes;
   std::uint64_t end = data.size();
@@ -503,11 +422,7 @@ RecordRef SegmentLog::append(const Record& record) {
   if (body.size() > kMaxRecordBytes) {
     throw StoreError("record exceeds the 1 GiB frame bound", config_.dir, -1);
   }
-  std::string frame;
-  frame.reserve(8 + body.size());
-  put_u32le(frame, static_cast<std::uint32_t>(body.size()));
-  put_u32le(frame, crc32c(body));
-  frame += body;
+  const std::string frame = encode_frame({}, body);
   const RecordRef ref{segment_ids_.back(), write_offset_, frame.size()};
   try {
     full_write(frame, "append");
@@ -724,7 +639,7 @@ VerifyReport verify_log(const std::string& dir) {
         continue;
       }
       if (const std::uint32_t id =
-              parse_segment_name(entry.path().filename().string());
+              parse_segment_file_name(entry.path().filename().string());
           id != 0) {
         present.emplace_back(id, entry.path().string());
       }
@@ -743,9 +658,9 @@ VerifyReport verify_log(const std::string& dir) {
     }
     return report;  // an empty / never-created store is fine
   }
-  std::string error;
-  if (!parse_manifest(manifest, ids, next_id, error)) {
-    report.issues.push_back({manifest_path, -1, "manifest: " + error, true});
+  if (DecodeError error; !decode_manifest_file(manifest, ids, next_id, error)) {
+    report.issues.push_back(
+        {manifest_path, error.offset, "manifest: " + error.message, true});
     return report;
   }
   report.segments = ids.size();
@@ -765,11 +680,9 @@ VerifyReport verify_log(const std::string& dir) {
           {path, -1, "segment named by manifest is missing", true});
       continue;
     }
-    if (data.size() < kSegmentHeaderBytes ||
-        data.substr(0, kSegmentMagic.size()) != kSegmentMagic ||
-        get_u32le(data, 8) != id ||
-        crc32c(std::string_view(data).substr(8, 4)) != get_u32le(data, 12)) {
-      report.issues.push_back({path, 0, "bad segment header", true});
+    if (DecodeError error; !check_segment_header(data, id, error)) {
+      report.issues.push_back(
+          {path, error.offset, "segment header: " + error.message, true});
       continue;
     }
     std::uint64_t offset = kSegmentHeaderBytes;

@@ -1,16 +1,16 @@
 // Crash-consistent append-only segment log — the durability substrate
 // under tenant state (src/store/tenant_store.h layers the semantics).
 //
-// On-disk layout, all little-endian:
+// On-disk layout.  Every structure is a frame of the shared codec
+// (common/frame.h): tag | u32le len | u32le crc32c(tag ‖ body) | body.
 //
-//   <dir>/manifest       "OCEPMAN1" | u32 crc32c(body) | body
-//                        body = varint segment count, each segment id
-//                        ascending, varint next segment id
+//   <dir>/manifest       tag "OCEPMAN2", body = varint segment count, each
+//                        segment id ascending, varint next segment id
 //   <dir>/seg-NNNNNNNN.log
-//                        16-byte header: "OCEPSEG1" | u32 id | u32
-//                        crc32c(id bytes), then records back to back:
-//                        u32 body length | u32 crc32c(body) | body
-//                        body = u8 type | varint epoch |
+//                        20-byte header: tag "OCEPSEG2", body = u32le id;
+//                        then records back to back, each an empty-tag
+//                        frame (so u32le len | u32le crc32c(body) | body)
+//                        with body = u8 type | varint epoch |
 //                               varint name length | name | payload
 //
 // Write discipline (the crash contract):
@@ -48,7 +48,7 @@ namespace ocep::store {
 
 enum class RecordType : std::uint8_t {
   kGenesis = 1,    ///< pattern list of a tenant that never announced traces
-  kBase = 2,       ///< full OCEPNTC1 tenant image
+  kBase = 2,       ///< full OCEPNTC2 tenant image
   kDelta = 3,      ///< raw session wire bytes fed since the last append
   kTombstone = 4,  ///< tenant left this log (migrated away / superseded)
   kSpan = 5,       ///< evicted leaf-history span (store/tenant_store.h codec)
@@ -73,11 +73,11 @@ struct RecordRef {
 /// the unit a log tailer (net/replicator) reasons about.
 struct SegmentView {
   std::uint32_t id = 0;
-  std::uint64_t bytes = 0;  ///< durable size, including the 16-byte header
+  std::uint64_t bytes = 0;  ///< durable size, including the segment header
 };
 
 /// Per-segment occupancy for compaction policy: how much of a segment is
-/// still live versus superseded.  `bytes` excludes the 16-byte header, so
+/// still live versus superseded.  `bytes` excludes the segment header, so
 /// a fully-dead segment reports live_bytes == 0 with bytes > 0.
 struct SegmentUsage {
   std::uint32_t id = 0;
@@ -194,10 +194,18 @@ class SegmentLog {
 
 // --- shared frame/manifest encoding (tenant_store + verify reuse) ------
 
-constexpr std::string_view kManifestMagic = "OCEPMAN1";
-constexpr std::string_view kSegmentMagic = "OCEPSEG1";
-constexpr std::size_t kSegmentHeaderBytes = 16;
+constexpr std::string_view kManifestMagic = "OCEPMAN2";
+constexpr std::string_view kSegmentMagic = "OCEPSEG2";
+/// Tag, length and CRC fields, and the u32 segment id.
+constexpr std::size_t kSegmentHeaderBytes = 20;
 constexpr std::uint64_t kMaxRecordBytes = 1ULL << 30U;
+
+/// Why and where (byte offset within the file) a manifest or segment
+/// header failed to decode.
+struct DecodeError {
+  std::string message;
+  std::int64_t offset = -1;
+};
 
 /// Serializes the record body (type | epoch | name | payload).
 [[nodiscard]] std::string encode_record_body(const Record& record);
@@ -211,10 +219,10 @@ constexpr std::uint64_t kMaxRecordBytes = 1ULL << 30U;
 [[nodiscard]] std::uint64_t try_parse_frame(std::string_view data,
                                             std::uint64_t offset, Record& out);
 
-/// Encodes a whole manifest file (magic | crc | body) for `ids` in
-/// ascending order with `next_id` as the successor id.  Replication
-/// writes follower manifests through this so primary and follower
-/// manifests are byte-identical for the same segment set.
+/// Encodes a whole manifest file for `ids` in ascending order with
+/// `next_id` as the successor id.  Replication writes follower manifests
+/// through this so primary and follower manifests are byte-identical for
+/// the same segment set.
 [[nodiscard]] std::string encode_manifest_file(
     const std::vector<std::uint32_t>& ids, std::uint32_t next_id);
 
@@ -222,10 +230,14 @@ constexpr std::uint64_t kMaxRecordBytes = 1ULL << 30U;
 [[nodiscard]] bool decode_manifest_file(std::string_view file,
                                         std::vector<std::uint32_t>& ids,
                                         std::uint32_t& next_id,
-                                        std::string& error);
+                                        DecodeError& error);
 
-/// The 16-byte segment file header for `id`.
-[[nodiscard]] std::string encode_segment_header_bytes(std::uint32_t id);
+/// The segment file header for `id`.
+[[nodiscard]] std::string encode_segment_header(std::uint32_t id);
+
+/// Checks that `data` (a segment file) starts with the header for `id`.
+[[nodiscard]] bool check_segment_header(std::string_view data,
+                                        std::uint32_t id, DecodeError& error);
 
 /// seg-NNNNNNNN.log -> id, or 0 when the name does not match the scheme.
 [[nodiscard]] std::uint32_t parse_segment_file_name(const std::string& name);

@@ -5,7 +5,7 @@
 //
 //   genesis  — the pattern list of a tenant created before its trace
 //              announcement arrived (nothing else is coherent to save yet)
-//   base     — a full OCEPNTC1 image (Tenant::checkpoint() bytes); written
+//   base     — a full OCEPNTC2 image (Tenant::checkpoint() bytes); written
 //              once at re-base/spill/adopt, it supersedes everything the
 //              tenant appended before it
 //   delta    — the raw session wire bytes fed since the previous append;
@@ -42,7 +42,7 @@ struct TenantImage {
   std::uint64_t epoch = 0;
   bool has_base = false;
   std::vector<std::string> patterns;  ///< meaningful when !has_base
-  std::string base;                   ///< OCEPNTC1 bytes when has_base
+  std::string base;                   ///< OCEPNTC2 bytes when has_base
   std::vector<std::string> deltas;    ///< wire bytes to replay, in order
 };
 

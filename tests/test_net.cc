@@ -30,6 +30,7 @@
 #include "net/server.h"
 #include "net/shard.h"
 #include "poet/dump.h"
+#include "random_computation.h"
 #include "testing/chaos_harness.h"
 
 namespace ocep {
@@ -237,6 +238,53 @@ TEST(NetProtocol, ReverseFramesRoundTrip) {
   EXPECT_EQ(frame.type, net::kReverseNotice);
   EXPECT_EQ(frame.message, "note");
   EXPECT_EQ(pos, wire.size());
+}
+
+// A tenant whose monitor image outgrows 1 MiB (the cap on a symbol
+// string inside a dump) still checkpoints and restores: the nested blobs
+// are bounded by the CRC-checked tenant image, nothing else.
+TEST(NetTenant, ImageLargerThanOneMiBRestoresByteIdentical) {
+  StringPool pool;
+  testing::RandomComputationOptions options;
+  options.traces = 4;
+  options.events = 120000;
+  options.seed = 5;
+  const EventStore store = testing::random_computation(pool, options);
+  struct StringSink final : ByteSink {
+    void write(std::string_view bytes) override { wire.append(bytes); }
+    std::string wire;
+  } sink;
+  std::vector<Symbol> names;
+  for (TraceId t = 0; t < store.trace_count(); ++t) {
+    names.push_back(store.trace_name(t));
+  }
+  SessionServer producer(sink, pool, names);
+  for (std::uint64_t pos = 0; pos < store.event_count(); ++pos) {
+    const EventId id = store.arrival(pos);
+    producer.write(store.event(id), store.clock(id));
+  }
+  producer.finish();
+
+  const std::vector<std::string> patterns = {
+      "P := ['', A, '']; Q := ['', B, ''];\npattern := P -> Q;\n"};
+  net::Tenant original("big", net::TenantConfig{});
+  original.register_patterns(patterns);
+  original.feed(sink.wire);
+  ASSERT_EQ(original.monitor().events_seen(), store.event_count());
+  std::stringstream image;
+  original.checkpoint(image);
+  const std::string bytes = image.str();
+  const net::TenantCheckpoint saved = net::read_tenant_checkpoint(image);
+  ASSERT_GT(saved.monitor_blob.size(), 1U << 20U);
+
+  net::Tenant restored("big", net::TenantConfig{});
+  std::istringstream in(bytes);
+  restored.restore(in);
+  EXPECT_EQ(restored.state(), net::TenantState::kComplete);
+  std::stringstream again;
+  restored.checkpoint(again);
+  EXPECT_EQ(net::read_tenant_checkpoint(again).monitor_blob,
+            saved.monitor_blob);
 }
 
 TEST(NetServe, SingleClientMatchesGolden) {
@@ -742,7 +790,7 @@ TEST(NetShard, RestartWithDifferentShardCountResumesByteIdentical) {
 // ===================================================================
 // NetRebalance: the live tenant-migration torture suite.  A migration
 // freezes a tenant at a frame boundary on its source shard, carries the
-// OCEPNTC1 image (plus any attached socket and both directions' buffered
+// OCEPNTC2 image (plus any attached socket and both directions' buffered
 // bytes) through the destination's mailbox, and resumes byte-identically.
 // These tests force migrations mid-stream, race them against
 // disconnects, inject faults at every phase, and check the placement

@@ -345,6 +345,11 @@ TEST(ReplCodec, StreamFramesRoundTripAndRejectCorruption) {
   std::string bad = one;
   bad[bad.size() - 1] = static_cast<char>(bad[bad.size() - 1] ^ 0x10);
   EXPECT_EQ(store::try_decode_repl_frame(bad, type, payload), -1);
+  // So is a flipped type byte, even one that names another valid type
+  // ('S' ^ 1 is 'R', a reset that would wipe the replica).
+  std::string retyped = store::encode_repl_open(9);
+  retyped[0] = static_cast<char>(retyped[0] ^ 0x01);
+  EXPECT_EQ(store::try_decode_repl_frame(retyped, type, payload), -1);
 }
 
 TEST(ReplCodec, RecordFrameCountCarriesSplitFrames) {

@@ -167,7 +167,8 @@ TEST(SegmentLog, OrphanSegmentIsRemovedOnOpen) {
   // Simulate a crash after create_segment but before the manifest write
   // landed: a header-only segment the manifest does not name.
   const std::string orphan = seg_path(dir, 7);
-  std::string header = read_file(seg_path(dir, 1)).substr(0, 16);
+  std::string header =
+      read_file(seg_path(dir, 1)).substr(0, kSegmentHeaderBytes);
   write_file(orphan, header);
   { SegmentLog log(log_config(dir), nullptr); }
   EXPECT_FALSE(fs::exists(orphan));
