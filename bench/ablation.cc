@@ -30,9 +30,6 @@ struct Config {
 std::vector<Config> configurations() {
   std::vector<Config> out;
   out.push_back({"full", MatcherConfig{}});
-  MatcherConfig retain;
-  retain.history_retention = 64;
-  out.push_back({"retain-64", retain});
   MatcherConfig no_prune;
   no_prune.domain_pruning = false;
   out.push_back({"no-prune", no_prune});
@@ -61,10 +58,10 @@ void run_case(const char* case_name,
     }
     const metrics::Boxplot box = populations.searched.summarize();
     std::printf("%-10s %-18s %10.2f %10.2f %12" PRIu64 " %12" PRIu64
-                " %12" PRIu64 " %12" PRIu64 "\n",
+                " %12" PRIu64 "\n",
                 case_name, config.name, box.median, box.max,
                 totals.nodes_explored, totals.history_entries,
-                totals.history_pruned, totals.matches_reported);
+                totals.matches_reported);
     report.begin_row(std::string(case_name) + "/" + config.name);
     report.add("case", std::string(case_name));
     report.add("config", std::string(config.name));
@@ -85,9 +82,8 @@ int main(int argc, char** argv) {
 
     std::printf("# Ablation: per-terminating-event cost by matcher "
                 "configuration (%u traces)\n", traces);
-    std::printf("%-10s %-18s %10s %10s %12s %12s %12s %12s\n", "case",
-                "config", "med_us", "max_us", "nodes", "history", "pruned",
-                "matches");
+    std::printf("%-10s %-18s %10s %10s %12s %12s %12s\n", "case", "config",
+                "med_us", "max_us", "nodes", "history", "matches");
 
     JsonReport report("ablation", params);
     {

@@ -149,7 +149,6 @@ void time_pattern(const EventStore& store, StringPool& pool,
   totals.backjumps += stats.backjumps;
   totals.history_entries += stats.history_entries;
   totals.history_merged += stats.history_merged;
-  totals.history_pruned += stats.history_pruned;
 }
 
 void print_header(const std::string& title, const std::string& label_name,
@@ -293,7 +292,6 @@ void JsonReport::add_totals(const MatchTotals& totals) {
   add("backjumps", totals.backjumps);
   add("history_entries", totals.history_entries);
   add("history_merged", totals.history_merged);
-  add("history_pruned", totals.history_pruned);
 }
 
 bool JsonReport::write() {

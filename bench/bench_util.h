@@ -82,7 +82,6 @@ struct MatchTotals {
   std::uint64_t backjumps = 0;
   std::uint64_t history_entries = 0;
   std::uint64_t history_merged = 0;
-  std::uint64_t history_pruned = 0;
 };
 
 /// Replays the workload's store through an OcepMatcher, timing every

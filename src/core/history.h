@@ -57,7 +57,6 @@ class LeafHistory {
     spilled_meta_.assign(traces, {});
     total_ = 0;
     merged_ = 0;
-    pruned_ = 0;
     evicted_ = 0;
     spilled_ = 0;
     bytes_ = 0;
@@ -136,7 +135,6 @@ class LeafHistory {
 
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
   [[nodiscard]] std::size_t merged() const noexcept { return merged_; }
-  [[nodiscard]] std::size_t pruned() const noexcept { return pruned_; }
   [[nodiscard]] std::size_t evicted() const noexcept { return evicted_; }
   [[nodiscard]] std::size_t spilled() const noexcept { return spilled_; }
 
@@ -169,29 +167,19 @@ class LeafHistory {
     store(trace, index, comm_before, key);
   }
 
-  /// Checkpoint support: restores the merge/prune/evict counters.
-  void set_counters(std::size_t merged, std::size_t pruned,
-                    std::size_t evicted = 0) {
+  /// Checkpoint support: restores the merge/evict counters.
+  void set_counters(std::size_t merged, std::size_t evicted) {
     merged_ = merged;
-    pruned_ = pruned;
     evicted_ = evicted;
   }
   /// Checkpoint support (format v3): restores the spilled counter.
   void set_spilled_counter(std::size_t spilled) { spilled_ = spilled; }
 
-  /// Retention (paper §VI future work): drops the oldest entries on
-  /// `trace`, keeping the `keep` most recent.  The caller decides *when*
-  /// this is safe — OCEP does it once the (leaf, trace) pair is covered by
-  /// the representative subset, so the dropped events can no longer
-  /// contribute new coverage there.
-  void prune_front(TraceId trace, std::size_t keep) {
-    drop_front(trace, keep, pruned_);
-  }
-
-  /// Memory governance (docs/GOVERNANCE.md): same front-drop as
-  /// prune_front but charged to the `evicted` counter — these entries were
-  /// *not* known to be covered, so the drop is reported as coverage loss.
-  /// Returns the approximate bytes freed.
+  /// Memory governance (docs/GOVERNANCE.md): drops the oldest entries on
+  /// `trace`, keeping the `keep` most recent, charged to the `evicted`
+  /// counter — the dropped entries were not known to be covered, so the
+  /// drop is reported as coverage loss.  Returns the approximate bytes
+  /// freed.
   std::size_t evict_front(TraceId trace, std::size_t keep) {
     return drop_front(trace, keep, evicted_);
   }
@@ -401,7 +389,6 @@ class LeafHistory {
   bool keyed_ = false;
   std::size_t total_ = 0;
   std::size_t merged_ = 0;
-  std::size_t pruned_ = 0;
   std::size_t evicted_ = 0;
   std::size_t spilled_ = 0;
   std::size_t bytes_ = 0;

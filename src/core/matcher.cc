@@ -29,10 +29,7 @@ OcepMatcher::OcepMatcher(const EventStore& store,
   governor_.configure(config_.budget, config_.breaker);
 }
 
-void OcepMatcher::lazy_init() {
-  if (initialized_) {
-    return;
-  }
+void OcepMatcher::initialize() {
   initialized_ = true;
   traces_ = store_.trace_count();
   OCEP_ASSERT_MSG(traces_ > 0, "store has no traces");
@@ -74,10 +71,11 @@ void OcepMatcher::lazy_init() {
   for (std::uint32_t anchor = 0; anchor < k; ++anchor) {
     orders_[anchor] = make_order({anchor});
   }
+  pin_orders_.resize(k * k);
 
-  is_terminating_.assign(k, false);
+  terminating_mask_ = 0;
   for (const std::uint32_t leaf : pattern_.terminating) {
-    is_terminating_[leaf] = true;
+    terminating_mask_ |= bit(leaf);
   }
 
   // A leaf quantified by limited precedence ('a' in a -lim-> b) must keep
@@ -94,7 +92,6 @@ void OcepMatcher::lazy_init() {
   for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
     histories_[leaf].reset(traces_, key_attr_[leaf] != KeyAttr::kNone);
   }
-  comm_before_.assign(traces_, 0);
 
   trace_by_name_.clear();
   for (TraceId t = 0; t < traces_; ++t) {
@@ -106,6 +103,7 @@ void OcepMatcher::lazy_init() {
   var_value_.assign(pattern_.variable_count, kEmptySymbol);
   var_bound_.assign(pattern_.variable_count, false);
   var_binder_.assign(pattern_.variable_count, 0);
+  local_covered_.assign(k * traces_, 0);
 
   subset_.reset(k, traces_);
 }
@@ -190,110 +188,95 @@ bool OcepMatcher::leaf_accepts(const pattern::Leaf& leaf,
   return true;
 }
 
-void OcepMatcher::observe(const Event& event) {
+void OcepMatcher::observe(const Event& event, std::uint64_t position) {
+  OCEP_ASSERT_MSG(position >= stats_.events_observed,
+                  "events must be observed in arrival order");
+  advance(position);
   lazy_init();
-  // Snapshot for the per-observe telemetry deltas; skipped entirely (one
-  // predictable branch) when no sinks are attached.
-  const MatcherStats before = telemetry_on_ ? stats_ : MatcherStats{};
+  if (telemetry_on_) {
+    // Snapshot for the per-observe telemetry deltas.
+    const MatcherStats before = stats_;
+    observe_next(event);
+    publish_telemetry(before);
+  } else {
+    observe_next(event);
+  }
+}
+
+void OcepMatcher::observe_next(const Event& event) {
   ++stats_.events_observed;
   const TraceId trace = event.id.trace;
   OCEP_ASSERT(trace < traces_);
 
-  // Append to every accepting leaf's history, then anchor searches at the
-  // terminating ones.
-  const bool is_comm = is_communication(event.kind);
-  bool hit = false;
+  // The leaves that accept the event, found once: each appends it to its
+  // history, and the terminating ones then anchor searches at it.
+  std::uint64_t accepting = 0;
   for (std::uint32_t leaf = 0; leaf < pattern_.size(); ++leaf) {
-    if (!leaf_accepts(pattern_.leaves[leaf], event)) {
-      continue;
+    if (leaf_accepts(pattern_.leaves[leaf], event)) {
+      accepting |= bit(leaf);
     }
-    hit = true;
+  }
+  if (accepting == 0) {
+    return;
+  }
+  ++stats_.leaf_hits;
+  const bool is_comm = is_communication(event.kind);
+  const std::uint32_t comm = store_.comm_before(event.id);
+  for (std::uint64_t rest = accepting; rest != 0; rest &= rest - 1) {
+    const auto leaf = static_cast<std::uint32_t>(std::countr_zero(rest));
     const Symbol key =
         key_attr_[leaf] == KeyAttr::kText
             ? event.text
             : (key_attr_[leaf] == KeyAttr::kType ? event.type : kEmptySymbol);
-    histories_[leaf].append(
-        trace, event.id.index, comm_before_[trace], is_comm,
-        config_.merge_redundant_history && merge_allowed_[leaf], key);
-  }
-  if (hit) {
-    ++stats_.leaf_hits;
-    bool terminating_hit = false;
-    for (std::uint32_t leaf = 0; leaf < pattern_.size(); ++leaf) {
-      if (is_terminating_[leaf] &&
-          leaf_accepts(pattern_.leaves[leaf], event)) {
-        terminating_hit = true;
-        break;
-      }
+    const bool merge = config_.merge_redundant_history && merge_allowed_[leaf];
+    LeafHistory& history = histories_[leaf];
+    if (history.append(trace, event.id.index, comm, is_comm, merge, key)) {
+      ++stats_.history_entries;
+    } else {
+      ++stats_.history_merged;
     }
-    // The governor gates the whole search phase of this observe: an open
-    // or quarantined breaker degrades it to the O(1) appends above, and an
-    // admitted search runs under one shared budget across every anchor and
-    // pin (at most one abort per observe).  The breaker clock is the
-    // observe count, so the outcome is identical across worker counts and
-    // checkpoint splits.
+  }
+  // The governor gates the whole search phase of this observe: an open
+  // or quarantined breaker degrades it to the O(1) appends above, and an
+  // admitted search runs under one shared budget across every anchor and
+  // pin (at most one abort per observe).  The breaker clock is the
+  // event's arrival count, so the outcome is identical across worker
+  // counts, checkpoint splits and the events a Monitor skips.
+  const std::uint64_t anchors = accepting & terminating_mask_;
+  if (anchors != 0) {
     SearchBudget effective;
-    if (terminating_hit) {
-      if (!governor_.admit(stats_.events_observed, effective)) {
-        ++stats_.observes_shed;
-      } else {
-        begin_search_budget(effective);
-        for (std::uint32_t leaf = 0; leaf < pattern_.size(); ++leaf) {
-          if (is_terminating_[leaf] &&
-              leaf_accepts(pattern_.leaves[leaf], event)) {
-            run_anchor(leaf, event);
-            if (search_aborted_) {
-              break;
-            }
-          }
-        }
+    if (!governor_.admit(stats_.events_observed, effective)) {
+      ++stats_.observes_shed;
+    } else {
+      begin_search_budget(effective);
+      for (std::uint64_t rest = anchors; rest != 0; rest &= rest - 1) {
+        run_anchor(static_cast<std::uint32_t>(std::countr_zero(rest)), event);
         if (search_aborted_) {
-          ++stats_.searches_aborted;
+          break;
         }
-        governor_.on_search_result(stats_.events_observed, search_aborted_);
-        stats_.breaker_trips = governor_.trips();
       }
-    }
-  }
-  if (is_comm) {
-    ++comm_before_[trace];
-  }
-  // Retention: once a (leaf, trace) pair is covered, older occurrences on
-  // it cannot add coverage there; keep a bounded recent window.  Amortize
-  // the erase by pruning only at twice the budget.  Spilled spans of a
-  // covered pair are even older than the prunable prefix, so they are
-  // released at the sink rather than ever faulted back.
-  if (config_.history_retention > 0) {
-    for (std::uint32_t leaf = 0; leaf < pattern_.size(); ++leaf) {
-      if (!subset_.covered(leaf, trace)) {
-        continue;
+      if (search_aborted_) {
+        ++stats_.searches_aborted;
       }
-      if (span_sink_ != nullptr && histories_[leaf].has_spilled(trace)) {
-        release_spilled(leaf, trace);
-      }
-      if (histories_[leaf].on_trace(trace).size() >
-          2 * config_.history_retention) {
-        histories_[leaf].prune_front(trace, config_.history_retention);
-      }
+      governor_.on_search_result(stats_.events_observed, search_aborted_);
+      stats_.breaker_trips = governor_.trips();
     }
   }
   if (config_.history_bytes_limit > 0) {
     enforce_history_budget();
   }
+}
+
+void OcepMatcher::refresh_history_stats() {
   stats_.history_entries = 0;
   stats_.history_merged = 0;
-  stats_.history_pruned = 0;
   stats_.history_evicted = 0;
   stats_.history_spilled = 0;
   for (const LeafHistory& history : histories_) {
     stats_.history_entries += history.total();
     stats_.history_merged += history.merged();
-    stats_.history_pruned += history.pruned();
     stats_.history_evicted += history.evicted();
     stats_.history_spilled += history.spilled();
-  }
-  if (telemetry_on_) {
-    publish_telemetry(before);
   }
 }
 
@@ -355,6 +338,7 @@ void OcepMatcher::enforce_history_budget() {
     }
     bytes -= std::min(bytes, freed);
   }
+  refresh_history_stats();
 }
 
 std::size_t OcepMatcher::spill_pair(std::uint32_t leaf, TraceId trace,
@@ -421,6 +405,7 @@ bool OcepMatcher::fault_newest(std::uint32_t leaf, TraceId trace) {
   }
   history.prepend_front(trace, entries, keys);
   stats_.history_faulted += entries.size();
+  stats_.history_entries += entries.size();
   span_sink_->release(pattern_index_, leaf, trace, meta.seq);
   return true;
 }
@@ -547,40 +532,50 @@ void OcepMatcher::publish_telemetry(const MatcherStats& before) {
   }
 }
 
+bool OcepMatcher::prepare(const std::vector<std::uint32_t>& order,
+                          std::uint32_t anchor_leaf, const Event& event) {
+  std::fill(binding_.begin(), binding_.end(), EventId{});
+  std::fill(var_bound_.begin(), var_bound_.end(), false);
+  for (std::size_t d = 0; d < order.size(); ++d) {
+    depth_of_leaf_[order[d]] = d;
+  }
+  // Bind the anchor (depth 0).
+  trail_.clear();
+  std::uint64_t blame = 0;
+  if (!bind_attrs(anchor_leaf, event, 0, blame)) {
+    return false;  // e.g. class [$1, x, $1] with differing attributes
+  }
+  binding_[anchor_leaf] = event.id;
+  return true;
+}
+
+void OcepMatcher::mark_local() {
+  for (std::uint32_t leaf = 0; leaf < pattern_.size(); ++leaf) {
+    const std::size_t pair =
+        static_cast<std::size_t>(leaf) * traces_ + binding_[leaf].trace;
+    if (local_covered_[pair] == 0) {
+      local_covered_[pair] = 1;
+      local_marked_.push_back(static_cast<std::uint32_t>(pair));
+    }
+  }
+}
+
 void OcepMatcher::run_anchor(std::uint32_t anchor_leaf, const Event& event) {
   if (!partner_kind_ok(anchor_leaf, event)) {
     return;  // e.g. a send cannot anchor the receive side of '<->'
   }
   const std::size_t k = pattern_.size();
-  // Local coverage for this anchor (pairs covered by matches reported now).
-  std::vector<bool> local_covered(k * traces_, false);
-  auto mark_local = [&] {
-    for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
-      local_covered[static_cast<std::size_t>(leaf) * traces_ +
-                    binding_[leaf].trace] = true;
-    }
-  };
-
-  auto prepare = [&](const std::vector<std::uint32_t>& order) -> bool {
-    binding_.assign(k, EventId{});
-    std::fill(var_bound_.begin(), var_bound_.end(), false);
-    for (std::size_t d = 0; d < order.size(); ++d) {
-      depth_of_leaf_[order[d]] = d;
-    }
-    // Bind the anchor (depth 0).
-    std::vector<std::uint32_t> trail;
-    std::uint64_t blame = 0;
-    if (!bind_attrs(anchor_leaf, event, 0, trail, blame)) {
-      return false;  // e.g. class [$1, x, $1] with differing attributes
-    }
-    binding_[anchor_leaf] = event.id;
-    return true;
-  };
+  // Local coverage for this anchor (pairs covered by matches reported
+  // now): clear what the previous anchor marked.
+  for (const std::uint32_t pair : local_marked_) {
+    local_covered_[pair] = 0;
+  }
+  local_marked_.clear();
 
   // --- Free search (Algorithm 1 anchored at the new event) -------------
   const std::vector<std::uint32_t>& order = orders_[anchor_leaf];
   OCEP_ASSERT(order.front() == anchor_leaf);
-  if (!prepare(order)) {
+  if (!prepare(order, anchor_leaf, event)) {
     return;
   }
   ++stats_.searches;
@@ -595,7 +590,7 @@ void OcepMatcher::run_anchor(std::uint32_t anchor_leaf, const Event& event) {
     }
     return;  // no match contains the anchor: nothing to cover
   }
-  report(/*pinned=*/false);
+  report();
   mark_local();
 
   if (!config_.pin_coverage) {
@@ -607,11 +602,20 @@ void OcepMatcher::run_anchor(std::uint32_t anchor_leaf, const Event& event) {
     if (leaf == anchor_leaf) {
       continue;  // the anchor is fixed to this event's trace
     }
+    if (config_.global_coverage && subset_.covered_traces(leaf) == traces_) {
+      // Every pair of the leaf is covered: each pin below would be
+      // skipped, so skip them all at once.
+      if (search_aborted_) {
+        return;
+      }
+      stats_.pins_skipped += traces_;
+      continue;
+    }
     for (TraceId t = 0; t < traces_; ++t) {
       if (search_aborted_) {
         return;  // budget blew: skip the remaining pins this observe
       }
-      if (local_covered[static_cast<std::size_t>(leaf) * traces_ + t] ||
+      if (local_covered_[static_cast<std::size_t>(leaf) * traces_ + t] != 0 ||
           (config_.global_coverage && subset_.covered(leaf, t)) ||
           (histories_[leaf].on_trace(t).empty() &&
            !histories_[leaf].has_spilled(t))) {
@@ -620,33 +624,34 @@ void OcepMatcher::run_anchor(std::uint32_t anchor_leaf, const Event& event) {
       }
       // Pinned order: the anchor, then the pinned leaf, then the greedy
       // selectivity order from both.
-      const std::vector<std::uint32_t> pin_order =
-          make_order({anchor_leaf, leaf});
-      if (!prepare(pin_order)) {
+      std::vector<std::uint32_t>& pin_order =
+          pin_orders_[anchor_leaf * k + leaf];
+      if (pin_order.empty()) {
+        pin_order = make_order({anchor_leaf, leaf});
+      }
+      if (!prepare(pin_order, anchor_leaf, event)) {
         continue;
       }
       ++stats_.pins_run;
       ++stats_.searches;
       std::uint64_t pin_conflicts = 0;
       if (extend(pin_order, 1, Pin{true, leaf, t}, pin_conflicts)) {
-        report(/*pinned=*/true);
+        report();
         mark_local();
       }
     }
   }
 }
 
-void OcepMatcher::report(bool pinned) {
-  static_cast<void>(pinned);
-  Match match;
-  match.bindings = binding_;
-  const bool fresh = subset_.add(match);
+void OcepMatcher::report() {
+  match_.bindings = binding_;
+  const bool fresh = subset_.add(match_);
   ++stats_.matches_reported;
   if (!on_match_) {
     return;
   }
   if (!config_.contain_callback_errors) {
-    on_match_(match, fresh);
+    on_match_(match_, fresh);
     return;
   }
   // A throwing user callback must not unwind through the search: the
@@ -654,7 +659,7 @@ void OcepMatcher::report(bool pinned) {
   // at this point, so count the error, keep its message for the health
   // report, and carry on matching.
   try {
-    on_match_(match, fresh);
+    on_match_(match_, fresh);
   } catch (const std::exception& e) {
     ++stats_.callback_errors;
     governor_.record_error(std::string("match callback threw: ") + e.what());
@@ -864,12 +869,10 @@ bool OcepMatcher::try_candidate(const std::vector<std::uint32_t>& order,
     }
   }
 
-  std::vector<std::uint32_t> trail;
+  const std::size_t trail_mark = trail_.size();
   std::uint64_t blame = 0;
-  if (!bind_attrs(leaf, event, depth, trail, blame)) {
-    for (auto it = trail.rbegin(); it != trail.rend(); ++it) {
-      var_bound_[*it] = false;
-    }
+  if (!bind_attrs(leaf, event, depth, blame)) {
+    unwind_trail(trail_mark);
     conflict_out |= blame;
     return false;
   }
@@ -881,9 +884,7 @@ bool OcepMatcher::try_candidate(const std::vector<std::uint32_t>& order,
   }
 
   binding_[leaf] = EventId{};
-  for (auto it = trail.rbegin(); it != trail.rend(); ++it) {
-    var_bound_[*it] = false;
-  }
+  unwind_trail(trail_mark);
 
   if (search_aborted_) {
     return false;  // unwind without recording a backjump: not a conflict
@@ -1006,9 +1007,7 @@ bool OcepMatcher::domain_on_trace(std::uint32_t leaf, TraceId trace,
 }
 
 bool OcepMatcher::bind_attrs(std::uint32_t leaf, const Event& event,
-                             std::size_t depth,
-                             std::vector<std::uint32_t>& trail,
-                             std::uint64_t& blame) {
+                             std::size_t depth, std::uint64_t& blame) {
   const pattern::Leaf& spec = pattern_.leaves[leaf];
   const Symbol values[3] = {store_.trace_name(event.id.trace), event.type,
                             event.text};
@@ -1028,9 +1027,16 @@ bool OcepMatcher::bind_attrs(std::uint32_t leaf, const Event& event,
     var_value_[var] = values[i];
     var_bound_[var] = true;
     var_binder_[var] = depth;
-    trail.push_back(var);
+    trail_.push_back(var);
   }
   return true;
+}
+
+void OcepMatcher::unwind_trail(std::size_t mark) {
+  while (trail_.size() > mark) {
+    var_bound_[trail_.back()] = false;
+    trail_.pop_back();
+  }
 }
 
 bool OcepMatcher::limited_ok(std::uint32_t a_leaf, EventId a, EventId b) {
@@ -1085,7 +1091,6 @@ void for_each_stat(Stats& stats, Fn&& fn) {
   fn(stats.backjumps);
   fn(stats.history_entries);
   fn(stats.history_merged);
-  fn(stats.history_pruned);
   fn(stats.levels_entered);
   fn(stats.domain_prunes);
   fn(stats.pins_run);
@@ -1105,13 +1110,9 @@ void OcepMatcher::checkpoint(std::ostream& out) {
   poet::put_varint(out, stats_.searches_aborted);
   poet::put_varint(out, stats_.observes_shed);
   poet::put_varint(out, stats_.callback_errors);
-  for (TraceId t = 0; t < traces_; ++t) {
-    poet::put_varint(out, comm_before_[t]);
-  }
   for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
     const LeafHistory& history = histories_[leaf];
     poet::put_varint(out, history.merged());
-    poet::put_varint(out, history.pruned());
     poet::put_varint(out, history.evicted());
     for (TraceId t = 0; t < traces_; ++t) {
       const std::span<const HistoryEntry> entries = history.on_trace(t);
@@ -1168,16 +1169,12 @@ void OcepMatcher::restore(std::istream& in) {
   stats_.searches_aborted = poet::get_varint(in);
   stats_.observes_shed = poet::get_varint(in);
   stats_.callback_errors = poet::get_varint(in);
-  for (TraceId t = 0; t < traces_; ++t) {
-    comm_before_[t] = static_cast<std::uint32_t>(poet::get_varint(in));
-  }
   for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
     // Sequenced reads: as direct arguments their evaluation order would be
     // unspecified.
     const std::uint64_t merged = poet::get_varint(in);
-    const std::uint64_t pruned = poet::get_varint(in);
     const std::uint64_t evicted = poet::get_varint(in);
-    histories_[leaf].set_counters(merged, pruned, evicted);
+    histories_[leaf].set_counters(merged, evicted);
     for (TraceId t = 0; t < traces_; ++t) {
       const std::uint64_t count = poet::get_varint(in);
       if (count > store_.trace_size(t)) {
@@ -1262,12 +1259,7 @@ void OcepMatcher::restore(std::istream& in) {
     }
   }
   stats_.breaker_trips = governor_.trips();
-  stats_.history_evicted = 0;
-  stats_.history_spilled = 0;
-  for (const LeafHistory& history : histories_) {
-    stats_.history_evicted += history.evicted();
-    stats_.history_spilled += history.spilled();
-  }
+  refresh_history_stats();
 }
 
 bool OcepMatcher::satisfied(std::uint32_t leaf, Role role, EventId me,

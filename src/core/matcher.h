@@ -56,13 +56,6 @@ struct MatcherConfig {
   /// (bounds total work; per-anchor free searches still report every
   /// violation occurrence).
   bool global_coverage = true;
-  /// History retention (paper §VI future work, 0 = keep everything): once
-  /// a (leaf, trace) pair is covered by the representative subset, keep at
-  /// most this many recent occurrences in that pair's history.  Bounds the
-  /// monitor's memory for arbitrarily long runs; a heuristic — a pruned
-  /// event can in rare shapes be the only witness for a *different*
-  /// still-uncovered pair.
-  std::size_t history_retention = 0;
   /// Overload governance (docs/GOVERNANCE.md).  All defaults are the
   /// do-nothing configuration: unlimited budget, breaker disabled, no
   /// byte cap — guaranteed zero-cost and zero-semantics.
@@ -81,6 +74,8 @@ struct MatcherConfig {
 };
 
 struct MatcherStats {
+  /// Arrivals up to and including the latest one offered to the matcher
+  /// (see OcepMatcher::advance); also the breaker clock.
   std::uint64_t events_observed = 0;
   std::uint64_t leaf_hits = 0;          ///< events appended to >= 1 history
   std::uint64_t searches = 0;           ///< anchored searches (free + pinned)
@@ -89,7 +84,8 @@ struct MatcherStats {
   std::uint64_t backjumps = 0;
   std::uint64_t history_entries = 0;
   std::uint64_t history_merged = 0;
-  std::uint64_t history_pruned = 0;
+  std::uint64_t history_pruned = 0;     ///< always 0: only the byte cap cuts
+                                        ///< histories (evicted, spilled)
   std::uint64_t levels_entered = 0;     ///< backtracking levels visited
   std::uint64_t domain_prunes = 0;      ///< empty Fig-4 intervals (goBackward)
   std::uint64_t pins_run = 0;           ///< coverage pin searches executed
@@ -153,8 +149,29 @@ class OcepMatcher {
   OcepMatcher(const EventStore& store, pattern::CompiledPattern pattern,
               MatcherConfig config = {}, MatchCallback on_match = nullptr);
 
-  /// Feeds one event; runs anchored searches when it is terminating.
-  void observe(const Event& event);
+  /// Feeds the event at arrival position `position` (0-based); runs
+  /// anchored searches when it is terminating.  Arrivals skipped since
+  /// the previous call must be ones no leaf accepts (a Monitor skips the
+  /// events its dispatch index does not offer to this pattern).
+  void observe(const Event& event, std::uint64_t position);
+
+  /// Feeds the next arrival: for callers that offer every event.
+  void observe(const Event& event) { observe(event, stats_.events_observed); }
+
+  /// Records that the first `events` arrivals have been dispatched, the
+  /// ones never offered to this matcher being events no leaf accepts.
+  /// Such an event would append to no history and run no search, so only
+  /// the arrival count (events_observed, the breaker clock) moves.
+  void advance(std::uint64_t events) {
+    if (events <= stats_.events_observed) {
+      return;
+    }
+    lazy_init();
+    if (telemetry_.events != nullptr) {
+      telemetry_.events->add(events - stats_.events_observed);
+    }
+    stats_.events_observed = events;
+  }
 
   /// Attaches telemetry sinks.  Must be called before the first observe()
   /// and from the owning thread; the instruments must outlive the matcher.
@@ -213,12 +230,12 @@ class OcepMatcher {
   /// after a callback or internal error escaped an observe.
   void quarantine(std::string reason);
 
-  /// Serializes the matcher's incremental state: stats, per-trace comm
-  /// counters, per-leaf histories, and the representative subset.  The
-  /// store and pattern are not serialized — restore() must run on a
-  /// matcher built over the restored store with the identical pattern and
-  /// config.  History keys are recomputed from the store on restore, so
-  /// they are not written either.
+  /// Serializes the matcher's incremental state: stats, per-leaf
+  /// histories, and the representative subset.  The store and pattern are
+  /// not serialized — restore() must run on a matcher built over the
+  /// restored store with the identical pattern and config.  History keys
+  /// are recomputed from the store on restore, so they are not written
+  /// either.
   void checkpoint(std::ostream& out);
 
   /// Counterpart of checkpoint().  Requires a fresh matcher (no events
@@ -242,9 +259,22 @@ class OcepMatcher {
     Role role = Role::kConcurrent;
   };
 
-  void lazy_init();
+  /// Sizes the per-leaf state on first use, once the store knows its
+  /// traces.
+  void lazy_init() {
+    if (!initialized_) {
+      initialize();
+    }
+  }
+  void initialize();
+  /// observe() once the arrival count has caught up to `event`: appends
+  /// it to the accepting leaves' histories and runs the anchored searches.
+  void observe_next(const Event& event);
   [[nodiscard]] bool leaf_accepts(const pattern::Leaf& leaf,
                                   const Event& event) const;
+  /// Recomputes the history counters of stats_ from the histories (after
+  /// an eviction, spill or fault; appends update them in place).
+  void refresh_history_stats();
   /// Partner-kind requirement: a leaf on the send (receive) side of '<->'
   /// only binds kSend (kReceive) events.  Checked for anchors and, with
   /// domain pruning, for candidates (post-hoc relation checks cover the
@@ -253,7 +283,14 @@ class OcepMatcher {
                                      const Event& event) const;
 
   void run_anchor(std::uint32_t anchor_leaf, const Event& event);
-  void report(bool pinned);
+  /// Resets the search state for `order` and binds the anchor to `event`;
+  /// false when the anchor's own attribute variables disagree.
+  bool prepare(const std::vector<std::uint32_t>& order,
+               std::uint32_t anchor_leaf, const Event& event);
+  /// Marks the current bindings' (leaf, trace) pairs as covered by this
+  /// anchor.
+  void mark_local();
+  void report();
 
   /// Arms the per-observe search budget before the anchor searches run.
   void begin_search_budget(const SearchBudget& budget);
@@ -292,10 +329,13 @@ class OcepMatcher {
                        EventIndex& hi, std::uint64_t& blame,
                        std::uint64_t& setters) const;
 
-  /// Binds attribute variables of `leaf` against `event`; records undo
-  /// entries.  On mismatch returns false with `blame` naming the binder.
+  /// Binds attribute variables of `leaf` against `event`, pushing each
+  /// newly bound variable on trail_.  On mismatch returns false with
+  /// `blame` naming the binder.
   bool bind_attrs(std::uint32_t leaf, const Event& event, std::size_t depth,
-                  std::vector<std::uint32_t>& trail, std::uint64_t& blame);
+                  std::uint64_t& blame);
+  /// Unbinds the variables trail_ recorded above `mark`.
+  void unwind_trail(std::size_t mark);
 
   /// Non-const: limited_ok may fault spilled history back in.
   [[nodiscard]] bool satisfied(std::uint32_t leaf, Role role, EventId me,
@@ -346,10 +386,13 @@ class OcepMatcher {
   std::vector<std::vector<Edge>> edges_;      // per leaf
   std::vector<KeyAttr> key_attr_;             // per leaf
   std::vector<std::vector<std::uint32_t>> orders_;  // per anchor leaf
-  std::vector<bool> is_terminating_;
+  /// Pinned orders per (anchor, pinned leaf), anchor * k + leaf; each
+  /// built on its first pin.
+  std::vector<std::vector<std::uint32_t>> pin_orders_;
+  /// One bit per terminating leaf.
+  std::uint64_t terminating_mask_ = 0;
   std::vector<bool> merge_allowed_;  // false for -lim-> quantified leaves
   std::vector<LeafHistory> histories_;
-  std::vector<std::uint32_t> comm_before_;    // per trace
   /// Trace lookup for process attributes: symbol -> trace + 1 (0 = none).
   std::vector<std::pair<Symbol, TraceId>> trace_by_name_;
 
@@ -359,6 +402,12 @@ class OcepMatcher {
   std::vector<Symbol> var_value_;            // per attribute variable
   std::vector<bool> var_bound_;
   std::vector<std::size_t> var_binder_;      // depth that bound the variable
+  std::vector<std::uint32_t> trail_;         // variables in binding order
+  /// (leaf, trace) pairs covered by the current anchor's matches, and the
+  /// entries set so far, so the next anchor clears only those.
+  std::vector<std::uint8_t> local_covered_;
+  std::vector<std::uint32_t> local_marked_;
+  Match match_;  // the match being reported
 
   // Span-spill tier (core/span_sink.h); null = legacy evict-only mode.
   SpanSink* span_sink_ = nullptr;

@@ -32,7 +32,7 @@ Monitor::Monitor(StringPool& pool, const MonitorConfig& config,
     OCEP_ASSERT_MSG(config_.batch_size > 0, "batch_size must be positive");
     store_.set_concurrent(true);
     pipeline_ = std::make_unique<MatchPipeline>(
-        store_, config_.worker_threads, config_.ring_batches);
+        store_, index_, config_.worker_threads, config_.ring_batches);
     if (registry_) {
       pipeline_->enable_metrics(*registry_);
     }
@@ -43,7 +43,8 @@ MatcherTelemetry Monitor::make_telemetry(std::size_t index) {
   const std::string label = "pattern=\"" + std::to_string(index) + "\"";
   obs::Registry& reg = *registry_;
   MatcherTelemetry t;
-  t.events = &reg.counter("matcher.events", label, "events observed");
+  t.events = &reg.counter("matcher.events", label,
+                          "arrivals counted, offered or not");
   t.leaf_hits = &reg.counter("matcher.leaf_hits", label,
                              "events appended to >= 1 history");
   t.searches =
@@ -91,6 +92,7 @@ std::size_t Monitor::add_pattern(std::string_view source,
   pattern::CompiledPattern compiled = pattern::compile(source, *pool_);
   matchers_.push_back(std::make_unique<OcepMatcher>(
       store_, std::move(compiled), config, std::move(on_match)));
+  index_.add(matchers_.back()->pattern());
   const std::size_t index = matchers_.size() - 1;
   if (registry_) {
     matchers_.back()->set_telemetry(make_telemetry(index));
@@ -110,6 +112,7 @@ std::size_t Monitor::add_pattern(std::string_view source,
 void Monitor::on_traces(const std::vector<Symbol>& names) {
   OCEP_ASSERT_MSG(!traces_known_, "trace table announced twice");
   traces_known_ = true;
+  store_.reserve_traces(names.size());
   for (const Symbol name : names) {
     store_.add_trace(name);
   }
@@ -123,16 +126,10 @@ void Monitor::on_event(const Event& event, const VectorClock& clock) {
   if (pipeline_ == nullptr) {
     if (registry_) {
       const metrics::Stopwatch arrival;
-      for (std::size_t i = 0; i < matchers_.size(); ++i) {
-        const metrics::Stopwatch watch;
-        matchers_[i]->observe(event);
-        observe_ns_[i]->record(watch.elapsed_ns());
-      }
+      observe_offered(event, events_seen_ - 1);
       arrival_ns_->record(arrival.elapsed_ns());
     } else {
-      for (const std::unique_ptr<OcepMatcher>& matcher : matchers_) {
-        matcher->observe(event);
-      }
+      observe_offered(event, events_seen_ - 1);
     }
     drained_through_ = events_seen_;
     return;
@@ -149,6 +146,21 @@ void Monitor::on_event(const Event& event, const VectorClock& clock) {
   }
   if (events_seen_ - pipeline_->dispatched() >= config_.batch_size) {
     pipeline_->dispatch(events_seen_);
+  }
+}
+
+void Monitor::observe_offered(const Event& event, std::uint64_t position) {
+  for (const std::uint32_t i : index_.offered(event.type)) {
+    if (registry_) {
+      const metrics::Stopwatch watch;
+      matchers_[i]->observe(event, position);
+      observe_ns_[i]->record(watch.elapsed_ns());
+    } else {
+      matchers_[i]->observe(event, position);
+    }
+  }
+  for (const std::unique_ptr<OcepMatcher>& matcher : matchers_) {
+    matcher->advance(position + 1);
   }
 }
 
@@ -238,7 +250,7 @@ HealthReport Monitor::health() const {
 
 namespace {
 
-constexpr std::string_view kCheckpointMagic = "OCEPCKP4";
+constexpr std::string_view kCheckpointMagic = "OCEPCKP5";
 
 }  // namespace
 
@@ -273,6 +285,7 @@ void Monitor::restore(std::istream& in) {
     void on_traces(const std::vector<Symbol>& names) override {
       OCEP_ASSERT(!monitor.traces_known_);
       monitor.traces_known_ = true;
+      monitor.store_.reserve_traces(names.size());
       for (const Symbol name : names) {
         monitor.store_.add_trace(name);
       }

@@ -14,6 +14,10 @@
 //   sim.run();
 //   monitor.matcher(0).subset().matches();  // representative subset
 //
+// Each event is offered only to the patterns with a leaf that can accept
+// its type (core/dispatch.h), in ascending pattern order; the others just
+// count it (OcepMatcher::advance).
+//
 // With MonitorConfig::worker_threads > 0 the matchers run on a parallel
 // pipeline (see core/pipeline.h): events are appended and published on
 // the delivery thread, matched on worker threads in batches.  Call
@@ -27,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/dispatch.h"
 #include "core/matcher.h"
 #include "core/pipeline.h"
 #include "obs/metrics.h"
@@ -76,9 +81,10 @@ class Monitor final : public EventSink {
   /// No-op in synchronous mode.
   void flush();
 
-  /// Barrier: flushes and blocks until every matcher has observed every
-  /// event seen so far.  Required before reading matcher state (subset(),
-  /// stats()) in pipeline mode; no-op in synchronous mode.
+  /// Barrier: flushes and blocks until every matcher has counted every
+  /// event seen so far (and observed the ones offered to it).  Required
+  /// before reading matcher state (subset(), stats()) in pipeline mode;
+  /// no-op in synchronous mode.
   void drain();
 
   [[nodiscard]] const EventStore& store() const noexcept { return store_; }
@@ -150,7 +156,7 @@ class Monitor final : public EventSink {
 
   /// Serializes the monitor's full matching state — store contents, event
   /// watermark, and every matcher's incremental state — as one
-  /// "OCEPCKP4" frame (common/frame.h), so a torn write or flipped bit is
+  /// "OCEPCKP5" frame (common/frame.h), so a torn write or flipped bit is
   /// detected on restore.  Drains the pipeline first; layout in
   /// docs/ROBUSTNESS.md.
   void checkpoint(std::ostream& out);
@@ -200,12 +206,18 @@ class Monitor final : public EventSink {
   /// Builds the MatcherTelemetry instrument set for pattern `index`.
   [[nodiscard]] MatcherTelemetry make_telemetry(std::size_t index);
   void update_store_gauges();
+  /// Synchronous mode: offers the event at arrival position `position` to
+  /// its patterns and brings every other pattern's count up to date.
+  void observe_offered(const Event& event, std::uint64_t position);
 
   StringPool* pool_;
   EventStore store_;
   MonitorConfig config_;
   std::function<IngestStats()> ingest_source_;
   std::vector<std::unique_ptr<OcepMatcher>> matchers_;
+  /// Which patterns each event type is offered to; read by the pipeline's
+  /// workers, so declared before pipeline_.
+  DispatchIndex index_;
   bool traces_known_ = false;
   std::uint64_t events_seen_ = 0;
   std::uint64_t drained_through_ = 0;

@@ -17,9 +17,10 @@ struct WorkerRespawn {};
 
 }  // namespace
 
-MatchPipeline::MatchPipeline(const EventStore& store, std::size_t workers,
+MatchPipeline::MatchPipeline(const EventStore& store,
+                             const DispatchIndex& index, std::size_t workers,
                              std::size_t ring_batches)
-    : store_(store) {
+    : store_(store), index_(index) {
   OCEP_ASSERT_MSG(workers > 0, "a pipeline needs at least one worker");
   workers_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
@@ -50,7 +51,7 @@ void MatchPipeline::enable_metrics(obs::Registry& registry) {
     worker.batches_counter = &registry.counter(
         "pipeline.batches", label, "batch descriptors processed");
     worker.events_counter = &registry.counter(
-        "pipeline.events", label, "events observed across owned patterns");
+        "pipeline.events", label, "events counted across owned patterns");
     worker.stalls_counter = &registry.counter(
         "pipeline.ring_stalls", label, "producer pushes that had to wait");
     worker.restarts_counter = &registry.counter(
@@ -151,10 +152,10 @@ void MatchPipeline::quarantine_slot(PatternSlot& slot,
 }
 
 void MatchPipeline::observe_one(Worker& worker, PatternSlot& slot,
-                                const Event& event) {
+                                const Event& event, std::uint64_t position) {
   const std::uint64_t errors_before = slot.matcher->stats().callback_errors;
   try {
-    slot.matcher->observe(event);
+    slot.matcher->observe(event, position);
   } catch (const std::exception& e) {
     quarantine_slot(slot, e.what());
     worker.respawn_pending = true;
@@ -178,14 +179,19 @@ void MatchPipeline::run_batch(Worker& worker, const Batch& batch) {
                   "batch dispatched before its events were published");
   worker.current_batch_end = batch.end;
   for (PatternSlot& slot : worker.patterns) {
+    const auto pattern = static_cast<std::uint32_t>(slot.pattern_index);
     if (slot.observe_ns != nullptr) {
-      // Metrics path: time each arrival individually so the histogram
-      // captures per-event latency, then fold the total back into the
-      // batch-granular counters the stats() snapshot reports.
+      // Metrics path: time each offered arrival individually so the
+      // histogram captures per-event latency, then fold the total back
+      // into the batch-granular counters the stats() snapshot reports.
       std::uint64_t batch_ns = 0;
       for (std::uint64_t pos = batch.begin; pos < batch.end; ++pos) {
+        const Event& event = store_.event(store_.arrival(pos));
+        if (!index_.offers(pattern, event.type)) {
+          continue;
+        }
         const metrics::Stopwatch watch;
-        observe_one(worker, slot, store_.event(store_.arrival(pos)));
+        observe_one(worker, slot, event, pos);
         const std::uint64_t ns = watch.elapsed_ns();
         slot.observe_ns->record(ns);
         batch_ns += ns;
@@ -196,12 +202,16 @@ void MatchPipeline::run_batch(Worker& worker, const Batch& batch) {
     } else {
       const metrics::Stopwatch watch;
       for (std::uint64_t pos = batch.begin; pos < batch.end; ++pos) {
-        observe_one(worker, slot, store_.event(store_.arrival(pos)));
+        const Event& event = store_.event(store_.arrival(pos));
+        if (index_.offers(pattern, event.type)) {
+          observe_one(worker, slot, event, pos);
+        }
       }
       const double us = watch.elapsed_us();
       slot.us_total += us;
       slot.us_max = us > slot.us_max ? us : slot.us_max;
     }
+    slot.matcher->advance(batch.end);
     slot.events += batch.end - batch.begin;
   }
   worker.batches.fetch_add(1, std::memory_order_relaxed);

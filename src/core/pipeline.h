@@ -18,12 +18,16 @@
 //  * N workers: each owns a disjoint subset of the matchers (round-robin
 //    sharding at add_matcher time), pops batch descriptors, reads the
 //    events from the store's published prefix, and runs observe() on its
-//    matchers only.  Matcher state is single-owner, so no matcher locking
-//    exists anywhere.
+//    matchers only — on the events the Monitor's dispatch index offers
+//    each of them (core/dispatch.h), the same index the synchronous loop
+//    walks.  Matcher state is single-owner, so no matcher locking exists
+//    anywhere; the index is complete before the first dispatch and only
+//    read afterwards.
 //  * drain() is the barrier: after it returns, every dispatched event has
-//    been observed by every matcher, and the release/acquire pair on each
-//    worker's processed counter makes the matchers' state (subsets,
-//    stats) safe to read from the caller's thread.
+//    been counted by every matcher (and observed by those it was offered
+//    to), and the release/acquire pair on each worker's processed counter
+//    makes the matchers' state (subsets, stats) safe to read from the
+//    caller's thread.
 //
 // Determinism: workers observe events in arrival order, and a worker may
 // see the store *ahead* of the event it is observing.  That is harmless —
@@ -41,6 +45,7 @@
 #include <vector>
 
 #include "common/spsc_ring.h"
+#include "core/dispatch.h"
 #include "core/governor.h"
 #include "core/matcher.h"
 #include "obs/metrics.h"
@@ -81,8 +86,10 @@ class MatchPipeline {
  public:
   /// Spawns `workers` threads immediately (they idle on empty rings).
   /// `ring_batches` bounds each worker's queue of batch descriptors.
-  MatchPipeline(const EventStore& store, std::size_t workers,
-                std::size_t ring_batches);
+  /// `index` decides which events each matcher is offered; it must list
+  /// every matcher before the first dispatch and outlive the pipeline.
+  MatchPipeline(const EventStore& store, const DispatchIndex& index,
+                std::size_t workers, std::size_t ring_batches);
   ~MatchPipeline();
 
   MatchPipeline(const MatchPipeline&) = delete;
@@ -95,8 +102,9 @@ class MatchPipeline {
   /// pipeline.
   void enable_metrics(obs::Registry& registry);
 
-  /// Registers a matcher into the next shard (round-robin).  Must happen
-  /// before the first dispatch(); the matcher must outlive the pipeline.
+  /// Registers a matcher into the next shard (round-robin), as the index's
+  /// next pattern.  Must happen before the first dispatch(); the matcher
+  /// must outlive the pipeline.
   void add_matcher(OcepMatcher* matcher);
 
   /// Hands the arrival range [dispatched(), end) to every worker.  The
@@ -179,11 +187,13 @@ class MatchPipeline {
   /// contained callback error quarantines the slot.  Per-event (not
   /// per-batch) so the quarantine point is identical across batch sizes
   /// and worker counts.
-  void observe_one(Worker& worker, PatternSlot& slot, const Event& event);
+  void observe_one(Worker& worker, PatternSlot& slot, const Event& event,
+                   std::uint64_t position);
   void quarantine_slot(PatternSlot& slot, const std::string& reason);
   static void backoff(unsigned& spins);
 
   const EventStore& store_;
+  const DispatchIndex& index_;
   obs::Registry* registry_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stop_{false};

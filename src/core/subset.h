@@ -7,6 +7,7 @@
 // which is what bounds OCEP's storage.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -27,11 +28,18 @@ class RepresentativeSubset {
     leaves_ = leaves;
     traces_ = traces;
     slot_.assign(leaves * traces, kUnset);
+    covered_traces_.assign(leaves, 0);
     matches_.clear();
   }
 
   [[nodiscard]] bool covered(std::uint32_t leaf, TraceId trace) const {
     return slot_[index(leaf, trace)] != kUnset;
+  }
+
+  /// Traces on which `leaf` is covered.
+  [[nodiscard]] std::size_t covered_traces(std::uint32_t leaf) const {
+    OCEP_ASSERT(leaf < leaves_);
+    return covered_traces_[leaf];
   }
 
   /// Adds the match if it covers any (leaf, trace) pair not yet covered.
@@ -54,6 +62,7 @@ class RepresentativeSubset {
       std::uint32_t& entry = slot_[index(leaf, match.bindings[leaf].trace)];
       if (entry == kUnset) {
         entry = match_id;
+        ++covered_traces_[leaf];
       }
     }
     return true;
@@ -77,6 +86,12 @@ class RepresentativeSubset {
     OCEP_ASSERT(slots.size() == leaves_ * traces_);
     slot_ = std::move(slots);
     matches_ = std::move(matches);
+    for (std::uint32_t leaf = 0; leaf < leaves_; ++leaf) {
+      covered_traces_[leaf] = static_cast<std::size_t>(std::count_if(
+          slot_.begin() + static_cast<std::ptrdiff_t>(leaf * traces_),
+          slot_.begin() + static_cast<std::ptrdiff_t>((leaf + 1) * traces_),
+          [](std::uint32_t entry) { return entry != kUnset; }));
+    }
   }
 
   /// The sentinel used in slots().
@@ -105,6 +120,8 @@ class RepresentativeSubset {
   std::size_t leaves_ = 0;
   std::size_t traces_ = 0;
   std::vector<std::uint32_t> slot_;  // (leaf, trace) -> match id
+  /// Per leaf, the traces on which it is covered.
+  std::vector<std::size_t> covered_traces_;
   std::vector<Match> matches_;
 };
 

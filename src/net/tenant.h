@@ -80,7 +80,7 @@ class Tenant {
   /// SerializationError on corruption.
   void restore(std::istream& in);
 
-  /// Serializes patterns, monitor (OCEPCKP4), and session state, CRC
+  /// Serializes patterns, monitor (OCEPCKP5), and session state, CRC
   /// framed.  Drains the pipeline first; safe mid-stream.
   void checkpoint(std::ostream& out);
 
@@ -193,7 +193,7 @@ class Tenant {
 
 /// Parsed tenant checkpoint: one "OCEPNTC2" frame (common/frame.h) whose
 /// body is varint pattern count, each pattern string, then the monitor
-/// blob (an OCEPCKP4 frame) and the session blob, each varint-length-
+/// blob (an OCEPCKP5 frame) and the session blob, each varint-length-
 /// prefixed.  Exposed so tests and tools can split the sections — the
 /// monitor blob is the byte-identity surface across resumed runs (session
 /// counters legitimately differ once a resync replayed data).

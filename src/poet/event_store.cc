@@ -122,9 +122,13 @@ void EventStore::append(const Event& event, const VectorClock& clock) {
     trace.last_row[event.id.trace] = event.id.index;
   }
 
-  // Timestamps first, then the event, then the arrival slot: each
-  // push_back release-publishes, so a reader that sees the event (or its
-  // arrival position) also sees its timestamps.
+  // Timestamps and the communication count first, then the event, then
+  // the arrival slot: each push_back release-publishes, so a reader that
+  // sees the event (or its arrival position) also sees what precedes it.
+  trace.comm_before.push_back(trace.comm_count);
+  if (is_communication(event.kind)) {
+    ++trace.comm_count;
+  }
   trace.events.push_back(event);
   arrival_order_.push_back(event.id);
   if (event.message != kNoMessage) {
@@ -159,6 +163,12 @@ const Event& EventStore::event(EventId id) const {
   const Trace& trace = trace_ref(id.trace);
   OCEP_ASSERT(id.index >= 1 && id.index <= trace.events.visible_size());
   return trace.events[id.index - 1];
+}
+
+std::uint32_t EventStore::comm_before(EventId id) const {
+  const Trace& trace = trace_ref(id.trace);
+  OCEP_ASSERT(id.index >= 1 && id.index <= trace.events.visible_size());
+  return trace.comm_before[id.index - 1];
 }
 
 std::uint32_t EventStore::clock_entry(EventId e, TraceId s) const {
@@ -305,6 +315,7 @@ std::size_t EventStore::approx_bytes() const noexcept {
   std::size_t bytes = sizeof(*this);
   for (const Trace& trace : traces_) {
     bytes += trace.events.capacity() * sizeof(Event) +
+             trace.comm_before.capacity() * sizeof(std::uint32_t) +
              trace.clocks.capacity() * sizeof(std::uint32_t) +
              trace.last_row.capacity() * sizeof(std::uint32_t);
     for (const ChangeColumn& column : trace.columns) {

@@ -79,6 +79,10 @@ class EventStore {
   /// that every stored timestamp has one entry per trace.
   TraceId add_trace(Symbol name);
 
+  /// Sizes the trace table for `count` traces, so registering a wide
+  /// computation does not relocate the per-trace storage as it grows.
+  void reserve_traces(std::size_t count) { traces_.reserve(count); }
+
   [[nodiscard]] std::size_t trace_count() const noexcept {
     return traces_.size();
   }
@@ -174,6 +178,11 @@ class EventStore {
 
   [[nodiscard]] const Event& event(EventId id) const;
 
+  /// Communication events (send or receive) on id's trace before id: the
+  /// §VI redundancy key of leaf histories.  Two events on one trace with
+  /// equal counts relate identically to every event on other traces.
+  [[nodiscard]] std::uint32_t comm_before(EventId id) const;
+
   /// e's knowledge of trace s: V_e[s].  O(1) dense, O(log) sparse.
   [[nodiscard]] std::uint32_t clock_entry(EventId e, TraceId s) const;
 
@@ -217,6 +226,10 @@ class EventStore {
   struct Trace {
     Symbol name = kEmptySymbol;
     StableVector<Event> events;
+    /// Per event, comm_before(): published with the event.  Starts at 64
+    /// entries, so wide computations of short traces stay small.
+    StableVector<std::uint32_t, 6> comm_before;
+    std::uint32_t comm_count = 0;  ///< writer only: the next event's count
     /// kDense: row-major timestamps, event j (0-based) occupies
     /// [j * stride, (j + 1) * stride).
     StableVector<std::uint32_t> clocks;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/frame.h"
 #include "common/rng.h"
 #include "core/monitor.h"
 #include "poet/dump.h"
@@ -179,12 +180,29 @@ TEST(Checkpoint, CorruptionIsDetectedNotTrusted) {
   EXPECT_THROW(restore_from("OCEPDMP1 definitely not a checkpoint"),
                SerializationError);
 
-  // Length fields announcing 3.75 GiB over five real bytes, in the
-  // previous layout ("OCEPCKP3", varint length and CRC) and in this one:
-  // refused, and nothing is allocated from the unverified length.
+  // A well-formed frame of the previous version ("OCEPCKP4"): refused at
+  // the version byte, not decoded under this version's layout.
+  const DecodedFrame current =
+      decode_exact_frame(bytes, "OCEPCKP5", kMaxFrameBody);
+  ASSERT_EQ(current.status, FrameStatus::kDone);
+  try {
+    restore_from(encode_frame("OCEPCKP4", current.body));
+    ADD_FAILURE() << "an OCEPCKP4 checkpoint was restored";
+  } catch (const SerializationError& e) {
+    EXPECT_EQ(e.byte_offset(), 7);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unsupported format version"), std::string::npos)
+        << what;
+  }
+
+  // Length fields announcing 3.75 GiB over five real bytes, in an old
+  // layout ("OCEPCKP3", varint length and CRC) and in the frame layout
+  // under the previous and the current tag: refused, and nothing is
+  // allocated from the unverified length.
   const std::vector<std::string> huge = {
       std::string("OCEPCKP3\x80\x80\x80\x80\x0f\x00short", 19),
-      std::string("OCEPCKP4\x00\x00\x00\xf0\x00\x00\x00\x00short", 21)};
+      std::string("OCEPCKP4\x00\x00\x00\xf0\x00\x00\x00\x00short", 21),
+      std::string("OCEPCKP5\x00\x00\x00\xf0\x00\x00\x00\x00short", 21)};
   for (const std::string& blob : huge) {
     EXPECT_THROW(restore_from(blob), SerializationError);
   }

@@ -1,0 +1,305 @@
+// Shared evaluation across a Monitor's patterns must not change what any
+// pattern reports.  A Monitor offers an event only to the patterns with a
+// leaf that can accept its type; the checks below hold that dispatch to
+// the behaviour of feeding every pattern every event:
+//
+//   1. Pinned digests — every callback in order (pattern, newly_covering,
+//      bindings), every retained subset and every MatcherStats counter of
+//      one Monitor holding a mixed pattern set, over fixed seeds on both
+//      timestamp backends.  The digests were computed by a Monitor that
+//      called every pattern's observe() on every event.
+//   2. Standalone equivalence — each pattern's output from the Monitor
+//      (synchronous and pipelined) equals that of an OcepMatcher that is
+//      fed every event itself.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/monitor.h"
+#include "pattern/compiled.h"
+#include "poet/replay.h"
+#include "random_computation.h"
+
+namespace ocep {
+namespace {
+
+/// test_pipeline.cc's eight-operator set, bench/pipeline's sixteen
+/// `P -> Q` patterns over types A..D, and leaves that no type index can
+/// narrow: a wildcard type, a type variable, and a literal or variable
+/// process.
+std::vector<std::string> mixed_patterns() {
+  std::vector<std::string> patterns = {
+      "P := ['', A, '']; Q := ['', B, ''];\npattern := P -> Q;\n",
+      "P := ['', B, '']; Q := ['', C, ''];\npattern := P || Q;\n",
+      "S := ['', '', '']; R := ['', '', ''];\npattern := S <-> R;\n",
+      "P := ['', D, '']; Q := ['', A, ''];\npattern := P -lim-> Q;\n",
+      "P := ['', C, '$t']; Q := ['', '', '$t'];\npattern := P -> Q;\n",
+      "P := ['', A, '']; Q := ['', B, '']; R := ['', C, ''];\n"
+      "pattern := P -> Q -> R;\n",
+      "P := ['', A, '']; Q := ['', D, ''];\npattern := P || Q;\n",
+      "P := ['$p', B, '']; Q := ['$p', C, ''];\npattern := P -> Q;\n",
+  };
+  for (char x = 'A'; x <= 'D'; ++x) {
+    for (char y = 'A'; y <= 'D'; ++y) {
+      std::string text = "P := ['', ";
+      text += x;
+      text += ", '']; Q := ['', ";
+      text += y;
+      text += ", ''];\npattern := P -> Q;\n";
+      patterns.push_back(text);
+    }
+  }
+  patterns.push_back(
+      "P := ['', '', x]; Q := ['', C, ''];\npattern := P -> Q;\n");
+  patterns.push_back(
+      "P := ['', $k, '']; Q := ['', $k, y];\npattern := P || Q;\n");
+  patterns.push_back(
+      "P := [T1, A, '']; Q := ['', B, ''];\npattern := P -> Q;\n");
+  patterns.push_back(
+      "P := [$p, A, $t]; Q := [$p, '', $t];\npattern := P -> Q;\n");
+  return patterns;
+}
+
+struct Callback {
+  bool fresh = false;
+  std::vector<EventId> bindings;
+  friend bool operator==(const Callback&, const Callback&) = default;
+};
+
+/// Everything one pattern produced.
+struct Outcome {
+  std::vector<Callback> callbacks;
+  std::vector<std::vector<EventId>> subset;
+  MatcherStats stats;
+};
+
+/// Every MatcherStats counter, in declaration order.
+std::vector<std::uint64_t> counters(const MatcherStats& s) {
+  return {s.events_observed, s.leaf_hits, s.searches, s.matches_reported,
+          s.nodes_explored, s.backjumps, s.history_entries, s.history_merged,
+          s.history_pruned, s.levels_entered, s.domain_prunes, s.pins_run,
+          s.pins_skipped, s.searches_aborted, s.observes_shed, s.breaker_trips,
+          s.history_evicted, s.callback_errors, s.history_spilled,
+          s.history_faulted, s.spans_lost};
+}
+
+/// The counters that do not depend on how far the store ran ahead of the
+/// observation point (see Pipeline.MetricsCountersMatchAcrossWorkerCounts).
+std::vector<std::uint64_t> schedule_free_counters(const MatcherStats& s) {
+  return {s.events_observed, s.leaf_hits, s.searches, s.matches_reported,
+          s.history_entries, s.history_merged, s.pins_run, s.pins_skipped};
+}
+
+class Fnv {
+ public:
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xffU;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void add(EventId id) {
+    add(id.trace);
+    add(id.index);
+  }
+  [[nodiscard]] std::string hex() const {
+    char out[17];
+    std::snprintf(out, sizeof out, "%016llx",
+                  static_cast<unsigned long long>(hash_));
+    return out;
+  }
+
+ private:
+  std::uint64_t hash_ = 1469598103934665603ULL;
+};
+
+EventStore make_source(StringPool& pool, std::uint64_t seed,
+                       ClockStorage storage) {
+  testing::RandomComputationOptions options;
+  options.seed = seed;
+  options.traces = 5;
+  options.events = 600;
+  options.storage = storage;
+  return testing::random_computation(pool, options);
+}
+
+/// Replays `source` through one Monitor holding every pattern; returns
+/// each pattern's outcome and, when `digest` is given (synchronous runs
+/// only: workers call back concurrently), the digest over all of them,
+/// with the callbacks digested in the order the Monitor made them.
+std::vector<Outcome> run_monitor(const EventStore& source, StringPool& pool,
+                                 const MonitorConfig& config,
+                                 const MatcherConfig& matcher_config,
+                                 std::string* digest) {
+  const std::vector<std::string> patterns = mixed_patterns();
+  std::vector<Outcome> out(patterns.size());
+  Fnv fnv;
+  Fnv* order = digest != nullptr ? &fnv : nullptr;
+  Monitor monitor(pool, config, source.storage());
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    monitor.add_pattern(patterns[i], matcher_config,
+                        [&out, order, i](const Match& match, bool fresh) {
+                          out[i].callbacks.push_back({fresh, match.bindings});
+                          if (order == nullptr) {
+                            return;
+                          }
+                          order->add(i);
+                          order->add(fresh ? 1U : 0U);
+                          for (const EventId id : match.bindings) {
+                            order->add(id);
+                          }
+                        });
+  }
+  replay(source, monitor);
+  monitor.drain();
+  EXPECT_EQ(monitor.events_seen(), source.event_count());
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    const OcepMatcher& matcher = monitor.matcher(i);
+    for (const Match& match : matcher.subset().matches()) {
+      out[i].subset.push_back(match.bindings);
+      for (const EventId id : match.bindings) {
+        fnv.add(id);
+      }
+    }
+    out[i].stats = matcher.stats();
+    for (const std::uint64_t value : counters(matcher.stats())) {
+      fnv.add(value);
+    }
+  }
+  if (digest != nullptr) {
+    *digest = fnv.hex();
+  }
+  return out;
+}
+
+/// A budget small enough to abort some searches, and a breaker that trips
+/// on them: pins the breaker clock (an event's arrival position) as well.
+MatcherConfig governed_config() {
+  MatcherConfig config;
+  config.budget.max_steps = 3;
+  config.breaker.trip_failures = 2;
+  config.breaker.window_observes = 40;
+  config.breaker.cooldown_observes = 25;
+  return config;
+}
+
+struct PinnedCase {
+  std::uint64_t seed;
+  ClockStorage storage;
+  bool governed;
+  const char* digest;
+};
+
+class DispatchDigest : public ::testing::TestWithParam<PinnedCase> {};
+
+TEST_P(DispatchDigest, MonitorOutputIsPinned) {
+  const PinnedCase& pinned = GetParam();
+  StringPool pool;
+  const EventStore source = make_source(pool, pinned.seed, pinned.storage);
+  const MatcherConfig config =
+      pinned.governed ? governed_config() : MatcherConfig{};
+  std::string digest;
+  const std::vector<Outcome> outcome =
+      run_monitor(source, pool, MonitorConfig{}, config, &digest);
+  EXPECT_EQ(digest, pinned.digest);
+
+  // The set is not vacuous: most patterns match, every pattern counts
+  // every arrival, and the governed runs shed searches.
+  std::size_t matching = 0;
+  std::uint64_t shed = 0;
+  for (const Outcome& pattern : outcome) {
+    matching += pattern.subset.empty() ? 0U : 1U;
+    shed += pattern.stats.observes_shed;
+    EXPECT_EQ(pattern.stats.events_observed, source.event_count());
+  }
+  EXPECT_GE(matching, outcome.size() / 2);
+  EXPECT_EQ(shed > 0, pinned.governed);
+}
+
+// Dense and sparse stores answer every causal query alike, so each seed
+// pins one digest for both.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, DispatchDigest,
+    ::testing::Values(
+        PinnedCase{41, ClockStorage::kDense, false, "405b56ce9134e2ad"},
+        PinnedCase{41, ClockStorage::kSparse, false, "405b56ce9134e2ad"},
+        PinnedCase{42, ClockStorage::kDense, false, "db7ecc100efa8b92"},
+        PinnedCase{42, ClockStorage::kSparse, false, "db7ecc100efa8b92"},
+        PinnedCase{43, ClockStorage::kDense, false, "2849e763f01eb31b"},
+        PinnedCase{43, ClockStorage::kSparse, false, "2849e763f01eb31b"},
+        PinnedCase{41, ClockStorage::kDense, true, "04735bee6ae2545c"},
+        PinnedCase{42, ClockStorage::kSparse, true, "3256cf511c85cbd5"}),
+    [](const auto& param_info) {
+      const PinnedCase& c = param_info.param;
+      return "seed" + std::to_string(c.seed) +
+             (c.storage == ClockStorage::kDense ? "_dense" : "_sparse") +
+             (c.governed ? "_governed" : "");
+    });
+
+class DispatchStandalone : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DispatchStandalone, EachPatternMatchesAMatcherFedEveryEvent) {
+  StringPool pool;
+  // Odd seeds run on the sparse timestamp backend.
+  const ClockStorage storage =
+      GetParam() % 2 == 1 ? ClockStorage::kSparse : ClockStorage::kDense;
+  const EventStore source = make_source(pool, GetParam(), storage);
+  const std::vector<std::string> patterns = mixed_patterns();
+
+  // The reference: one matcher per pattern over a store that grows with
+  // the stream, every matcher fed every event as soon as it is stored.
+  EventStore store(source.storage());
+  for (TraceId t = 0; t < source.trace_count(); ++t) {
+    store.add_trace(source.trace_name(t));
+  }
+  std::vector<Outcome> standalone(patterns.size());
+  std::vector<std::unique_ptr<OcepMatcher>> matchers;
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    Outcome& out = standalone[i];
+    matchers.push_back(std::make_unique<OcepMatcher>(
+        store, pattern::compile(patterns[i], pool), MatcherConfig{},
+        [&out](const Match& m, bool fresh) {
+          out.callbacks.push_back({fresh, m.bindings});
+        }));
+  }
+  for (const EventId id : source.arrival_order()) {
+    store.append(source.event(id), source.clock(id));
+    for (const std::unique_ptr<OcepMatcher>& matcher : matchers) {
+      matcher->observe(store.event(id));
+    }
+  }
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    for (const Match& match : matchers[i]->subset().matches()) {
+      standalone[i].subset.push_back(match.bindings);
+    }
+    standalone[i].stats = matchers[i]->stats();
+  }
+
+  const std::vector<Outcome> synchronous =
+      run_monitor(source, pool, MonitorConfig{}, MatcherConfig{}, nullptr);
+  MonitorConfig pipelined;
+  pipelined.worker_threads = 3;
+  pipelined.batch_size = 7;
+  const std::vector<Outcome> parallel =
+      run_monitor(source, pool, pipelined, MatcherConfig{}, nullptr);
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    SCOPED_TRACE("pattern " + std::to_string(i) + ": " + patterns[i]);
+    EXPECT_EQ(synchronous[i].callbacks, standalone[i].callbacks);
+    EXPECT_EQ(synchronous[i].subset, standalone[i].subset);
+    EXPECT_EQ(counters(synchronous[i].stats), counters(standalone[i].stats));
+    EXPECT_EQ(parallel[i].callbacks, standalone[i].callbacks);
+    EXPECT_EQ(parallel[i].subset, standalone[i].subset);
+    EXPECT_EQ(schedule_free_counters(parallel[i].stats),
+              schedule_free_counters(standalone[i].stats));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DispatchStandalone,
+                         ::testing::Values(51, 52, 53));
+
+}  // namespace
+}  // namespace ocep

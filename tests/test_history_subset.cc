@@ -70,30 +70,30 @@ TEST(LeafHistory, KeyedIndexGroupsBySymbol) {
   EXPECT_EQ(ranged.last - ranged.first, 1U);
 }
 
-TEST(LeafHistory, PruneFrontKeepsTheMostRecent) {
+TEST(LeafHistory, EvictFrontKeepsTheMostRecent) {
   LeafHistory history;
   history.reset(1);
   for (EventIndex i = 1; i <= 20; ++i) {
     history.append(0, i, 0, true, false);
   }
-  history.prune_front(0, 5);
+  history.evict_front(0, 5);
   EXPECT_EQ(history.on_trace(0).size(), 5U);
   EXPECT_EQ(history.on_trace(0).front().index, 16U);
-  EXPECT_EQ(history.pruned(), 15U);
+  EXPECT_EQ(history.evicted(), 15U);
   EXPECT_EQ(history.total(), 5U);
-  // Pruning below the current size is a no-op.
-  history.prune_front(0, 10);
+  // Evicting below the current size is a no-op.
+  EXPECT_EQ(history.evict_front(0, 10), 0U);
   EXPECT_EQ(history.on_trace(0).size(), 5U);
 }
 
-TEST(LeafHistory, PruneFrontUpdatesKeyedIndex) {
+TEST(LeafHistory, EvictFrontUpdatesKeyedIndex) {
   LeafHistory history;
   history.reset(1, /*keyed=*/true);
   const Symbol x{1}, y{2};
   for (EventIndex i = 1; i <= 10; ++i) {
     history.append(0, i, 0, true, false, i % 2 == 0 ? x : y);
   }
-  history.prune_front(0, 4);  // keep indexes 7..10
+  history.evict_front(0, 4);  // keep indexes 7..10
   EXPECT_EQ(history.on_trace_keyed(0, x).size(), 2U);  // 8, 10
   EXPECT_EQ(history.on_trace_keyed(0, y).size(), 2U);  // 7, 9
   EXPECT_EQ(history.on_trace_keyed(0, x).front().index, 8U);
@@ -160,8 +160,6 @@ TEST(LeafHistory, EvictFrontCountsAndFreesBytes) {
   EXPECT_EQ(history.on_trace(0).front().index, 6U);
   // The keyed index was cut consistently with the main entries.
   EXPECT_EQ(history.on_trace_keyed(0, x).front().index, 6U);
-  // Eviction and pruning are separate ledgers (coverage loss vs benign).
-  EXPECT_EQ(history.pruned(), 0U);
 }
 
 // --- RepresentativeSubset ----------------------------------------------------

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
-#include <tuple>
 
 #include "apps/apps.h"
 #include "apps/patterns.h"
@@ -290,45 +289,6 @@ TEST(Integration, CorrectTrafficControllerIsSilent) {
   sim.set_live_sink(&monitor);
   ASSERT_EQ(sim.run().reason, sim::EndReason::kCompleted);
   EXPECT_TRUE(monitor.matcher(0).subset().matches().empty());
-}
-
-// §VI future work: history retention bounds the monitor's memory on long
-// runs while still detecting every injected violation (violations bind
-// recent events, and a pair's coverage slot persists once set).
-TEST(Integration, HistoryRetentionBoundsMemoryAndKeepsDetecting) {
-  StringPool pool;
-  sim::Sim sim(pool, config_with(531));
-  apps::OrderingParams params;
-  params.followers = 8;
-  params.requests_each = 120;
-  params.bug_percent = 2;
-  const apps::OrderingApp app = setup_leader_follower(sim, params);
-
-  Monitor monitor(pool);
-  MatcherConfig config;
-  config.history_retention = 32;
-  std::vector<Match> reported;
-  monitor.add_pattern(apps::ordering_pattern(), config,
-                      [&](const Match& match, bool) {
-                        reported.push_back(match);
-                      });
-  sim.set_live_sink(&monitor);
-  ASSERT_EQ(sim.run().reason, sim::EndReason::kCompleted);
-  ASSERT_FALSE(app.injections->empty());
-
-  const MatcherStats& stats = monitor.matcher(0).stats();
-  EXPECT_GT(stats.history_pruned, 0U) << "retention never kicked in";
-  // Bounded: every (leaf, trace) pair holds at most 2x the budget.
-  EXPECT_LE(stats.history_entries,
-            4U * (params.followers + 1) * 2 * config.history_retention);
-
-  // Detection is still exact: matches == injections.
-  std::set<std::tuple<EventId, EventId, EventId>> reported_triples;
-  for (const Match& match : reported) {
-    reported_triples.emplace(match.bindings[1], match.bindings[2],
-                             match.bindings[3]);
-  }
-  EXPECT_EQ(reported_triples.size(), app.injections->size());
 }
 
 // Live monitoring, replay of the recorded store, and reload of a dump must
