@@ -7,18 +7,20 @@
 // is what lets the matching pipeline's worker threads read the event store
 // while the delivery thread keeps appending.
 //
-// Publication contract: exactly one thread calls push_back(); every
-// push_back release-stores the new size into an atomic *visible size*.  A
+// Publication contract: exactly one thread calls push_back() and append();
+// each call release-stores the new size into an atomic *visible size*.  A
 // reader thread that acquire-loads visible_size() may access any index
 // below the loaded value — the release/acquire pair orders the element
 // (and chunk-directory) writes before the reads, so no locking is needed.
 // size() is the writer's own view and must not be called concurrently
-// with push_back by other threads; readers use visible_size().
+// with the writer by other threads; readers use visible_size().
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
+#include <span>
 
 #include "common/assert.h"
 
@@ -63,6 +65,26 @@ class StableVector {
     }
     chunks_[chunk][offset] = value;
     ++size_;
+    visible_.store(size_, std::memory_order_release);
+  }
+
+  /// Writer only.  Appends `values` as one block, copied chunk by chunk
+  /// across chunk boundaries, and publishes the whole block at once.
+  void append(std::span<const T> values) {
+    std::size_t done = 0;
+    while (done < values.size()) {
+      std::size_t chunk = 0;
+      std::size_t offset = 0;
+      locate(size_ + done, chunk, offset);
+      if (chunks_[chunk] == nullptr) {
+        chunks_[chunk] = new T[kFirst << chunk]();
+      }
+      const std::size_t n =
+          std::min((kFirst << chunk) - offset, values.size() - done);
+      std::copy_n(values.data() + done, n, chunks_[chunk] + offset);
+      done += n;
+    }
+    size_ += values.size();
     visible_.store(size_, std::memory_order_release);
   }
 

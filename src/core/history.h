@@ -10,10 +10,17 @@
 // on other traces, so only the first is kept.  This is the O(1) overhead
 // bound the paper describes; it is optional because it can drop matches of
 // patterns that relate two events on the same trace.
+//
+// Sweep sets: a search level visits only the traces where its leaf can
+// yield a candidate.  The history keeps those traces as ascending lists —
+// traces() for the leaf, a slice's traces for one key of the keyed index,
+// spilled_traces() for the spill tier — so a sweep never touches a trace
+// that holds nothing (DESIGN.md §4).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -46,15 +53,29 @@ class LeafHistory {
     std::uint32_t count = 0;
   };
 
+  /// One key's slice of the keyed index: the traces holding a resident
+  /// entry with that key, ascending, and per trace those entries in index
+  /// order.  A trace leaves the slice when its last entry for the key is
+  /// dropped, and a slice left with no trace is erased, so the index is a
+  /// function of the resident entries alone.
+  struct KeySlice {
+    std::vector<TraceId> traces;
+    std::vector<std::vector<HistoryEntry>> entries;  ///< parallel to traces
+  };
+
   /// `keyed` enables a secondary per-symbol index: entries are also
   /// grouped by a key attribute (the leaf's variable text or type), so a
   /// search with the variable already bound probes only the matching
-  /// occurrences instead of filtering the whole trace history.
+  /// occurrences instead of filtering the whole trace history.  The index
+  /// is key-major: one probe finds every trace that holds the key.
   void reset(std::size_t traces, bool keyed = false) {
     per_trace_.assign(traces, {});
     keyed_ = keyed;
-    by_key_.assign(keyed ? traces : 0, {});
+    by_key_.clear();
+    keys_on_.assign(keyed ? traces : 0, {});
     spilled_meta_.assign(traces, {});
+    occupied_.clear();
+    spilled_traces_.clear();
     total_ = 0;
     merged_ = 0;
     evicted_ = 0;
@@ -82,15 +103,52 @@ class LeafHistory {
     return true;
   }
 
+  /// The leaf's sweep set: every trace that has held a resident entry or
+  /// a spilled span, ascending.  The set only grows, so a trace emptied
+  /// later is still swept.  (A matcher never empties a trace: eviction and
+  /// spill keep at least one entry, so after a checkpoint restore the set
+  /// is the same.)  Searches never grow it: a fault refills a trace that
+  /// holds a spilled span, which is already a member.
+  [[nodiscard]] std::span<const TraceId> traces() const noexcept {
+    return occupied_;
+  }
+
+  /// The traces that hold spilled spans now, ascending.  The keys of
+  /// spilled entries are unknown until they are faulted back (a restore
+  /// does not recompute them), so while this is non-empty a keyed sweep
+  /// must visit these.
+  [[nodiscard]] std::span<const TraceId> spilled_traces() const noexcept {
+    return spilled_traces_;
+  }
+
+  /// The keyed index's slice for `key`, or null when no entry with that
+  /// key is resident.  Appends and faults change the slice's contents but
+  /// keep the pointer valid; evict_front and spill_front may erase it.
+  [[nodiscard]] const KeySlice* slice(Symbol key) const {
+    OCEP_ASSERT(keyed_);
+    const auto it = by_key_.find(static_cast<std::uint32_t>(key));
+    return it == by_key_.end() ? nullptr : &it->second;
+  }
+
+  /// The entries of `slice` on `trace` (empty when `slice` is null or does
+  /// not hold the trace).
+  [[nodiscard]] static std::span<const HistoryEntry> on_trace_in(
+      const KeySlice* slice, TraceId trace) {
+    if (slice == nullptr) {
+      return {};
+    }
+    const std::size_t pos = position(slice->traces, trace);
+    if (pos == slice->traces.size() || slice->traces[pos] != trace) {
+      return {};
+    }
+    return slice->entries[pos];
+  }
+
   /// Keyed variant of on_trace(): only entries whose key symbol matches.
   [[nodiscard]] std::span<const HistoryEntry> on_trace_keyed(
       TraceId trace, Symbol key) const {
-    OCEP_ASSERT(keyed_ && trace < by_key_.size());
-    const auto it = by_key_[trace].find(static_cast<std::uint32_t>(key));
-    if (it == by_key_[trace].end()) {
-      return {};
-    }
-    return it->second;
+    OCEP_ASSERT(trace < per_trace_.size());
+    return on_trace_in(slice(key), trace);
   }
 
   [[nodiscard]] std::span<const HistoryEntry> on_trace(TraceId trace) const {
@@ -139,9 +197,11 @@ class LeafHistory {
   [[nodiscard]] std::size_t spilled() const noexcept { return spilled_; }
 
   /// Deterministic size estimate for memory governance: stored entry count
-  /// times entry size (main plus keyed copies) plus a flat per-key bucket
-  /// overhead.  Counted from sizes, never capacities, so identical inputs
-  /// give identical figures across allocators and growth policies.
+  /// times entry size (main plus keyed copies) plus a flat charge per
+  /// non-empty (key, trace) bucket.  Counted from sizes, never capacities,
+  /// so identical inputs give identical figures across allocators and
+  /// growth policies.  The sweep sets are bookkeeping, like span metas,
+  /// and are not counted.
   [[nodiscard]] std::size_t approx_bytes() const noexcept { return bytes_; }
 
   /// Largest per-trace entry count, and which trace holds it (lowest trace
@@ -149,10 +209,10 @@ class LeafHistory {
   [[nodiscard]] std::size_t largest_trace(TraceId& trace) const noexcept {
     std::size_t best = 0;
     trace = 0;
-    for (std::size_t t = 0; t < per_trace_.size(); ++t) {
+    for (const TraceId t : occupied_) {
       if (per_trace_[t].size() > best) {
         best = per_trace_[t].size();
-        trace = static_cast<TraceId>(t);
+        trace = t;
       }
     }
     return best;
@@ -198,9 +258,9 @@ class LeafHistory {
       return 0;
     }
     const std::size_t drop = entries.size() - keep;
-    spilled_meta_[trace].push_back(
-        SpanMeta{seq, entries.front().index, entries[drop - 1].index,
-                 static_cast<std::uint32_t>(drop)});
+    add_meta(trace, SpanMeta{seq, entries.front().index,
+                             entries[drop - 1].index,
+                             static_cast<std::uint32_t>(drop)});
     return drop_front(trace, keep, spilled_);
   }
 
@@ -229,12 +289,14 @@ class LeafHistory {
     OCEP_ASSERT(resident.empty() ||
                 entries.back().index < resident.front().index);
     resident.insert(resident.begin(), entries.begin(), entries.end());
+    insert_sorted(occupied_, trace);
     total_ += entries.size();
     bytes_ += entries.size() * sizeof(HistoryEntry);
     if (keyed_) {
       OCEP_ASSERT(keys.size() == entries.size());
       // Group by key in arrival order, then prepend each group as one
-      // block so every bucket stays sorted by index.
+      // block so every bucket stays sorted by index.  A faulted key joins
+      // its slice on this trace.
       std::unordered_map<std::uint32_t, std::vector<HistoryEntry>> groups;
       std::vector<std::uint32_t> group_order;
       for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -246,7 +308,7 @@ class LeafHistory {
         group.push_back(entries[i]);
       }
       for (const std::uint32_t key : group_order) {
-        std::vector<HistoryEntry>& bucket = by_key_[trace][key];
+        std::vector<HistoryEntry>& bucket = bucket_of(key, trace);
         if (bucket.empty()) {
           bytes_ += kKeyBucketBytes;
         }
@@ -263,6 +325,9 @@ class LeafHistory {
     OCEP_ASSERT(trace < spilled_meta_.size() &&
                 !spilled_meta_[trace].empty());
     spilled_meta_[trace].pop_back();
+    if (spilled_meta_[trace].empty()) {
+      erase_sorted(spilled_traces_, trace);
+    }
   }
 
   /// Removes and returns every spilled meta of `trace` (coverage made the
@@ -271,13 +336,14 @@ class LeafHistory {
     OCEP_ASSERT(trace < spilled_meta_.size());
     std::vector<SpanMeta> out = std::move(spilled_meta_[trace]);
     spilled_meta_[trace].clear();
+    erase_sorted(spilled_traces_, trace);
     return out;
   }
 
   /// Checkpoint support: re-records one spilled meta (oldest first).
   void restore_spilled(TraceId trace, const SpanMeta& meta) {
     OCEP_ASSERT(trace < spilled_meta_.size());
-    spilled_meta_[trace].push_back(meta);
+    add_meta(trace, meta);
   }
 
  private:
@@ -298,11 +364,15 @@ class LeafHistory {
 
   void store(TraceId trace, EventIndex index, std::uint32_t comm_before,
              Symbol key) {
-    per_trace_[trace].push_back(HistoryEntry{index, comm_before});
+    std::vector<HistoryEntry>& entries = per_trace_[trace];
+    if (entries.empty()) {
+      insert_sorted(occupied_, trace);
+    }
+    entries.push_back(HistoryEntry{index, comm_before});
     bytes_ += sizeof(HistoryEntry);
     if (keyed_) {
       std::vector<HistoryEntry>& keyed_entries =
-          by_key_[trace][static_cast<std::uint32_t>(key)];
+          bucket_of(static_cast<std::uint32_t>(key), trace);
       if (keyed_entries.empty()) {
         bytes_ += kKeyBucketBytes;
       }
@@ -326,23 +396,45 @@ class LeafHistory {
     total_ -= drop;
     std::size_t freed = drop * sizeof(HistoryEntry);
     if (keyed_) {
-      // Rebuild the secondary index for this trace from the survivors.
-      // (The entry keys are not stored; drop every keyed entry older than
-      // the new oldest index instead.)
-      const EventIndex oldest =
-          entries.empty() ? kNoEvent : entries.front().index;
-      for (auto& [key, keyed_entries] : by_key_[trace]) {
-        static_cast<void>(key);
+      // Cut this trace's buckets down to the survivors, visiting only the
+      // keys present on the trace.  (The entry keys are not stored; drop
+      // every keyed entry older than the new oldest index instead, all of
+      // them when none survives.)
+      const EventIndex oldest = entries.empty()
+                                    ? std::numeric_limits<EventIndex>::max()
+                                    : entries.front().index;
+      std::vector<std::uint32_t>& keys = keys_on_[trace];
+      for (std::size_t k = 0; k < keys.size();) {
+        const auto it = by_key_.find(keys[k]);
+        OCEP_ASSERT(it != by_key_.end());
+        KeySlice& slice = it->second;
+        const std::size_t pos = position(slice.traces, trace);
+        OCEP_ASSERT(pos < slice.traces.size() && slice.traces[pos] == trace);
+        std::vector<HistoryEntry>& keyed_entries = slice.entries[pos];
         const std::size_t cut = lower_bound(keyed_entries, oldest);
-        keyed_entries.erase(
-            keyed_entries.begin(),
-            keyed_entries.begin() + static_cast<std::ptrdiff_t>(cut));
         freed += cut * sizeof(HistoryEntry);
-        if (cut > 0 && keyed_entries.empty()) {
-          // Release the bucket charge so the figure always equals the
-          // survivors' accounting (what a checkpoint restore recomputes).
-          freed += kKeyBucketBytes;
+        if (cut < keyed_entries.size()) {
+          keyed_entries.erase(
+              keyed_entries.begin(),
+              keyed_entries.begin() + static_cast<std::ptrdiff_t>(cut));
+          ++k;
+          continue;
         }
+        // The bucket empties (buckets are never empty otherwise).  Release
+        // its charge so the figure always equals the survivors' accounting
+        // (what a checkpoint restore recomputes), and take the trace out of
+        // the key's slice, and an emptied slice out of the index, for the
+        // same reason.
+        freed += kKeyBucketBytes;
+        slice.traces.erase(slice.traces.begin() +
+                           static_cast<std::ptrdiff_t>(pos));
+        slice.entries.erase(slice.entries.begin() +
+                            static_cast<std::ptrdiff_t>(pos));
+        if (slice.traces.empty()) {
+          by_key_.erase(it);
+        }
+        keys[k] = keys.back();
+        keys.pop_back();
       }
     }
     bytes_ -= std::min(bytes_, freed);
@@ -352,6 +444,50 @@ class LeafHistory {
   /// Flat charge for a new keyed bucket (node + hashing overhead); a fixed
   /// constant keeps the accounting deterministic across libraries.
   static constexpr std::size_t kKeyBucketBytes = 64;
+
+  void add_meta(TraceId trace, const SpanMeta& meta) {
+    if (spilled_meta_[trace].empty()) {
+      insert_sorted(spilled_traces_, trace);
+      insert_sorted(occupied_, trace);
+    }
+    spilled_meta_[trace].push_back(meta);
+  }
+
+  /// The bucket of (`key`, `trace`), inserted (empty) when absent; the
+  /// caller fills it at once.
+  std::vector<HistoryEntry>& bucket_of(std::uint32_t key, TraceId trace) {
+    KeySlice& slice = by_key_[key];
+    const std::size_t pos = position(slice.traces, trace);
+    if (pos == slice.traces.size() || slice.traces[pos] != trace) {
+      slice.traces.insert(
+          slice.traces.begin() + static_cast<std::ptrdiff_t>(pos), trace);
+      slice.entries.emplace(slice.entries.begin() +
+                            static_cast<std::ptrdiff_t>(pos));
+      keys_on_[trace].push_back(key);
+    }
+    return slice.entries[pos];
+  }
+
+  /// Position of the first element of an ascending trace list >= `trace`.
+  static std::size_t position(std::span<const TraceId> traces,
+                              TraceId trace) {
+    return static_cast<std::size_t>(
+        std::lower_bound(traces.begin(), traces.end(), trace) -
+        traces.begin());
+  }
+  static void insert_sorted(std::vector<TraceId>& traces, TraceId trace) {
+    const std::size_t pos = position(traces, trace);
+    if (pos == traces.size() || traces[pos] != trace) {
+      traces.insert(traces.begin() + static_cast<std::ptrdiff_t>(pos),
+                    trace);
+    }
+  }
+  static void erase_sorted(std::vector<TraceId>& traces, TraceId trace) {
+    const std::size_t pos = position(traces, trace);
+    if (pos != traces.size() && traces[pos] == trace) {
+      traces.erase(traces.begin() + static_cast<std::ptrdiff_t>(pos));
+    }
+  }
 
   static std::size_t lower_bound(std::span<const HistoryEntry> entries,
                                  EventIndex value) {
@@ -381,11 +517,16 @@ class LeafHistory {
   }
 
   std::vector<std::vector<HistoryEntry>> per_trace_;
-  /// Secondary index (when keyed): per trace, entries grouped by symbol.
-  std::vector<std::unordered_map<std::uint32_t, std::vector<HistoryEntry>>>
-      by_key_;
+  /// Secondary index (when keyed): key symbol -> its slice.
+  std::unordered_map<std::uint32_t, KeySlice> by_key_;
+  /// When keyed, per trace the keys whose slice holds the trace (in no
+  /// order), so a drop visits only those slices.  Bookkeeping, not counted
+  /// in approx_bytes().
+  std::vector<std::vector<std::uint32_t>> keys_on_;
   /// Per trace, oldest..newest spilled span metas (see SpanMeta).
   std::vector<std::vector<SpanMeta>> spilled_meta_;
+  std::vector<TraceId> occupied_;        ///< see traces()
+  std::vector<TraceId> spilled_traces_;  ///< see spilled_traces()
   bool keyed_ = false;
   std::size_t total_ = 0;
   std::size_t merged_ = 0;

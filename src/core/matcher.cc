@@ -93,10 +93,13 @@ void OcepMatcher::initialize() {
     histories_[leaf].reset(traces_, key_attr_[leaf] != KeyAttr::kNone);
   }
 
+  // Sorted by (name, trace), so a lookup finds the lowest trace id of a
+  // repeated name.
   trace_by_name_.clear();
   for (TraceId t = 0; t < traces_; ++t) {
     trace_by_name_.emplace_back(store_.trace_name(t), t);
   }
+  std::sort(trace_by_name_.begin(), trace_by_name_.end());
 
   binding_.assign(k, EventId{});
   depth_of_leaf_.assign(k, 0);
@@ -439,10 +442,9 @@ void OcepMatcher::fault_all_spans() {
     return;
   }
   for (std::uint32_t leaf = 0; leaf < pattern_.size(); ++leaf) {
-    for (TraceId t = 0; t < traces_; ++t) {
-      while (histories_[leaf].has_spilled(t)) {
-        fault_newest(leaf, t);
-      }
+    // Each fault consumes a meta; a trace leaves the list with its last.
+    while (!histories_[leaf].spilled_traces().empty()) {
+      fault_newest(leaf, histories_[leaf].spilled_traces().front());
     }
   }
 }
@@ -454,7 +456,7 @@ void OcepMatcher::for_each_spilled(
     return;
   }
   for (std::uint32_t leaf = 0; leaf < pattern_.size(); ++leaf) {
-    for (TraceId t = 0; t < traces_; ++t) {
+    for (const TraceId t : histories_[leaf].spilled_traces()) {
       for (const LeafHistory::SpanMeta& meta :
            histories_[leaf].spilled_on(t)) {
         fn(leaf, t, meta.seq);
@@ -611,10 +613,22 @@ void OcepMatcher::run_anchor(std::uint32_t anchor_leaf, const Event& event) {
       stats_.pins_skipped += traces_;
       continue;
     }
-    for (TraceId t = 0; t < traces_; ++t) {
+    // Walk the leaf's sweep set.  A trace outside it holds nothing, so its
+    // pin is skipped: each gap counts as that many skipped pins.  Pins
+    // never grow the set (DESIGN.md §4), so the view stays valid.
+    const std::span<const TraceId> occupied = histories_[leaf].traces();
+    TraceId next = 0;  // the first trace not yet accounted for
+    for (std::size_t i = 0; i <= occupied.size(); ++i) {
       if (search_aborted_) {
         return;  // budget blew: skip the remaining pins this observe
       }
+      const TraceId t =
+          i < occupied.size() ? occupied[i] : static_cast<TraceId>(traces_);
+      stats_.pins_skipped += t - next;
+      if (i == occupied.size()) {
+        break;
+      }
+      next = t + 1;
       if (local_covered_[static_cast<std::size_t>(leaf) * traces_ + t] != 0 ||
           (config_.global_coverage && subset_.covered(leaf, t)) ||
           (histories_[leaf].on_trace(t).empty() &&
@@ -669,6 +683,17 @@ void OcepMatcher::report() {
   }
 }
 
+bool OcepMatcher::find_trace(Symbol name, TraceId& trace) const {
+  const auto it =
+      std::lower_bound(trace_by_name_.begin(), trace_by_name_.end(),
+                       std::pair<Symbol, TraceId>{name, 0});
+  if (it == trace_by_name_.end() || it->first != name) {
+    return false;
+  }
+  trace = it->second;
+  return true;
+}
+
 bool OcepMatcher::extend(const std::vector<std::uint32_t>& order,
                          std::size_t depth, const Pin& pin,
                          std::uint64_t& conflict_out) {
@@ -681,6 +706,7 @@ bool OcepMatcher::extend(const std::vector<std::uint32_t>& order,
   ++stats_.levels_entered;
   const std::uint32_t leaf = order[depth];
   const pattern::Leaf& spec = pattern_.leaves[leaf];
+  const LeafHistory& history = histories_[leaf];
 
   // Trace selection: a pin, a literal process attribute, or a bound
   // process variable restrict the sweep to a single trace (this is what
@@ -693,31 +719,13 @@ bool OcepMatcher::extend(const std::vector<std::uint32_t>& order,
     single = pin.trace;
     have_single = true;
   } else if (spec.process.kind == pattern::Attr::Kind::kLiteral) {
-    bool found = false;
-    for (const auto& [name, t] : trace_by_name_) {
-      if (name == spec.process.literal) {
-        single = t;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      conflict_out |= 0;  // no such trace: unconditional failure
-      return false;
+    if (!find_trace(spec.process.literal, single)) {
+      return false;  // no such trace: unconditional failure
     }
     have_single = true;
   } else if (spec.process.kind == pattern::Attr::Kind::kVariable &&
              var_bound_[spec.process.variable]) {
-    const Symbol want = var_value_[spec.process.variable];
-    bool found = false;
-    for (const auto& [name, t] : trace_by_name_) {
-      if (name == want) {
-        single = t;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    if (!find_trace(var_value_[spec.process.variable], single)) {
       conflict_out |= bit(var_binder_[spec.process.variable]);
       return false;
     }
@@ -727,10 +735,57 @@ bool OcepMatcher::extend(const std::vector<std::uint32_t>& order,
     trace_blame = bit(var_binder_[spec.process.variable]);
   }
 
-  const TraceId t_begin = have_single ? single : 0;
-  const TraceId t_end = have_single ? single + 1
-                                    : static_cast<TraceId>(traces_);
-  for (TraceId t = t_begin; t < t_end; ++t) {
+  // With the leaf's key variable already bound, probe the secondary
+  // index: only occurrences with the matching attribute value.
+  const LeafHistory::KeySlice* slice = nullptr;
+  bool keyed_probe = false;
+  Symbol probe_key = kEmptySymbol;
+  std::uint64_t key_blame = 0;
+  if (key_attr_[leaf] != KeyAttr::kNone) {
+    const pattern::Attr& attr =
+        key_attr_[leaf] == KeyAttr::kText ? spec.text : spec.type;
+    if (var_bound_[attr.variable]) {
+      probe_key = var_value_[attr.variable];
+      slice = history.slice(probe_key);
+      keyed_probe = true;
+      key_blame = bit(var_binder_[attr.variable]);
+    }
+  }
+  const auto fetch = [&](TraceId t) -> std::span<const HistoryEntry> {
+    if (!keyed_probe) {
+      return history.on_trace(t);
+    }
+    // A fault may have created the slice since the level began.
+    return span_sink_ != nullptr ? history.on_trace_keyed(t, probe_key)
+                                 : LeafHistory::on_trace_in(slice, t);
+  };
+
+  // The sweep (DESIGN.md §4): the single trace, else only the traces that
+  // can yield a candidate, ascending.  A trace outside the leaf's set
+  // holds nothing under any binding and needs no blame.  A bound key
+  // narrows the sweep to its slice, unless the leaf has spilled spans:
+  // their keys are unknown until faulted back, so the whole set is swept
+  // (and no fault can change the slice under a slice sweep).  A trace in
+  // the leaf's set but outside the sweep holds the leaf only under other
+  // keys: it blames the key's binder, in sweep order, as visiting it
+  // would have.
+  const std::span<const TraceId> occupied = history.traces();
+  std::span<const TraceId> sweep = occupied;
+  if (have_single) {
+    sweep = std::span<const TraceId>(&single, 1);
+  } else if (keyed_probe && history.spilled_traces().empty()) {
+    sweep = slice != nullptr ? std::span<const TraceId>(slice->traces)
+                             : std::span<const TraceId>();
+  }
+  const bool key_gaps = keyed_probe && !have_single;
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    const TraceId t = sweep[i];
+    // More of the leaf's set lies below t than of the sweep: a gap.
+    if (key_gaps && (my_conflicts & key_blame) == 0 &&
+        std::lower_bound(occupied.begin(), occupied.end(), t) >
+            occupied.begin() + static_cast<std::ptrdiff_t>(i)) {
+      my_conflicts |= key_blame;
+    }
     EventIndex lo = 1;
     EventIndex hi = store_.trace_size(t);
     std::uint64_t setters = 0;
@@ -750,26 +805,7 @@ bool OcepMatcher::extend(const std::vector<std::uint32_t>& order,
     if (span_sink_ != nullptr) {
       ensure_history_loaded(leaf, t, lo);
     }
-    // With the leaf's key variable already bound, probe the secondary
-    // index: only occurrences with the matching attribute value.
-    std::span<const HistoryEntry> entries;
-    std::uint64_t key_blame = 0;
-    bool keyed_probe = false;
-    Symbol probe_key = kEmptySymbol;
-    if (key_attr_[leaf] != KeyAttr::kNone) {
-      const pattern::Attr& attr = key_attr_[leaf] == KeyAttr::kText
-                                      ? spec.text
-                                      : spec.type;
-      if (var_bound_[attr.variable]) {
-        probe_key = var_value_[attr.variable];
-        entries = histories_[leaf].on_trace_keyed(t, probe_key);
-        keyed_probe = true;
-        key_blame = bit(var_binder_[attr.variable]);
-      }
-    }
-    if (!keyed_probe) {
-      entries = histories_[leaf].on_trace(t);
-    }
+    std::span<const HistoryEntry> entries = fetch(t);
     LeafHistory::Range range = LeafHistory::range_of(entries, lo, hi);
     for (std::size_t pos = range.last; pos > range.first; --pos) {
       const EventId candidate{t, entries[pos - 1].index};
@@ -792,9 +828,7 @@ bool OcepMatcher::extend(const std::vector<std::uint32_t>& order,
       if (span_sink_ != nullptr) {
         // A deeper fault may have prepended older entries (all < lo) into
         // this view, reallocating it: re-fetch and shift positions.
-        const std::span<const HistoryEntry> fresh =
-            keyed_probe ? histories_[leaf].on_trace_keyed(t, probe_key)
-                        : histories_[leaf].on_trace(t);
+        const std::span<const HistoryEntry> fresh = fetch(t);
         if (fresh.size() != size_before) {
           const std::size_t growth = fresh.size() - size_before;
           pos += growth;
@@ -809,6 +843,9 @@ bool OcepMatcher::extend(const std::vector<std::uint32_t>& order,
     // levels that produced those restrictions must be blamed, or
     // backjumping could unsoundly skip re-instantiating them.
     my_conflicts |= setters | key_blame;
+  }
+  if (key_gaps && sweep.size() < occupied.size()) {
+    my_conflicts |= key_blame;  // a gap after the last swept trace
   }
   conflict_out |= my_conflicts | trace_blame;
   return false;
@@ -1042,8 +1079,9 @@ void OcepMatcher::unwind_trail(std::size_t mark) {
 bool OcepMatcher::limited_ok(std::uint32_t a_leaf, EventId a, EventId b) {
   // Violated iff some event x of a_leaf's class (by its stored history)
   // satisfies a -> x -> b: on each trace that is the index window
-  // [LS(a, t), GP(b, t)].
-  for (TraceId t = 0; t < traces_; ++t) {
+  // [LS(a, t), GP(b, t)].  Only traces in a_leaf's sweep set can hold x;
+  // faults below refill traces already in the set, so the view is stable.
+  for (const TraceId t : histories_[a_leaf].traces()) {
     const EventIndex ls = store_.least_successor(a, t);
     if (ls == kInfiniteIndex) {
       continue;

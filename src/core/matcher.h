@@ -314,6 +314,8 @@ class OcepMatcher {
   };
   bool extend(const std::vector<std::uint32_t>& order, std::size_t depth,
               const Pin& pin, std::uint64_t& conflict_out);
+  /// The lowest trace named `name`; false when there is none.
+  bool find_trace(Symbol name, TraceId& trace) const;
   bool try_candidate(const std::vector<std::uint32_t>& order,
                      std::size_t depth, const Pin& pin, std::uint32_t leaf,
                      EventId candidate, std::uint64_t& conflict_out,
@@ -393,7 +395,7 @@ class OcepMatcher {
   std::uint64_t terminating_mask_ = 0;
   std::vector<bool> merge_allowed_;  // false for -lim-> quantified leaves
   std::vector<LeafHistory> histories_;
-  /// Trace lookup for process attributes: symbol -> trace + 1 (0 = none).
+  /// Trace lookup for process attributes: (name, trace) pairs sorted.
   std::vector<std::pair<Symbol, TraceId>> trace_by_name_;
 
   // Search scratch.

@@ -98,9 +98,7 @@ void EventStore::append(const Event& event, const VectorClock& clock) {
 
   const auto pos = static_cast<std::uint32_t>(trace.events.size());
   if (storage_ == ClockStorage::kDense) {
-    for (const std::uint32_t entry : clock.entries()) {
-      trace.clocks.push_back(entry);
-    }
+    trace.clocks.append(clock.entries());
   } else {
     if (trace.columns.empty()) {
       // First append on this trace: all traces are registered by now, so

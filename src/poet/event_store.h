@@ -225,13 +225,15 @@ class EventStore {
 
   struct Trace {
     Symbol name = kEmptySymbol;
-    StableVector<Event> events;
-    /// Per event, comm_before(): published with the event.  Starts at 64
-    /// entries, so wide computations of short traces stay small.
+    /// Events and, per event, comm_before() (published with the event).
+    /// Both start at 64 entries, so wide computations of short traces
+    /// stay small.
+    StableVector<Event, 6> events;
     StableVector<std::uint32_t, 6> comm_before;
     std::uint32_t comm_count = 0;  ///< writer only: the next event's count
     /// kDense: row-major timestamps, event j (0-based) occupies
-    /// [j * stride, (j + 1) * stride).
+    /// [j * stride, (j + 1) * stride).  A row is appended as one block;
+    /// readers reach it only through its event, published after it.
     StableVector<std::uint32_t> clocks;
     /// kSparse: per source trace, the change list of column V[.][source];
     /// plus the last full row for O(n) append-time delta detection.

@@ -3,11 +3,18 @@
 // leaf that can accept its type; the checks below hold that dispatch to
 // the behaviour of feeding every pattern every event:
 //
-//   1. Pinned digests — every callback in order (pattern, newly_covering,
-//      bindings), every retained subset and every MatcherStats counter of
-//      one Monitor holding a mixed pattern set, over fixed seeds on both
-//      timestamp backends.  The digests were computed by a Monitor that
-//      called every pattern's observe() on every event.
+//   1. Pinned digests of one Monitor holding a mixed pattern set, over
+//      fixed seeds on both timestamp backends, two per case:
+//      - the output digest: every callback in order (pattern,
+//        newly_covering, bindings), every retained subset and every
+//        MatcherStats counter but the search-effort ones.  These values
+//        were computed by a Monitor that called every pattern's observe()
+//        on every event, and by a matcher that swept every trace;
+//      - the effort digest: the search-effort counters (nodes_explored,
+//        backjumps, levels_entered, domain_prunes), which a sounder or
+//        tighter search may move without changing the output.  Pinned at
+//        the matcher that sweeps only the traces that can hold a
+//        candidate.
 //   2. Standalone equivalence — each pattern's output from the Monitor
 //      (synchronous and pipelined) equals that of an OcepMatcher that is
 //      fed every event itself.
@@ -87,6 +94,21 @@ std::vector<std::uint64_t> counters(const MatcherStats& s) {
           s.history_faulted, s.spans_lost};
 }
 
+/// How much searching was done: a change to the search may move these
+/// without changing what it finds.
+std::vector<std::uint64_t> effort_counters(const MatcherStats& s) {
+  return {s.nodes_explored, s.backjumps, s.levels_entered, s.domain_prunes};
+}
+
+/// Every other MatcherStats counter, in declaration order.
+std::vector<std::uint64_t> outcome_counters(const MatcherStats& s) {
+  return {s.events_observed, s.leaf_hits, s.searches, s.matches_reported,
+          s.history_entries, s.history_merged, s.history_pruned, s.pins_run,
+          s.pins_skipped, s.searches_aborted, s.observes_shed,
+          s.breaker_trips, s.history_evicted, s.callback_errors,
+          s.history_spilled, s.history_faulted, s.spans_lost};
+}
+
 /// The counters that do not depend on how far the store ran ahead of the
 /// observation point (see Pipeline.MetricsCountersMatchAcrossWorkerCounts).
 std::vector<std::uint64_t> schedule_free_counters(const MatcherStats& s) {
@@ -127,18 +149,24 @@ EventStore make_source(StringPool& pool, std::uint64_t seed,
   return testing::random_computation(pool, options);
 }
 
+struct Digests {
+  std::string output;
+  std::string effort;
+};
+
 /// Replays `source` through one Monitor holding every pattern; returns
-/// each pattern's outcome and, when `digest` is given (synchronous runs
-/// only: workers call back concurrently), the digest over all of them,
+/// each pattern's outcome and, when `digests` is given (synchronous runs
+/// only: workers call back concurrently), the digests over all of them,
 /// with the callbacks digested in the order the Monitor made them.
 std::vector<Outcome> run_monitor(const EventStore& source, StringPool& pool,
                                  const MonitorConfig& config,
                                  const MatcherConfig& matcher_config,
-                                 std::string* digest) {
+                                 Digests* digests) {
   const std::vector<std::string> patterns = mixed_patterns();
   std::vector<Outcome> out(patterns.size());
   Fnv fnv;
-  Fnv* order = digest != nullptr ? &fnv : nullptr;
+  Fnv effort;
+  Fnv* order = digests != nullptr ? &fnv : nullptr;
   Monitor monitor(pool, config, source.storage());
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     monitor.add_pattern(patterns[i], matcher_config,
@@ -166,12 +194,16 @@ std::vector<Outcome> run_monitor(const EventStore& source, StringPool& pool,
       }
     }
     out[i].stats = matcher.stats();
-    for (const std::uint64_t value : counters(matcher.stats())) {
+    for (const std::uint64_t value : outcome_counters(matcher.stats())) {
       fnv.add(value);
     }
+    for (const std::uint64_t value : effort_counters(matcher.stats())) {
+      effort.add(value);
+    }
   }
-  if (digest != nullptr) {
-    *digest = fnv.hex();
+  if (digests != nullptr) {
+    digests->output = fnv.hex();
+    digests->effort = effort.hex();
   }
   return out;
 }
@@ -188,10 +220,11 @@ MatcherConfig governed_config() {
 }
 
 struct PinnedCase {
-  std::uint64_t seed;
+  std::uint32_t seed;
   ClockStorage storage;
   bool governed;
-  const char* digest;
+  const char* output;
+  const char* effort;
 };
 
 class DispatchDigest : public ::testing::TestWithParam<PinnedCase> {};
@@ -202,10 +235,11 @@ TEST_P(DispatchDigest, MonitorOutputIsPinned) {
   const EventStore source = make_source(pool, pinned.seed, pinned.storage);
   const MatcherConfig config =
       pinned.governed ? governed_config() : MatcherConfig{};
-  std::string digest;
+  Digests digests;
   const std::vector<Outcome> outcome =
-      run_monitor(source, pool, MonitorConfig{}, config, &digest);
-  EXPECT_EQ(digest, pinned.digest);
+      run_monitor(source, pool, MonitorConfig{}, config, &digests);
+  EXPECT_EQ(digests.output, pinned.output);
+  EXPECT_EQ(digests.effort, pinned.effort);
 
   // The set is not vacuous: most patterns match, every pattern counts
   // every arrival, and the governed runs shed searches.
@@ -221,18 +255,26 @@ TEST_P(DispatchDigest, MonitorOutputIsPinned) {
 }
 
 // Dense and sparse stores answer every causal query alike, so each seed
-// pins one digest for both.
+// pins one pair of digests for both.
 INSTANTIATE_TEST_SUITE_P(
     Seeds, DispatchDigest,
     ::testing::Values(
-        PinnedCase{41, ClockStorage::kDense, false, "405b56ce9134e2ad"},
-        PinnedCase{41, ClockStorage::kSparse, false, "405b56ce9134e2ad"},
-        PinnedCase{42, ClockStorage::kDense, false, "db7ecc100efa8b92"},
-        PinnedCase{42, ClockStorage::kSparse, false, "db7ecc100efa8b92"},
-        PinnedCase{43, ClockStorage::kDense, false, "2849e763f01eb31b"},
-        PinnedCase{43, ClockStorage::kSparse, false, "2849e763f01eb31b"},
-        PinnedCase{41, ClockStorage::kDense, true, "04735bee6ae2545c"},
-        PinnedCase{42, ClockStorage::kSparse, true, "3256cf511c85cbd5"}),
+        PinnedCase{41, ClockStorage::kDense, false, "dbc1a4e812f9004b",
+                   "7b5b3c189e4128d7"},
+        PinnedCase{41, ClockStorage::kSparse, false, "dbc1a4e812f9004b",
+                   "7b5b3c189e4128d7"},
+        PinnedCase{42, ClockStorage::kDense, false, "6663732eef876ee4",
+                   "e260688267945b1f"},
+        PinnedCase{42, ClockStorage::kSparse, false, "6663732eef876ee4",
+                   "e260688267945b1f"},
+        PinnedCase{43, ClockStorage::kDense, false, "f283b14fcc4a9ae3",
+                   "35f909e29283f856"},
+        PinnedCase{43, ClockStorage::kSparse, false, "f283b14fcc4a9ae3",
+                   "35f909e29283f856"},
+        PinnedCase{41, ClockStorage::kDense, true, "c5ac0d2d43faf00c",
+                   "ee9c5a46d315762f"},
+        PinnedCase{42, ClockStorage::kSparse, true, "11e0e3c60181bb7d",
+                   "89ff43d7350f657a"}),
     [](const auto& param_info) {
       const PinnedCase& c = param_info.param;
       return "seed" + std::to_string(c.seed) +

@@ -2,11 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <span>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "baseline/naive_matcher.h"
 #include "computation_builder.h"
 #include "core/matcher.h"
+#include "core/span_sink.h"
 #include "pattern/compiled.h"
 #include "poet/replay.h"
 #include "random_computation.h"
@@ -381,6 +388,149 @@ TEST(Matcher, ObserveIsDeterministic) {
     return reported;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+/// A span sink that keeps spans in memory, for tests that need the spill
+/// tier without a tenant store.
+class MemorySpanSink final : public SpanSink {
+ public:
+  bool spill(std::uint32_t /*pattern*/, std::uint32_t leaf, TraceId trace,
+             std::uint64_t seq,
+             std::span<const HistoryEntry> entries) override {
+    spans_[{leaf, trace, seq}].assign(entries.begin(), entries.end());
+    ++spills;
+    return true;
+  }
+  bool fault(std::uint32_t /*pattern*/, std::uint32_t leaf, TraceId trace,
+             std::uint64_t seq, std::vector<HistoryEntry>& out) override {
+    const auto it = spans_.find({leaf, trace, seq});
+    if (it == spans_.end()) {
+      return false;
+    }
+    out = it->second;
+    ++faults;
+    return true;
+  }
+  void release(std::uint32_t /*pattern*/, std::uint32_t leaf, TraceId trace,
+               std::uint64_t seq) override {
+    spans_.erase({leaf, trace, seq});
+  }
+
+  std::uint64_t spills = 0;
+  std::uint64_t faults = 0;
+
+ private:
+  std::map<std::tuple<std::uint32_t, TraceId, std::uint64_t>,
+           std::vector<HistoryEntry>>
+      spans_;
+};
+
+// A keyed leaf whose witness lives only in a spilled span: the keyed
+// sweep must visit every trace with spans, because the keys of spilled
+// entries are unknown until they are faulted back — and after a restore
+// they are not even recomputed for the slices.  Checkpointing between the
+// spill and the match must not change what is found.
+TEST(Matcher, KeyedWitnessInSpilledSpanIsFoundAcrossRestore) {
+  StringPool pool;
+  ComputationBuilder b(pool, {"T0", "T1", "T2"});
+  // T0: one P per key k0..k23; the oldest (k0 first) are spilled by the
+  // cap below.  T2 holds P with k23 only.
+  for (int i = 0; i < 24; ++i) {
+    b.local(0, "A", "k" + std::to_string(i));
+  }
+  b.local(2, "A", "k23");
+  const std::uint64_t to_t1 = b.send(0, "S");
+  b.recv(1, to_t1, "R");
+  const std::uint64_t from_t2 = b.send(2, "S");
+  b.recv(1, from_t2, "R");
+  const std::size_t split = b.store().event_count();
+  // T1: Q for a spilled key, a resident key, a key held by two traces,
+  // and a key with no P at all.
+  for (const char* key : {"k0", "k3", "k20", "k23", "none"}) {
+    b.local(1, "B", key);
+  }
+  const EventStore& store = b.store();
+  constexpr const char* kKeyed =
+      "P := ['', A, $k]; Q := ['', B, $k];\npattern := P -> Q;\n";
+
+  struct Run {
+    std::vector<std::pair<bool, std::vector<EventId>>> callbacks;
+    std::vector<std::vector<EventId>> subset;
+  };
+  const auto callback_into = [](Run& run) {
+    return [&run](const Match& match, bool fresh) {
+      run.callbacks.emplace_back(fresh, match.bindings);
+    };
+  };
+  const auto finish = [](Run& run, const OcepMatcher& matcher) {
+    for (const Match& match : matcher.subset().matches()) {
+      run.subset.push_back(match.bindings);
+    }
+  };
+  const auto feed = [&store](OcepMatcher& matcher, std::size_t begin,
+                             std::size_t end) {
+    for (std::size_t pos = begin; pos < end; ++pos) {
+      matcher.observe(store.event(store.arrival(pos)), pos);
+    }
+  };
+
+  MatcherConfig unbounded;
+  unbounded.merge_redundant_history = false;  // every P is its own witness
+  Run full;
+  OcepMatcher reference(store, pattern::compile(kKeyed, pool), unbounded,
+                        callback_into(full));
+  feed(reference, 0, store.event_count());
+  finish(full, reference);
+  // Every Q but 'none' matches, and k23's pin on T2 adds a fifth.
+  ASSERT_EQ(full.callbacks.size(), 5U);
+
+  MatcherConfig capped = unbounded;
+  capped.history_bytes_limit = 1024;
+
+  // Without a sink the cap evicts: the spilled witnesses are gone.
+  Run lossy;
+  OcepMatcher evicting(store, pattern::compile(kKeyed, pool), capped,
+                       callback_into(lossy));
+  feed(evicting, 0, store.event_count());
+  EXPECT_LT(lossy.callbacks.size(), full.callbacks.size())
+      << "no witness was only in the spilled prefix: the test is vacuous";
+
+  // With a sink: spill, checkpoint, restore into a fresh matcher on the
+  // same sink, and finish there.
+  MemorySpanSink sink;
+  Run spilled;
+  OcepMatcher first(store, pattern::compile(kKeyed, pool), capped,
+                    callback_into(spilled));
+  first.set_span_sink(&sink, 0);
+  feed(first, 0, split);
+  ASSERT_GT(sink.spills, 0U);
+  std::stringstream saved;
+  first.checkpoint(saved);
+
+  OcepMatcher resumed(store, pattern::compile(kKeyed, pool), capped,
+                      callback_into(spilled));
+  resumed.set_span_sink(&sink, 0);
+  resumed.restore(saved);
+  std::size_t spans = 0;
+  resumed.for_each_spilled(
+      [&spans](std::uint32_t, TraceId, std::uint64_t) { ++spans; });
+  ASSERT_GT(spans, 0U) << "nothing was spilled at the checkpoint";
+  feed(resumed, split, store.event_count());
+  finish(spilled, resumed);
+  EXPECT_GT(sink.faults, 0U);
+  EXPECT_EQ(spilled.callbacks, full.callbacks);
+  EXPECT_EQ(spilled.subset, full.subset);
+
+  // The same stream without the checkpoint finds the same.
+  MemorySpanSink live_sink;
+  Run live;
+  OcepMatcher uninterrupted(store, pattern::compile(kKeyed, pool), capped,
+                            callback_into(live));
+  uninterrupted.set_span_sink(&live_sink, 0);
+  feed(uninterrupted, 0, store.event_count());
+  finish(live, uninterrupted);
+  EXPECT_EQ(live.callbacks, full.callbacks);
+  EXPECT_EQ(live.subset, full.subset);
 }
 
 }  // namespace

@@ -12,6 +12,9 @@
 //   3. Bound — the retained subset never exceeds k * n matches.
 //   4. Config equivalence — domain pruning and backjumping are pure
 //      optimizations: coverage is identical with them on or off.
+//   5. Wide computations — properties 1-4 hold where most traces hold no
+//      occurrence of a given leaf or key, so the searches skip traces
+//      outside the sweep sets (DESIGN.md §4); a governed run stays sound.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -26,9 +29,10 @@ namespace ocep {
 namespace {
 
 /// Generates a random pattern over the random computation's type alphabet
-/// {A..D} / text alphabet {'', 'x', 'y'}: a chain of 2-4 operands with
-/// random operators, random literal/wildcard/variable attributes.
-std::string random_pattern_text(Rng& rng) {
+/// (the first `types` letters, {A..D} by default) / text alphabet {'',
+/// 'x', 'y', ...}: a chain of 2-4 operands with random operators, random
+/// literal/wildcard/variable attributes.
+std::string random_pattern_text(Rng& rng, std::uint64_t types = 4) {
   const std::size_t k = 2 + rng.below(3);
   std::string classes;
   std::string chain;
@@ -37,7 +41,7 @@ std::string random_pattern_text(Rng& rng) {
     // type: mostly a literal letter, sometimes wild-card
     std::string type;
     if (rng.below(5) != 0) {
-      type = std::string(1, static_cast<char>('A' + rng.below(4)));
+      type = std::string(1, static_cast<char>('A' + rng.below(types)));
     } else {
       type = "''";
     }
@@ -142,6 +146,74 @@ TEST_P(MatcherVsBruteForce, SoundAndCoverageComplete) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MatcherVsBruteForce,
                          ::testing::Values(101, 102, 103, 104, 105, 106, 107,
                                            108, 109, 110));
+
+// Wide, sparsely occupied computations: 10-16 traces and larger type and
+// text alphabets, so a leaf occupies a few traces and a bound $tag fewer
+// still.  The narrow computations above occupy nearly every trace, which
+// leaves the sweep sets' skip paths (and a keyed sweep's blame of its key
+// binder) almost unexercised.
+class WideMatcherVsBruteForce
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WideMatcherVsBruteForce, SoundCoverageCompleteAndConfigEquivalent) {
+  const std::uint64_t seed = GetParam();
+  StringPool pool;
+  testing::RandomComputationOptions options;
+  options.seed = seed;
+  options.traces = static_cast<std::uint32_t>(10 + seed % 7);
+  options.events = 80;
+  options.type_alphabet = 8;
+  options.text_alphabet = 6;
+  const EventStore store = testing::random_computation(pool, options);
+
+  Rng rng(seed * 1000 + 29);
+  for (int round = 0; round < 6; ++round) {
+    const std::string pattern_text = random_pattern_text(rng, 8);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " pattern:\n" +
+                 pattern_text);
+    const pattern::CompiledPattern reference =
+        pattern::compile(pattern_text, pool);
+    const std::vector<bool> expected = baseline::coverage(store, reference);
+
+    MatcherConfig exact;
+    exact.merge_redundant_history = false;
+    const RunResult ocep = run_ocep(store, pool, pattern_text, exact);
+    EXPECT_TRUE(ocep.all_valid) << "OCEP reported an invalid match";
+    EXPECT_EQ(ocep.covered, expected) << "coverage mismatch vs brute force";
+    EXPECT_LE(ocep.subset_size, reference.size() * store.trace_count());
+
+    for (const bool pruning : {true, false}) {
+      for (const bool backjumping : {true, false}) {
+        MatcherConfig config = exact;
+        config.domain_pruning = pruning;
+        config.backjumping = backjumping;
+        const RunResult other = run_ocep(store, pool, pattern_text, config);
+        EXPECT_EQ(other.covered, ocep.covered)
+            << "pruning " << pruning << " backjumping " << backjumping;
+        EXPECT_EQ(other.reported, ocep.reported)
+            << "pruning " << pruning << " backjumping " << backjumping;
+      }
+    }
+
+    // A budget small enough to abort searches mid-sweep and mid-pin loop,
+    // and a breaker that sheds: matches may be lost, never invented.
+    MatcherConfig governed = exact;
+    governed.budget.max_steps = 4;
+    governed.breaker.trip_failures = 2;
+    governed.breaker.window_observes = 30;
+    governed.breaker.cooldown_observes = 20;
+    const RunResult bounded = run_ocep(store, pool, pattern_text, governed);
+    EXPECT_TRUE(bounded.all_valid) << "governed run reported an invalid match";
+    ASSERT_EQ(bounded.covered.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_LE(bounded.covered[i], expected[i]);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WideMatcherVsBruteForce,
+                         ::testing::Values(501, 502, 503, 504, 505, 506, 507,
+                                           508));
 
 class ConfigEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
