@@ -303,9 +303,9 @@ bool JsonReport::write() {
     row_open_ = false;
     current_.clear();
   }
-  // Schema header first, so trajectory tooling can detect format drift
-  // before interpreting any row.  The git revision comes from the
-  // environment (CI exports OCEP_GIT_SHA); local runs record "unknown".
+  // Schema header first, so a reader can detect format drift before
+  // interpreting any row.  The git revision comes from the environment
+  // (OCEP_GIT_SHA); "unknown" when unset.
   const char* sha = std::getenv("OCEP_GIT_SHA");
   std::string doc = "{\n  \"schema\": \"ocep-bench-v1\",\n  \"bench\": \"" +
                     json_escape(bench_) + "\",\n  \"git\": \"" +

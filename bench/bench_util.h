@@ -99,15 +99,16 @@ void print_row(const std::string& label, std::uint64_t events,
 void print_header(const std::string& title, const std::string& label_name,
                   const BenchParams& params);
 
-/// Machine-readable bench record (the BENCH_*.json trajectory files).
+/// Machine-readable bench record (docs/BENCHMARKS.md; the CI gates read
+/// it).
 ///
 /// Accumulates one JSON object per result row and, when the bench was
 /// invoked with --json FILE, writes
 ///   {"schema": "ocep-bench-v1", "bench": ..., "git": <sha>,
 ///    "params": {...}, "rows": [{...}, ...]}
-/// The schema field lets trajectory tooling (scripts/bench_trajectory.py)
-/// detect format drift; the git revision is read from the OCEP_GIT_SHA
-/// environment variable ("unknown" when unset).  Without --json every
+/// The schema field lets readers detect format drift; the git revision is
+/// read from the OCEP_GIT_SHA environment variable ("unknown" when
+/// unset).  Without --json every
 /// call is a cheap no-op, so benches can emit rows unconditionally.
 /// Latency fields are microseconds, matching the printed tables.
 class JsonReport {

@@ -53,8 +53,6 @@ int main(int argc, char** argv) {
     const auto clients =
         static_cast<std::uint32_t>(flags.get_int("clients", 8));
     const auto traces = static_cast<std::uint32_t>(flags.get_int("traces", 4));
-    const auto workers =
-        static_cast<std::size_t>(flags.get_int("workers", 0));
     const auto shards =
         static_cast<std::size_t>(flags.get_int("shards", 1));
     flags.check_unused();
@@ -99,7 +97,6 @@ int main(int argc, char** argv) {
 
       net::ServerConfig config;
       config.shards = shards;
-      config.tenant.monitor.worker_threads = workers;
       config.observe_hook = [&](std::string_view tenant,
                                 std::uint64_t position) {
         // Tenant names are "c<index>".

@@ -1,18 +1,14 @@
-// Pipeline scaling — multi-pattern throughput vs worker threads.
+// Multi-pattern throughput — one Monitor, 1 to 16 registered patterns.
 //
-// Patterns shard across workers (core/pipeline.h), so the win grows with
-// the number of registered patterns: one pattern cannot go faster than
-// one worker, sixteen patterns on eight workers should.  Each cell replays
-// the same random computation through a Monitor configured with the given
-// worker count, times replay + drain, and reports events/second.  The
-// speedup column is against worker_threads = 0 (the exact synchronous
-// path) at the same pattern count.  Results are identical across the row
-// by construction (tests/test_pipeline.cc checks exactly that); this
-// bench measures only the cost.
+// Each row replays the same random computation through a Monitor holding
+// the first N of sixteen two-leaf precedence patterns, times the replay,
+// and reports events/second.  An event is offered only to the patterns
+// whose leaves accept its type (core/dispatch.h), so the cost per event
+// grows with the patterns that share its type, not with N alone.
+// `--metrics` measures the telemetry layer's own cost.
 #include <cinttypes>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -27,8 +23,7 @@ using namespace ocep::bench;
 
 namespace {
 
-/// Sixteen two-leaf precedence patterns over the type alphabet A..D —
-/// enough to keep eight workers busy with distinct shards.
+/// Sixteen two-leaf precedence patterns over the type alphabet A..D.
 std::vector<std::string> make_patterns() {
   std::vector<std::string> patterns;
   for (char x = 'A'; x <= 'D'; ++x) {
@@ -45,19 +40,15 @@ std::vector<std::string> make_patterns() {
   return patterns;
 }
 
-struct Cell {
+/// Seconds spent replaying `source` `reps` times through a Monitor holding
+/// the first `pattern_count` patterns.
+double run_config(const EventStore& source, StringPool& pool,
+                  const std::vector<std::string>& patterns,
+                  std::size_t pattern_count, std::uint32_t reps,
+                  bool metrics) {
   double seconds = 0;
-  std::uint64_t stalls = 0;
-};
-
-Cell run_config(const EventStore& source, StringPool& pool,
-                const std::vector<std::string>& patterns,
-                std::size_t pattern_count, std::size_t workers,
-                std::uint32_t reps, bool metrics) {
-  Cell cell;
   for (std::uint32_t rep = 0; rep < reps; ++rep) {
     MonitorConfig config;
-    config.worker_threads = workers;
     config.metrics = metrics;
     Monitor monitor(pool, config, source.storage());
     for (std::size_t i = 0; i < pattern_count; ++i) {
@@ -65,13 +56,9 @@ Cell run_config(const EventStore& source, StringPool& pool,
     }
     metrics::Stopwatch watch;
     replay(source, monitor);
-    monitor.drain();
-    cell.seconds += watch.elapsed_us() / 1e6;
-    for (const PipelineWorkerStats& worker : monitor.stats().workers) {
-      cell.stalls += worker.ring_full_stalls;
-    }
+    seconds += watch.elapsed_us() / 1e6;
   }
-  return cell;
+  return seconds;
 }
 
 }  // namespace
@@ -101,56 +88,26 @@ int main(int argc, char** argv) {
     const std::vector<std::string> patterns = make_patterns();
 
     const std::vector<std::size_t> pattern_counts = {1, 2, 4, 8, 16};
-    const std::vector<std::size_t> worker_counts = {0, 1, 2, 4, 8};
 
-    std::printf("# Pipeline scaling (random computation, %u traces, "
-                "%" PRIu64 " events, %u reps, %u hardware threads)\n",
+    std::printf("# Multi-pattern throughput (random computation, %u traces, "
+                "%" PRIu64 " events, %u reps)\n",
                 traces, static_cast<std::uint64_t>(options.events),
-                params.reps, std::thread::hardware_concurrency());
-    std::printf("# cells: events/sec over replay+drain; (xN.NN) speedup vs "
-                "workers=0 at the same pattern count\n");
-    std::printf("%-9s", "patterns");
-    for (const std::size_t workers : worker_counts) {
-      std::printf(" %17s%zu", "workers=", workers);
-    }
-    std::printf("\n");
+                params.reps);
+    std::printf("%-9s %14s\n", "patterns", "events/s");
 
     JsonReport report("pipeline", params);
     for (const std::size_t pattern_count : pattern_counts) {
-      std::printf("%-9zu", pattern_count);
-      double base_seconds = 0;
-      for (const std::size_t workers : worker_counts) {
-        const Cell cell = run_config(source, pool, patterns, pattern_count,
-                                     workers, params.reps, metrics);
-        const double events_total =
-            static_cast<double>(options.events) * params.reps;
-        const double rate = events_total / cell.seconds;
-        if (workers == 0) {
-          base_seconds = cell.seconds;
-          std::printf(" %12.0f ev/s  -  ", rate);
-        } else {
-          std::printf(" %12.0f (x%4.2f)", rate, base_seconds / cell.seconds);
-        }
-        report.begin_row("patterns=" + std::to_string(pattern_count) +
-                         "/workers=" + std::to_string(workers));
-        report.add("patterns", static_cast<std::uint64_t>(pattern_count));
-        report.add("workers", static_cast<std::uint64_t>(workers));
-        report.add("events_per_sec", rate);
-        report.add("seconds", cell.seconds);
-        report.add("speedup",
-                   workers == 0 ? 1.0 : base_seconds / cell.seconds);
-        report.add("ring_stalls", cell.stalls);
-        if (params.verbose && cell.stalls > 0) {
-          std::fprintf(stderr, "# patterns=%zu workers=%zu stalls=%" PRIu64
-                       "\n", pattern_count, workers, cell.stalls);
-        }
-      }
-      std::printf("\n");
+      const double seconds = run_config(source, pool, patterns, pattern_count,
+                                        params.reps, metrics);
+      const double rate =
+          static_cast<double>(options.events) * params.reps / seconds;
+      std::printf("%-9zu %14.0f\n", pattern_count, rate);
+      report.begin_row("patterns=" + std::to_string(pattern_count));
+      report.add("patterns", static_cast<std::uint64_t>(pattern_count));
+      report.add("events_per_sec", rate);
+      report.add("seconds", seconds);
     }
     report.write();
-    std::printf("# speedup requires real cores: with %u hardware threads, "
-                "workers beyond that only add hand-off cost.\n",
-                std::thread::hardware_concurrency());
     return 0;
   } catch (const Error& error) {
     std::fprintf(stderr, "pipeline: %s\n", error.what());

@@ -1,23 +1,16 @@
-// Append-only vector with stable element addresses and a single-writer /
-// many-reader publication contract.
+// Append-only vector whose growth never copies.
 //
 // Storage is chunked (geometrically growing chunks reached through a small
 // inline directory), so push_back never moves an element: a reference
-// obtained from operator[] stays valid for the container's lifetime.  That
-// is what lets the matching pipeline's worker threads read the event store
-// while the delivery thread keeps appending.
-//
-// Publication contract: exactly one thread calls push_back() and append();
-// each call release-stores the new size into an atomic *visible size*.  A
-// reader thread that acquire-loads visible_size() may access any index
-// below the loaded value — the release/acquire pair orders the element
-// (and chunk-directory) writes before the reads, so no locking is needed.
-// size() is the writer's own view and must not be called concurrently
-// with the writer by other threads; readers use visible_size().
+// obtained from operator[] stays valid for the container's lifetime, and
+// growing allocates one new chunk instead of copying every earlier element
+// into a bigger block.  That is why the event store keeps its per-trace
+// rows here and not in a std::vector: a trace's timestamp rows are
+// appended one at a time, and a std::vector would copy all earlier rows
+// on each regrowth and keep the abandoned blocks resident.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <span>
@@ -42,8 +35,6 @@ class StableVector {
   StableVector(const StableVector&) = delete;
   StableVector& operator=(const StableVector&) = delete;
 
-  /// Moves are writer-side operations: they must not race with any reader
-  /// of the moved-from container.
   StableVector(StableVector&& other) noexcept { steal(other); }
   StableVector& operator=(StableVector&& other) noexcept {
     if (this != &other) {
@@ -55,7 +46,6 @@ class StableVector {
 
   ~StableVector() { destroy(); }
 
-  /// Writer only.  Publishes the element before returning.
   void push_back(const T& value) {
     std::size_t chunk = 0;
     std::size_t offset = 0;
@@ -65,11 +55,10 @@ class StableVector {
     }
     chunks_[chunk][offset] = value;
     ++size_;
-    visible_.store(size_, std::memory_order_release);
   }
 
-  /// Writer only.  Appends `values` as one block, copied chunk by chunk
-  /// across chunk boundaries, and publishes the whole block at once.
+  /// Appends `values` as one block, copied chunk by chunk across chunk
+  /// boundaries.
   void append(std::span<const T> values) {
     std::size_t done = 0;
     while (done < values.size()) {
@@ -85,11 +74,8 @@ class StableVector {
       done += n;
     }
     size_ += values.size();
-    visible_.store(size_, std::memory_order_release);
   }
 
-  /// Valid for the writer at any index < size(), and for readers at any
-  /// index below an acquire-loaded visible_size().
   [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
     std::size_t chunk = 0;
     std::size_t offset = 0;
@@ -97,16 +83,10 @@ class StableVector {
     return chunks_[chunk][offset];
   }
 
-  /// Writer's view of the size.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
-  /// Reader-safe size: every index below the returned value is readable.
-  [[nodiscard]] std::size_t visible_size() const noexcept {
-    return visible_.load(std::memory_order_acquire);
-  }
-
-  /// Allocated capacity in elements (writer only; for memory accounting).
+  /// Allocated capacity in elements (for memory accounting).
   [[nodiscard]] std::size_t capacity() const noexcept {
     std::size_t total = 0;
     for (std::size_t c = 0; c < kChunks; ++c) {
@@ -134,8 +114,6 @@ class StableVector {
     }
     size_ = other.size_;
     other.size_ = 0;
-    visible_.store(size_, std::memory_order_relaxed);
-    other.visible_.store(0, std::memory_order_relaxed);
   }
 
   void destroy() noexcept {
@@ -147,7 +125,6 @@ class StableVector {
 
   T* chunks_[kChunks] = {};
   std::size_t size_ = 0;
-  std::atomic<std::size_t> visible_{0};
 };
 
 }  // namespace ocep

@@ -11,7 +11,6 @@
 // run no search, so skipping it changes nothing but the call.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -52,12 +51,6 @@ class DispatchIndex {
       return buckets_[at].patterns;
     }
     return any_type_;
-  }
-
-  /// Whether `pattern` is offered an event of type `type`.
-  [[nodiscard]] bool offers(std::uint32_t pattern, Symbol type) const {
-    const std::span<const std::uint32_t> list = offered(type);
-    return std::binary_search(list.begin(), list.end(), pattern);
   }
 
  private:

@@ -144,11 +144,6 @@ bool HealthReport::degraded() const noexcept {
       return true;
     }
   }
-  for (const WorkerHealth& worker : workers) {
-    if (worker.restarts || worker.quarantined_patterns) {
-      return true;
-    }
-  }
   return ingest.sheds || ingest.frames_corrupt || ingest.frames_gap ||
          ingest.resync_failures;
 }
@@ -166,11 +161,6 @@ void HealthReport::to_text(std::ostream& out) const {
     if (!p.last_error.empty()) {
       out << "  last_error: " << p.last_error << "\n";
     }
-  }
-  for (const WorkerHealth& w : workers) {
-    out << "worker " << w.worker << ": batches=" << w.batches
-        << " heartbeat=" << w.heartbeat << " restarts=" << w.restarts
-        << " quarantined_patterns=" << w.quarantined_patterns << "\n";
   }
   out << "ingest: offered=" << ingest.offered
       << " delivered=" << ingest.delivered << " sheds=" << ingest.sheds
@@ -239,16 +229,6 @@ void HealthReport::to_json(std::ostream& out) const {
         << ",\"callback_errors\":" << p.callback_errors << ",\"last_error\":";
     json_string(out, p.last_error);
     out << '}';
-  }
-  out << "],\"workers\":[";
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const WorkerHealth& w = workers[i];
-    if (i > 0) {
-      out << ',';
-    }
-    out << "{\"worker\":" << w.worker << ",\"batches\":" << w.batches
-        << ",\"heartbeat\":" << w.heartbeat << ",\"restarts\":" << w.restarts
-        << ",\"quarantined_patterns\":" << w.quarantined_patterns << '}';
   }
   out << "],\"ingest\":{\"offered\":" << ingest.offered
       << ",\"delivered\":" << ingest.delivered

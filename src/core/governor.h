@@ -17,16 +17,16 @@
 //    `window_observes` window trips open: its observes degrade to O(1)
 //    history appends.  After `cooldown_observes` it half-opens and probes
 //    with a reduced budget; success closes it, failure re-opens it.
-//    kQuarantined is the terminal state used by worker supervision for
-//    patterns whose callbacks or internals threw.
+//    kQuarantined is terminal (quarantine()); the Monitor itself never
+//    enters it, but a checkpoint that holds it still restores.
 //  * HealthReport — the one-stop degradation snapshot: per-pattern breaker
-//    state and budget/eviction counters, per-worker supervision counters,
-//    and the ingestion-side shed counters, so operators see every coverage
-//    loss in one place (docs/GOVERNANCE.md).
+//    state and budget/eviction counters, and the ingestion-side shed
+//    counters, so operators see every coverage loss in one place
+//    (docs/GOVERNANCE.md).
 //
 // Everything here is deterministic: the breaker clock is the matcher's
 // observe count, never wall time, so identical inputs and step budgets
-// produce identical states across worker counts and checkpoint splits.
+// produce identical states across checkpoint splits.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +70,7 @@ enum class BreakerState : std::uint8_t {
   kClosed,       ///< normal operation, full budget
   kOpen,         ///< tripped: observes degrade to history appends
   kHalfOpen,     ///< probing with a reduced budget
-  kQuarantined,  ///< terminal: pattern errored; supervision keeps it shut
+  kQuarantined,  ///< terminal: pattern errored and was shut down
 };
 
 [[nodiscard]] const char* to_string(BreakerState state) noexcept;
@@ -95,9 +95,8 @@ class PatternGovernor {
   /// Outcome of an admitted search phase: `aborted` when the budget blew.
   void on_search_result(std::uint64_t observe_index, bool aborted);
 
-  /// Terminal shutdown by worker supervision (throwing callback or
-  /// internal error).  Only a restored checkpoint or a fresh matcher
-  /// leaves this state.
+  /// Terminal shutdown (kQuarantined).  Only a restored checkpoint or a
+  /// fresh matcher leaves this state.
   void quarantine(std::string reason);
 
   /// Records a contained error (e.g. a throwing MatchCallback) without a
@@ -149,30 +148,16 @@ struct PatternHealth {
                          const PatternHealth&) = default;
 };
 
-/// One pipeline worker's supervision snapshot.  Process-local by design:
-/// restarts and heartbeats do not survive a checkpoint (a restored process
-/// has fresh workers), unlike the per-pattern state above.
-struct WorkerHealth {
-  std::uint64_t worker = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t heartbeat = 0;  ///< liveness: bumped per batch and idle tick
-  std::uint64_t restarts = 0;   ///< supervised respawns after an escape
-  std::uint64_t quarantined_patterns = 0;
-
-  friend bool operator==(const WorkerHealth&, const WorkerHealth&) = default;
-};
-
 /// The aggregated overload/degradation picture.  `ingest` carries the
 /// linearizer/session shed counters when the monitor has an ingest source,
 /// so matcher-side eviction and wire-side shedding are read together.
 struct HealthReport {
   std::vector<PatternHealth> patterns;
-  std::vector<WorkerHealth> workers;
   IngestStats ingest{};
 
   /// True when any surface degraded: a non-closed breaker, an aborted or
-  /// shed search, an eviction, a callback error, a worker restart, or
-  /// ingestion-side shedding.
+  /// shed search, an eviction, a callback error, or ingestion-side
+  /// shedding.
   [[nodiscard]] bool degraded() const noexcept;
 
   void to_text(std::ostream& out) const;

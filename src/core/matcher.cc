@@ -243,8 +243,8 @@ void OcepMatcher::observe_next(const Event& event) {
   // or quarantined breaker degrades it to the O(1) appends above, and an
   // admitted search runs under one shared budget across every anchor and
   // pin (at most one abort per observe).  The breaker clock is the
-  // event's arrival count, so the outcome is identical across worker
-  // counts, checkpoint splits and the events a Monitor skips.
+  // event's arrival count, so the outcome is identical across checkpoint
+  // splits and the events a Monitor skips.
   const std::uint64_t anchors = accepting & terminating_mask_;
   if (anchors != 0) {
     SearchBudget effective;
@@ -489,11 +489,6 @@ PatternHealth OcepMatcher::health() const {
   return health;
 }
 
-void OcepMatcher::quarantine(std::string reason) {
-  governor_.quarantine(std::move(reason));
-  stats_.breaker_trips = governor_.trips();
-}
-
 void OcepMatcher::publish_telemetry(const MatcherStats& before) {
   const auto bump = [](obs::Counter* counter, std::uint64_t delta) {
     if (counter != nullptr && delta != 0) {
@@ -664,14 +659,12 @@ void OcepMatcher::report() {
   if (!on_match_) {
     return;
   }
-  if (!config_.contain_callback_errors) {
-    on_match_(match_, fresh);
-    return;
-  }
   // A throwing user callback must not unwind through the search: the
   // matcher's own state (subset, stats, histories) is already consistent
   // at this point, so count the error, keep its message for the health
-  // report, and carry on matching.
+  // report, and carry on matching.  Unwinding would also cut the
+  // Monitor's dispatch loop short, so later patterns would never observe
+  // the arrival.
   try {
     on_match_(match_, fresh);
   } catch (const std::exception& e) {

@@ -67,10 +67,6 @@ struct MatcherConfig {
   /// loss — down to `history_low_fraction` of the cap.
   std::size_t history_bytes_limit = 0;
   double history_low_fraction = 0.5;
-  /// Contain exceptions thrown by the MatchCallback: count them, record
-  /// the message in the health report, and keep matching.  Off restores
-  /// the legacy propagate-mid-search behaviour.
-  bool contain_callback_errors = true;
 };
 
 struct MatcherStats {
@@ -133,14 +129,9 @@ struct MatcherTelemetry {
 /// match extended the representative subset's coverage.
 using MatchCallback = std::function<void(const Match&, bool newly_covering)>;
 
-/// Threading contract: a matcher is single-owner — exactly one thread
-/// calls observe(), and the const read path (pattern(), subset(),
-/// stats()) is only safe from another thread after a happens-before
-/// hand-off (Monitor::drain()).  The matcher itself takes no locks; it
-/// reads the shared EventStore exclusively through the store's published
-/// prefix (see event_store.h), which may run ahead of the event being
-/// observed — causal relations are immutable, so the results are
-/// identical to a synchronous run.
+/// Threading contract: a matcher is single-owner — the thread that
+/// appends to its EventStore calls observe() and reads its state.  It
+/// takes no locks.
 class OcepMatcher {
  public:
   /// The store must outlive the matcher and must already contain every
@@ -224,11 +215,6 @@ class OcepMatcher {
   void for_each_spilled(
       const std::function<void(std::uint32_t leaf, TraceId trace,
                                std::uint64_t seq)>& fn) const;
-
-  /// Forces the breaker into its terminal quarantined state: subsequent
-  /// observes degrade to history appends.  Used by worker supervision
-  /// after a callback or internal error escaped an observe.
-  void quarantine(std::string reason);
 
   /// Serializes the matcher's incremental state: stats, per-leaf
   /// histories, and the representative subset.  The store and pattern are

@@ -28,15 +28,6 @@ Monitor::Monitor(StringPool& pool, const MonitorConfig& config,
     store_traces_ =
         &registry_->gauge("store.traces", "", "traces announced");
   }
-  if (config_.worker_threads > 0) {
-    OCEP_ASSERT_MSG(config_.batch_size > 0, "batch_size must be positive");
-    store_.set_concurrent(true);
-    pipeline_ = std::make_unique<MatchPipeline>(
-        store_, index_, config_.worker_threads, config_.ring_batches);
-    if (registry_) {
-      pipeline_->enable_metrics(*registry_);
-    }
-  }
 }
 
 MatcherTelemetry Monitor::make_telemetry(std::size_t index) {
@@ -96,15 +87,9 @@ std::size_t Monitor::add_pattern(std::string_view source,
   const std::size_t index = matchers_.size() - 1;
   if (registry_) {
     matchers_.back()->set_telemetry(make_telemetry(index));
-    if (pipeline_ == nullptr) {
-      observe_ns_.push_back(&registry_->histogram(
-          "monitor.observe_ns",
-          "pattern=\"" + std::to_string(index) + "\"",
-          "per-arrival observe latency (ns)"));
-    }
-  }
-  if (pipeline_) {
-    pipeline_->add_matcher(matchers_.back().get());
+    observe_ns_.push_back(&registry_->histogram(
+        "monitor.observe_ns", "pattern=\"" + std::to_string(index) + "\"",
+        "per-arrival observe latency (ns)"));
   }
   return index;
 }
@@ -123,29 +108,12 @@ void Monitor::on_event(const Event& event, const VectorClock& clock) {
                   "on_traces must be delivered before the first event");
   store_.append(event, clock);
   ++events_seen_;
-  if (pipeline_ == nullptr) {
-    if (registry_) {
-      const metrics::Stopwatch arrival;
-      observe_offered(event, events_seen_ - 1);
-      arrival_ns_->record(arrival.elapsed_ns());
-    } else {
-      observe_offered(event, events_seen_ - 1);
-    }
-    drained_through_ = events_seen_;
-    return;
-  }
   if (registry_) {
-    // Delivery-thread cost only: append + (maybe) dispatch.  Matching
-    // latency lands in monitor.observe_ns on the owning worker.
     const metrics::Stopwatch arrival;
-    if (events_seen_ - pipeline_->dispatched() >= config_.batch_size) {
-      pipeline_->dispatch(events_seen_);
-    }
+    observe_offered(event, events_seen_ - 1);
     arrival_ns_->record(arrival.elapsed_ns());
-    return;
-  }
-  if (events_seen_ - pipeline_->dispatched() >= config_.batch_size) {
-    pipeline_->dispatch(events_seen_);
+  } else {
+    observe_offered(event, events_seen_ - 1);
   }
 }
 
@@ -164,34 +132,13 @@ void Monitor::observe_offered(const Event& event, std::uint64_t position) {
   }
 }
 
-void Monitor::flush() {
-  if (pipeline_) {
-    pipeline_->dispatch(events_seen_);
-  }
-}
-
-void Monitor::drain() {
-  if (pipeline_) {
-    pipeline_->dispatch(events_seen_);
-    pipeline_->drain();
-  }
-  drained_through_ = events_seen_;
-  if (registry_) {
-    update_store_gauges();
-  }
-}
-
 void Monitor::set_span_sink(SpanSink* sink) {
-  OCEP_ASSERT_MSG(pipeline_ == nullptr,
-                  "span sinks require synchronous matching "
-                  "(worker_threads = 0)");
   for (std::size_t i = 0; i < matchers_.size(); ++i) {
     matchers_[i]->set_span_sink(sink, static_cast<std::uint32_t>(i));
   }
 }
 
 void Monitor::fault_all_spans() {
-  drain();
   for (const std::unique_ptr<OcepMatcher>& matcher : matchers_) {
     matcher->fault_all_spans();
   }
@@ -200,7 +147,6 @@ void Monitor::fault_all_spans() {
 void Monitor::for_each_spilled(
     const std::function<void(std::uint32_t pattern, std::uint32_t leaf,
                              TraceId trace, std::uint64_t seq)>& fn) const {
-  assert_drained();
   for (std::size_t i = 0; i < matchers_.size(); ++i) {
     const auto pattern = static_cast<std::uint32_t>(i);
     matchers_[i]->for_each_spilled(
@@ -210,37 +156,19 @@ void Monitor::for_each_spilled(
   }
 }
 
-void Monitor::update_store_gauges() {
+void Monitor::update_store_gauges() const {
   store_events_->set(static_cast<std::int64_t>(store_.event_count()));
   store_bytes_->set(static_cast<std::int64_t>(store_.approx_bytes()));
   store_traces_->set(static_cast<std::int64_t>(store_.trace_count()));
 }
 
-PipelineStats Monitor::stats() const {
-  PipelineStats out;
-  if (pipeline_) {
-    assert_drained();
-    out = pipeline_->stats();
-  } else {
-    out.events_dispatched = events_seen_;
-  }
-  if (ingest_source_) {
-    out.ingest = ingest_source_();
-  }
-  return out;
-}
-
 HealthReport Monitor::health() const {
-  assert_drained();
   HealthReport report;
   report.patterns.reserve(matchers_.size());
   for (std::size_t i = 0; i < matchers_.size(); ++i) {
     PatternHealth pattern = matchers_[i]->health();
     pattern.pattern = i;
     report.patterns.push_back(std::move(pattern));
-  }
-  if (pipeline_) {
-    pipeline_->fill_health(report);
   }
   if (ingest_source_) {
     report.ingest = ingest_source_();
@@ -257,7 +185,6 @@ constexpr std::string_view kCheckpointMagic = "OCEPCKP5";
 void Monitor::checkpoint(std::ostream& out) {
   OCEP_ASSERT_MSG(traces_known_,
                   "nothing to checkpoint before traces are announced");
-  drain();
   std::ostringstream body;
   dump(store_, *pool_, body);
   poet::put_varint(body, events_seen_);
@@ -311,13 +238,6 @@ void Monitor::restore(std::istream& in) {
   }
   for (const std::unique_ptr<OcepMatcher>& matcher : matchers_) {
     matcher->restore(body);
-  }
-  if (pipeline_) {
-    pipeline_->resume_at(events_seen_);
-  }
-  drained_through_ = events_seen_;
-  if (registry_) {
-    update_store_gauges();
   }
 }
 

@@ -16,13 +16,10 @@
 //
 // Each event is offered only to the patterns with a leaf that can accept
 // its type (core/dispatch.h), in ascending pattern order; the others just
-// count it (OcepMatcher::advance).
-//
-// With MonitorConfig::worker_threads > 0 the matchers run on a parallel
-// pipeline (see core/pipeline.h): events are appended and published on
-// the delivery thread, matched on worker threads in batches.  Call
-// drain() before reading matcher state; worker_threads = 0 (the default)
-// preserves the exact synchronous behaviour.
+// count it (OcepMatcher::advance).  All of this runs on the delivery
+// thread, inside on_event: one thread drives a Monitor, and when
+// on_event returns every pattern has observed the event.  A daemon gets
+// its parallelism from shards, one Monitor per tenant (net/shard.h).
 #pragma once
 
 #include <functional>
@@ -32,8 +29,8 @@
 #include <vector>
 
 #include "core/dispatch.h"
+#include "core/governor.h"
 #include "core/matcher.h"
-#include "core/pipeline.h"
 #include "obs/metrics.h"
 #include "poet/client.h"
 #include "poet/event_store.h"
@@ -41,16 +38,6 @@
 namespace ocep {
 
 struct MonitorConfig {
-  /// 0 = match synchronously on the delivery thread (default; exact
-  /// single-threaded behaviour).  N > 0 = shard patterns across N worker
-  /// threads fed by bounded rings of event batches.
-  std::size_t worker_threads = 0;
-  /// Events per batch descriptor handed to the workers.  Smaller batches
-  /// cut match latency; larger ones amortize hand-off overhead.
-  std::size_t batch_size = 64;
-  /// Bound (in batches) of each worker's ring; a full ring backpressures
-  /// the delivery thread, keeping memory bounded.
-  std::size_t ring_batches = 128;
   /// Collect search telemetry (src/obs/metrics.h) into a registry
   /// readable via Monitor::metrics().  Off by default: the hot paths
   /// then pay one predictable branch per event.
@@ -77,16 +64,6 @@ class Monitor final : public EventSink {
   void on_traces(const std::vector<Symbol>& names) override;
   void on_event(const Event& event, const VectorClock& clock) override;
 
-  /// Pushes any partially filled batch to the workers without waiting.
-  /// No-op in synchronous mode.
-  void flush();
-
-  /// Barrier: flushes and blocks until every matcher has counted every
-  /// event seen so far (and observed the ones offered to it).  Required
-  /// before reading matcher state (subset(), stats()) in pipeline mode;
-  /// no-op in synchronous mode.
-  void drain();
-
   [[nodiscard]] const EventStore& store() const noexcept { return store_; }
   [[nodiscard]] StringPool& pool() const noexcept { return *pool_; }
   [[nodiscard]] const MonitorConfig& config() const noexcept {
@@ -98,12 +75,10 @@ class Monitor final : public EventSink {
   }
   [[nodiscard]] OcepMatcher& matcher(std::size_t i) {
     OCEP_ASSERT(i < matchers_.size());
-    assert_drained();
     return *matchers_[i];
   }
   [[nodiscard]] const OcepMatcher& matcher(std::size_t i) const {
     OCEP_ASSERT(i < matchers_.size());
-    assert_drained();
     return *matchers_[i];
   }
 
@@ -115,30 +90,22 @@ class Monitor final : public EventSink {
   /// the earliest point checkpoint() is legal.
   [[nodiscard]] bool traces_known() const noexcept { return traces_known_; }
 
-  /// Pipeline counters (per-worker batches/events/stalls, per-pattern
-  /// observe latency).  Exact after drain(); in synchronous mode only
-  /// events_dispatched is populated.  The `ingest` member is filled from
-  /// the source attached with set_ingest_source(), when any.
-  [[nodiscard]] PipelineStats stats() const;
-
   /// Governance snapshot (docs/GOVERNANCE.md): per-pattern breaker state
-  /// and budget/eviction counters, per-worker supervision counters, plus
-  /// the ingestion-side stats when a source is attached.  Like stats(),
-  /// requires a drained pipeline.
+  /// and budget/eviction counters, plus the ingestion-side stats when a
+  /// source is attached.
   [[nodiscard]] HealthReport health() const;
 
-  /// Attaches the ingestion-side counter source merged into stats() —
-  /// typically SessionClient::stats or Linearizer::ingest_stats.  The
+  /// Attaches the ingestion-side counter source read into health().ingest
+  /// — typically SessionClient::stats or Linearizer::ingest_stats.  The
   /// source must stay callable for the monitor's lifetime.
   void set_ingest_source(std::function<IngestStats()> source) {
     ingest_source_ = std::move(source);
   }
 
   /// Attaches a spill sink (core/span_sink.h) to every matcher — each
-  /// matcher spills under its own pattern index.  Synchronous mode only
-  /// (workers would race on the sink); attach after add_pattern and
-  /// before the first event or restore, nullptr detaches.  The sink must
-  /// outlive the monitor or the next set_span_sink(nullptr).
+  /// matcher spills under its own pattern index.  Attach after
+  /// add_pattern and before the first event or restore, nullptr detaches.
+  /// The sink must outlive the monitor or the next set_span_sink(nullptr).
   void set_span_sink(SpanSink* sink);
 
   /// Faults every spilled span of every matcher back into RAM and
@@ -157,8 +124,7 @@ class Monitor final : public EventSink {
   /// Serializes the monitor's full matching state — store contents, event
   /// watermark, and every matcher's incremental state — as one
   /// "OCEPCKP5" frame (common/frame.h), so a torn write or flipped bit is
-  /// detected on restore.  Drains the pipeline first; layout in
-  /// docs/ROBUSTNESS.md.
+  /// detected on restore.  Layout in docs/ROBUSTNESS.md.
   void checkpoint(std::ostream& out);
 
   /// Restores a checkpoint, which must be all of `in`, into this monitor.
@@ -172,13 +138,12 @@ class Monitor final : public EventSink {
   void restore(std::istream& in);
 
   /// The telemetry registry (counters, latency histograms, store gauges).
-  /// Requires MonitorConfig::metrics; like stats(), reading it while
-  /// workers may still be matching is a race, so it aborts unless the
-  /// pipeline is drained.
+  /// Requires MonitorConfig::metrics.  The store gauges are refreshed by
+  /// every call, so they describe the store as of the read.
   [[nodiscard]] const obs::Registry& metrics() const {
     OCEP_ASSERT_MSG(registry_ != nullptr,
                     "enable MonitorConfig::metrics to collect telemetry");
-    assert_drained();
+    update_store_gauges();
     return *registry_;
   }
   /// Mutable overload, e.g. for binding external instruments
@@ -186,7 +151,7 @@ class Monitor final : public EventSink {
   [[nodiscard]] obs::Registry& metrics() {
     OCEP_ASSERT_MSG(registry_ != nullptr,
                     "enable MonitorConfig::metrics to collect telemetry");
-    assert_drained();
+    update_store_gauges();
     return *registry_;
   }
 
@@ -195,19 +160,11 @@ class Monitor final : public EventSink {
   }
 
  private:
-  /// Reading matcher state while workers may still be observing events is
-  /// a race; drain() is the hand-off.  Fails loudly instead of silently
-  /// returning torn subsets.
-  void assert_drained() const {
-    OCEP_ASSERT_MSG(pipeline_ == nullptr || drained_through_ == events_seen_,
-                    "drain() the pipeline before reading matcher state");
-  }
-
   /// Builds the MatcherTelemetry instrument set for pattern `index`.
   [[nodiscard]] MatcherTelemetry make_telemetry(std::size_t index);
-  void update_store_gauges();
-  /// Synchronous mode: offers the event at arrival position `position` to
-  /// its patterns and brings every other pattern's count up to date.
+  void update_store_gauges() const;
+  /// Offers the event at arrival position `position` to its patterns and
+  /// brings every other pattern's count up to date.
   void observe_offered(const Event& event, std::uint64_t position);
 
   StringPool* pool_;
@@ -215,25 +172,16 @@ class Monitor final : public EventSink {
   MonitorConfig config_;
   std::function<IngestStats()> ingest_source_;
   std::vector<std::unique_ptr<OcepMatcher>> matchers_;
-  /// Which patterns each event type is offered to; read by the pipeline's
-  /// workers, so declared before pipeline_.
+  /// Which patterns each event type is offered to.
   DispatchIndex index_;
   bool traces_known_ = false;
   std::uint64_t events_seen_ = 0;
-  std::uint64_t drained_through_ = 0;
-  /// Declared before pipeline_: workers write registry instruments until
-  /// they join, so the registry must be destroyed after the pipeline.
   std::unique_ptr<obs::Registry> registry_;
-  // Synchronous-mode latency sinks (pipeline mode records these on the
-  // owning worker instead; see MatchPipeline::run_batch).
   std::vector<obs::Histogram*> observe_ns_;
   obs::Histogram* arrival_ns_ = nullptr;
   obs::Gauge* store_events_ = nullptr;
   obs::Gauge* store_bytes_ = nullptr;
   obs::Gauge* store_traces_ = nullptr;
-  /// Declared last: destroyed first, so workers join while the store and
-  /// matchers they reference are still alive.
-  std::unique_ptr<MatchPipeline> pipeline_;
 };
 
 }  // namespace ocep

@@ -21,7 +21,7 @@ namespace {
 
 /// How long the admin plane waits for a shard thread to answer a posted
 /// /healthz or /checkpoint task before reporting 503.  Generous: a shard
-/// only stalls this long when a tenant pipeline drain wedges.
+/// only stalls this long when one tenant's arrival wedges its reactor.
 constexpr std::chrono::seconds kShardReplyDeadline{2};
 
 }  // namespace

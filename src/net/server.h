@@ -21,10 +21,10 @@
 //                            aggregated), POST /checkpoint (fans out).
 //
 // Shutdown: request_shutdown() is async-signal-safe (atomic flags + one
-// byte down each reactor's self-pipe).  Every shard drains its tenant
-// pipelines, writes its checkpoint partition into the shared directory,
-// and closes its connections; the admin loop then joins the shard
-// threads and run() returns.  Tenants are retained after run() so
+// byte down each reactor's self-pipe).  Every shard writes its
+// checkpoint partition into the shared directory and closes its
+// connections; the admin loop then joins the shard threads and run()
+// returns.  Tenants are retained after run() so
 // embedders and tests can inspect final monitor state.
 #pragma once
 
@@ -52,10 +52,10 @@ namespace ocep::net {
 class Shard;
 
 /// Phases of a live tenant migration (docs/SERVER.md "Rebalancing"):
-/// freeze quiesces the tenant on the source shard (pipeline drained at a
-/// frame boundary), transfer serializes the OCEPNTC2 blob plus any
-/// attached socket through the destination's mailbox, adopt rebuilds the
-/// tenant there and resumes byte-identically.
+/// freeze quiesces the tenant on the source shard (at a frame boundary),
+/// transfer serializes the OCEPNTC2 blob plus any attached socket through
+/// the destination's mailbox, adopt rebuilds the tenant there and resumes
+/// byte-identically.
 enum class MigrationPhase : std::uint8_t { kFreeze, kTransfer, kAdopt };
 
 /// Test-only fault injection: invoked at each migration phase; returning
@@ -102,11 +102,10 @@ struct ServerConfig {
   /// Segment rotation threshold for the store's log files.
   std::size_t store_segment_bytes = std::size_t{4} << 20;
   /// Byte budget for the shard's span buffer pool (store/buffer_pool.h).
-  /// Non-zero — with the store on and tenant.monitor.worker_threads == 0
-  /// — turns matcher history eviction into spill: evicted leaf-history
-  /// spans append to the tenant's log as span records and fault back
-  /// through the pool when a deep search needs them.  0 keeps plain
-  /// eviction (the pre-pool behaviour).
+  /// Non-zero, with the store on, turns matcher history eviction into
+  /// spill: evicted leaf-history spans append to the tenant's log as span
+  /// records and fault back through the pool when a deep search needs
+  /// them.  0 keeps plain eviction (the pre-pool behaviour).
   std::uint64_t pool_bytes = 0;
   /// Dead-byte ratio past which the background compactor rewrites a
   /// sealed segment's live spans (store/compactor.h); > 0 also moves

@@ -214,10 +214,7 @@ void Shard::open_store() {
   log_config.segment_bytes = config_.store_segment_bytes;
   log_config.crash_hook = config_.store_crash_hook;
   store_ = std::make_unique<store::TenantStore>(std::move(log_config));
-  // Span tier: the pool needs synchronous monitors (a worker thread
-  // spilling through a shard-owned sink would race the reactor), so a
-  // pipeline-mode daemon keeps plain eviction even with a pool budget.
-  if (config_.pool_bytes != 0 && config_.tenant.monitor.worker_threads == 0) {
+  if (config_.pool_bytes != 0) {
     pool_ = std::make_unique<store::BufferPool>(config_.pool_bytes);
   }
   if (config_.compact_ratio > 0.0) {
@@ -371,7 +368,6 @@ std::unique_ptr<Tenant> Shard::rebuild_tenant(const std::string& name,
     }
     tenant->feed(delta);
   }
-  tenant->monitor().drain();
   (void)tenant->maybe_finish();
   // The log may hold spans the rebuilt matcher no longer references (it
   // released them in RAM after the base was cut, then the crash lost the
@@ -699,8 +695,8 @@ bool Shard::migrate_tenant(const std::string& name, std::size_t target) {
   }
   std::ostringstream blob;
   try {
-    // Freeze: checkpoint() drains the pipeline at a frame boundary, so
-    // the blob is the same OCEPNTC2 image a restart would read.
+    // Freeze: the checkpoint is cut at a frame boundary, so the blob is
+    // the same OCEPNTC2 image a restart would read.
     tenant->checkpoint(blob);
   } catch (const Error&) {
     placement_.cancel_migration(name, index_);
@@ -1219,7 +1215,6 @@ std::string Shard::healthz_rows() {
       out << ",";
     }
     first = false;
-    tenant->monitor().drain();
     out << "{\"name\":\"" << name << "\",\"shard\":" << index_
         << ",\"state\":\"" << to_string(tenant->state()) << "\",\"attached\":"
         << (tenant->conn_id != 0 ? "true" : "false")
@@ -1696,11 +1691,10 @@ void Shard::graceful_shutdown() {
     // just push any queued frames and drop the link.
     replicator_->close_link();
   }
-  // Drain every pipeline so checkpoints capture a settled state; tenants
-  // stay in whatever stream state they reached (a mid-stream tenant is
-  // checkpointed mid-stream — that is the restart-resume contract).
+  // Tenants stay in whatever stream state they reached (a mid-stream
+  // tenant is checkpointed mid-stream — that is the restart-resume
+  // contract).
   for (const auto& [name, tenant] : tenants_) {
-    tenant->monitor().drain();
     update_meters(*tenant);
   }
   // The checkpoint directory is shared, but tenant name sets are disjoint

@@ -191,8 +191,8 @@ class Shard {
   /// spilled entry is kept so a retry is possible).
   [[nodiscard]] Tenant* unspill(const std::string& name);
   /// The per-tenant spill adapter binding `name` to this shard's store +
-  /// buffer pool; nullptr when the span tier is off (no store, no pool
-  /// budget, or pipeline-mode tenants).
+  /// buffer pool; nullptr when the span tier is off (no store or no pool
+  /// budget).
   [[nodiscard]] SpanSink* span_sink_for(const std::string& name);
   /// Drops `name`'s adapter and pool frames (tenant left this shard).
   void drop_span_sink(const std::string& name);

@@ -111,7 +111,6 @@ bool Tenant::maybe_finish() {
   if (state_ != TenantState::kStreaming || !session_->done()) {
     return false;
   }
-  monitor_->drain();
   state_ =
       session_->degraded() ? TenantState::kDegraded : TenantState::kComplete;
   return true;
@@ -127,7 +126,6 @@ void Tenant::finalize() {
     session_->tick();
     transport_->pending.clear();  // nobody is attached to answer resyncs
   }
-  monitor_->drain();
   if (session_->done() && !session_->degraded()) {
     state_ = TenantState::kComplete;
   } else {

@@ -1,9 +1,9 @@
 // One tenant = one event stream = one Monitor.
 //
 // A tenant is created by the first handshake naming it: its patterns are
-// compiled into a fresh Monitor (running the parallel MatchPipeline when
-// configured), and a SessionClient reassembles the tenant's lossy-frame
-// stream into linearized events.  The tenant outlives its connection —
+// compiled into a fresh Monitor, and a SessionClient reassembles the
+// tenant's lossy-frame stream into linearized events.  The tenant
+// outlives its connection —
 // a dropped TCP session leaves the ingestion state intact so a
 // reconnecting producer resumes where it left off (position dedup plus
 // snapshot resync make the replay exact) — and outlives its stream, so
@@ -81,7 +81,7 @@ class Tenant {
   void restore(std::istream& in);
 
   /// Serializes patterns, monitor (OCEPCKP5), and session state, CRC
-  /// framed.  Drains the pipeline first; safe mid-stream.
+  /// framed.  Safe mid-stream.
   void checkpoint(std::ostream& out);
 
   /// True once the monitor can legally checkpoint (trace table announced

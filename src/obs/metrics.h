@@ -15,13 +15,14 @@
 //    one relaxed fetch_add plus two bounded CAS loops for the extremes.
 //
 // Instruments are created through the Registry (creation takes a mutex —
-// cold path only; do it before worker threads run) and are address-stable
+// cold path only; do it before other threads record) and are address-stable
 // for the registry's lifetime, so hot paths hold plain pointers and pay
 // one predictable branch when metrics are off.
 //
 // Export: to_text (human), to_json (stable, sorted keys — the format
-// BENCH_*.json records and tests consume), to_prometheus (text
-// exposition format; histograms become summaries with quantile labels).
+// `ocep_inspect --metrics-format json` prints and tests consume),
+// to_prometheus (text exposition format; histograms become summaries with
+// quantile labels).
 #pragma once
 
 #include <array>

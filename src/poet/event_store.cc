@@ -1,20 +1,16 @@
 #include "poet/event_store.h"
 
-#include <algorithm>
-#include <mutex>
-
 #include "common/assert.h"
 
 namespace ocep {
 namespace {
 
-/// Value of a sparse column at 0-based event position `pos`, considering
-/// only the first `count` changes (the caller's published prefix): the
-/// last change at or before pos.
+/// Value of a sparse column at 0-based event position `pos`: the last
+/// change at or before pos.
 template <typename ChangeVector>
-std::uint32_t column_at(const ChangeVector& column, std::size_t count,
+std::uint32_t column_at(const ChangeVector& column,
                         std::uint32_t pos) noexcept {
-  std::size_t lo = 0, hi = count;
+  std::size_t lo = 0, hi = column.size();
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (column[mid].pos <= pos) {
@@ -27,37 +23,6 @@ std::uint32_t column_at(const ChangeVector& column, std::size_t count,
 }
 
 }  // namespace
-
-EventStore::EventStore(EventStore&& other) noexcept
-    : storage_(other.storage_),
-      concurrent_(other.concurrent_),
-      traces_(std::move(other.traces_)),
-      arrival_order_(std::move(other.arrival_order_)),
-      partners_(std::move(other.partners_)),
-      total_events_(other.total_events_) {
-  // Moves are writer-side operations: no reader may exist during them, so
-  // plain copies of the counters are safe.  The mutex is freshly made.
-  visible_count_.store(other.visible_count_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  other.total_events_ = 0;
-  other.visible_count_.store(0, std::memory_order_relaxed);
-}
-
-EventStore& EventStore::operator=(EventStore&& other) noexcept {
-  if (this != &other) {
-    storage_ = other.storage_;
-    concurrent_ = other.concurrent_;
-    traces_ = std::move(other.traces_);
-    arrival_order_ = std::move(other.arrival_order_);
-    partners_ = std::move(other.partners_);
-    total_events_ = other.total_events_;
-    visible_count_.store(other.visible_count_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    other.total_events_ = 0;
-    other.visible_count_.store(0, std::memory_order_relaxed);
-  }
-  return *this;
-}
 
 TraceId EventStore::add_trace(Symbol name) {
   OCEP_ASSERT_MSG(total_events_ == 0,
@@ -102,9 +67,7 @@ void EventStore::append(const Event& event, const VectorClock& clock) {
   } else {
     if (trace.columns.empty()) {
       // First append on this trace: all traces are registered by now, so
-      // the column table's final size is known.  Readers only reach the
-      // columns through an event of this trace, whose publication below
-      // orders this allocation before their reads.
+      // the column table's final size is known.
       trace.columns.resize(traces_.size());
       trace.last_row.assign(traces_.size(), 0);
     }
@@ -120,9 +83,6 @@ void EventStore::append(const Event& event, const VectorClock& clock) {
     trace.last_row[event.id.trace] = event.id.index;
   }
 
-  // Timestamps and the communication count first, then the event, then
-  // the arrival slot: each push_back release-publishes, so a reader that
-  // sees the event (or its arrival position) also sees what precedes it.
   trace.comm_before.push_back(trace.comm_count);
   if (is_communication(event.kind)) {
     ++trace.comm_count;
@@ -130,66 +90,51 @@ void EventStore::append(const Event& event, const VectorClock& clock) {
   trace.events.push_back(event);
   arrival_order_.push_back(event.id);
   if (event.message != kNoMessage) {
-    if (concurrent_) {
-      const std::unique_lock<std::shared_mutex> guard(partners_mutex_);
-      Partners& partners = partners_[event.message];
-      if (event.kind == EventKind::kSend) {
-        partners.send = event.id;
-      } else if (event.kind == EventKind::kReceive) {
-        partners.receive = event.id;
-      }
-    } else {
-      Partners& partners = partners_[event.message];
-      if (event.kind == EventKind::kSend) {
-        partners.send = event.id;
-      } else if (event.kind == EventKind::kReceive) {
-        partners.receive = event.id;
-      }
+    Partners& partners = partners_[event.message];
+    if (event.kind == EventKind::kSend) {
+      partners.send = event.id;
+    } else if (event.kind == EventKind::kReceive) {
+      partners.receive = event.id;
     }
   }
   ++total_events_;
-  // The explicit publish point: everything written above happens-before
-  // any reader's acquire-load of visible_count().
-  visible_count_.store(total_events_, std::memory_order_release);
 }
 
 EventIndex EventStore::trace_size(TraceId t) const {
-  return static_cast<EventIndex>(trace_ref(t).events.visible_size());
+  return static_cast<EventIndex>(trace_ref(t).events.size());
 }
 
 const Event& EventStore::event(EventId id) const {
   const Trace& trace = trace_ref(id.trace);
-  OCEP_ASSERT(id.index >= 1 && id.index <= trace.events.visible_size());
+  OCEP_ASSERT(id.index >= 1 && id.index <= trace.events.size());
   return trace.events[id.index - 1];
 }
 
 std::uint32_t EventStore::comm_before(EventId id) const {
   const Trace& trace = trace_ref(id.trace);
-  OCEP_ASSERT(id.index >= 1 && id.index <= trace.events.visible_size());
+  OCEP_ASSERT(id.index >= 1 && id.index <= trace.events.size());
   return trace.comm_before[id.index - 1];
 }
 
 std::uint32_t EventStore::clock_entry(EventId e, TraceId s) const {
   OCEP_ASSERT(s < traces_.size());
   const Trace& trace = trace_ref(e.trace);
-  OCEP_ASSERT(e.index >= 1 && e.index <= trace.events.visible_size());
+  OCEP_ASSERT(e.index >= 1 && e.index <= trace.events.size());
   if (s == e.trace) {
     return e.index;
   }
   if (storage_ == ClockStorage::kDense) {
     return trace.clocks[(e.index - 1) * traces_.size() + s];
   }
-  // e is visible on its trace, so the column table was allocated (and
-  // published) no later than e itself.
-  return column_at(trace.columns[s], trace.columns[s].visible_size(),
-                   e.index - 1);
+  // e is stored on its trace, so the column table was allocated.
+  return column_at(trace.columns[s], e.index - 1);
 }
 
 VectorClock EventStore::clock(EventId e) const {
   std::vector<std::uint32_t> entries(traces_.size(), 0);
   if (storage_ == ClockStorage::kDense) {
     const Trace& trace = trace_ref(e.trace);
-    OCEP_ASSERT(e.index >= 1 && e.index <= trace.events.visible_size());
+    OCEP_ASSERT(e.index >= 1 && e.index <= trace.events.size());
     const std::size_t stride = traces_.size();
     const std::size_t row = (e.index - 1) * stride;
     for (std::size_t s = 0; s < stride; ++s) {
@@ -237,22 +182,19 @@ EventIndex EventStore::greatest_predecessor(EventId e, TraceId t) const {
 
 EventIndex EventStore::least_successor(EventId e, TraceId t) const {
   const Trace& trace = trace_ref(t);
-  const std::size_t visible = trace.events.visible_size();
+  const std::size_t size = trace.events.size();
   if (t == e.trace) {
-    return e.index < visible ? e.index + 1 : kInfiniteIndex;
+    return e.index < size ? e.index + 1 : kInfiniteIndex;
   }
   // Find the first event x on t with V_x[e.trace] >= index(e); the column
-  // V[.][e.trace] along trace t is non-decreasing.  Readers may see fewer
-  // events than the writer has appended; that only makes the answer
-  // kInfiniteIndex / larger, which is the sound direction (the successor
-  // "does not exist yet" from the reader's point of view).
-  if (visible == 0) {
+  // V[.][e.trace] along trace t is non-decreasing.
+  if (size == 0) {
     return kInfiniteIndex;
   }
   if (storage_ == ClockStorage::kDense) {
     const std::size_t stride = traces_.size();
-    std::size_t lo = 0;           // candidates in [lo, hi)
-    std::size_t hi = visible;     // 0-based positions
+    std::size_t lo = 0;     // candidates in [lo, hi)
+    std::size_t hi = size;  // 0-based positions
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
       if (trace.clocks[mid * stride + e.trace] >= e.index) {
@@ -261,17 +203,16 @@ EventIndex EventStore::least_successor(EventId e, TraceId t) const {
         lo = mid + 1;
       }
     }
-    if (lo == visible) {
+    if (lo == size) {
       return kInfiniteIndex;
     }
     return static_cast<EventIndex>(lo + 1);
   }
   // Sparse: the first change point whose value reaches e.index is the
-  // successor (the entry is constant between changes).  visible > 0
-  // guarantees the column table exists and was published.
+  // successor (the entry is constant between changes).  size > 0
+  // guarantees the column table exists.
   const ChangeColumn& column = trace.columns[e.trace];
-  std::size_t lo = 0, hi = column.visible_size();
-  const std::size_t count = hi;
+  std::size_t lo = 0, hi = column.size();
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (column[mid].value >= e.index) {
@@ -280,31 +221,18 @@ EventIndex EventStore::least_successor(EventId e, TraceId t) const {
       lo = mid + 1;
     }
   }
-  if (lo == count) {
+  if (lo == column.size()) {
     return kInfiniteIndex;
   }
-  const EventIndex successor = static_cast<EventIndex>(column[lo].pos + 1);
-  // The change list can run ahead of the published event count only on the
-  // writer thread (within append); clamp for readers.
-  return successor <= visible ? successor : kInfiniteIndex;
+  return static_cast<EventIndex>(column[lo].pos + 1);
 }
 
 EventId EventStore::send_of(std::uint64_t message) const {
-  if (concurrent_) {
-    const std::shared_lock<std::shared_mutex> guard(partners_mutex_);
-    auto it = partners_.find(message);
-    return it != partners_.end() ? it->second.send : EventId{};
-  }
   auto it = partners_.find(message);
   return it != partners_.end() ? it->second.send : EventId{};
 }
 
 EventId EventStore::receive_of(std::uint64_t message) const {
-  if (concurrent_) {
-    const std::shared_lock<std::shared_mutex> guard(partners_mutex_);
-    auto it = partners_.find(message);
-    return it != partners_.end() ? it->second.receive : EventId{};
-  }
   auto it = partners_.find(message);
   return it != partners_.end() ? it->second.receive : EventId{};
 }

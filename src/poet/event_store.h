@@ -18,28 +18,13 @@
 // Both backends answer every causal query identically (property-tested);
 // pick kSparse for long runs with many traces.
 //
-// Concurrency / publication contract
-// ----------------------------------
-// The store supports one writer thread (the delivery thread calling
-// append()) and any number of reader threads (the matching pipeline's
-// workers).  All storage is append-only and address-stable (StableVector
-// chunks never move), and the append path has an explicit publish point:
-// append() finishes by release-storing the new total into an atomic
-// visible count.  A reader that acquire-loads visible_count() — directly,
-// or transitively through the pipeline's ring hand-off — may freely query
-// any event in the published prefix; no lock is taken on any read path.
-// Causal queries are monotone: extra published events only tighten
-// least_successor, never change the relation between stored events, so
-// readers lagging behind the writer still compute identical answers.
-// The partner map is the one hash-based structure; its accesses are
-// guarded by a shared mutex when set_concurrent(true) was called (before
-// any thread is spawned) and unguarded in single-threaded use.
+// The store is single-threaded: the thread that appends also queries.
+// Per-trace storage is a StableVector (common/stable_vector.h), so a
+// trace's timestamp rows grow without copying the rows before them.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iterator>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,15 +50,10 @@ class EventStore {
 
   EventStore(const EventStore&) = delete;
   EventStore& operator=(const EventStore&) = delete;
-  EventStore(EventStore&& other) noexcept;
-  EventStore& operator=(EventStore&& other) noexcept;
+  EventStore(EventStore&&) noexcept = default;
+  EventStore& operator=(EventStore&&) noexcept = default;
 
   [[nodiscard]] ClockStorage storage() const noexcept { return storage_; }
-
-  /// Declares that reader threads will query the store while the writer
-  /// appends.  Must be called before any reader thread exists; turns on
-  /// locking of the partner map (all other read paths are lock-free).
-  void set_concurrent(bool concurrent) noexcept { concurrent_ = concurrent; }
 
   /// Registers a trace.  All traces must be added before the first event so
   /// that every stored timestamp has one entry per trace.
@@ -96,14 +76,10 @@ class EventStore {
   /// (each event after all its causal predecessors); this is how every
   /// producer — the simulator, reload, the POET wire — naturally emits, and
   /// it lets replay() run in O(1) per event.  Checked in debug builds.
-  ///
-  /// Writer thread only.  The event is published (visible to concurrent
-  /// readers) when append() returns.
   void append(const Event& event, const VectorClock& clock);
 
   /// Read-only view of the order in which events were appended: a
-  /// linearization of the partial order.  Sized at the published count, so
-  /// it is safe to take on a reader thread.
+  /// linearization of the partial order.
   class ArrivalView {
    public:
     class Iterator {
@@ -154,24 +130,17 @@ class EventStore {
   };
 
   [[nodiscard]] ArrivalView arrival_order() const noexcept {
-    return ArrivalView(arrival_order_, arrival_order_.visible_size());
+    return ArrivalView(arrival_order_, arrival_order_.size());
   }
 
   /// The id of the event at arrival position `pos` (0-based); `pos` must be
-  /// below event_count() on the writer or visible_count() on a reader.
+  /// below event_count().
   [[nodiscard]] EventId arrival(std::uint64_t pos) const {
     return arrival_order_[static_cast<std::size_t>(pos)];
   }
 
-  /// Writer's view of the total.
   [[nodiscard]] std::size_t event_count() const noexcept {
     return total_events_;
-  }
-
-  /// The publish point's acquire side: every arrival position below the
-  /// returned count is safe to read from this thread.
-  [[nodiscard]] std::uint64_t visible_count() const noexcept {
-    return visible_count_.load(std::memory_order_acquire);
   }
 
   [[nodiscard]] EventIndex trace_size(TraceId t) const;
@@ -225,15 +194,13 @@ class EventStore {
 
   struct Trace {
     Symbol name = kEmptySymbol;
-    /// Events and, per event, comm_before() (published with the event).
-    /// Both start at 64 entries, so wide computations of short traces
-    /// stay small.
+    /// Events and, per event, comm_before().  Both start at 64 entries,
+    /// so wide computations of short traces stay small.
     StableVector<Event, 6> events;
     StableVector<std::uint32_t, 6> comm_before;
-    std::uint32_t comm_count = 0;  ///< writer only: the next event's count
+    std::uint32_t comm_count = 0;  ///< the next event's comm_before()
     /// kDense: row-major timestamps, event j (0-based) occupies
-    /// [j * stride, (j + 1) * stride).  A row is appended as one block;
-    /// readers reach it only through its event, published after it.
+    /// [j * stride, (j + 1) * stride).  A row is appended as one block.
     StableVector<std::uint32_t> clocks;
     /// kSparse: per source trace, the change list of column V[.][source];
     /// plus the last full row for O(n) append-time delta detection.
@@ -249,13 +216,10 @@ class EventStore {
   };
 
   ClockStorage storage_ = ClockStorage::kDense;
-  bool concurrent_ = false;
   std::vector<Trace> traces_;
   StableVector<EventId> arrival_order_;
   std::unordered_map<std::uint64_t, Partners> partners_;
-  mutable std::shared_mutex partners_mutex_;
   std::size_t total_events_ = 0;
-  std::atomic<std::uint64_t> visible_count_{0};
 };
 
 }  // namespace ocep

@@ -76,7 +76,7 @@ enum class OfferResult : std::uint8_t {
 
 /// Ingestion health counters, shared vocabulary between the linearizer and
 /// the session layer (which adds the wire-level fields).  Snapshot-style:
-/// cheap to copy, embedded in PipelineStats by Monitor::stats().
+/// cheap to copy, embedded in HealthReport by Monitor::health().
 struct IngestStats {
   std::uint64_t offered = 0;
   std::uint64_t delivered = 0;

@@ -68,7 +68,7 @@ std::vector<std::string> match_signature(Monitor& monitor,
 ChaosResult run_chaos(const EventStore& source, StringPool& pool,
                       const std::string& pattern_text,
                       const ChaosOptions& options) {
-  Monitor monitor(pool, options.monitor, source.storage());
+  Monitor monitor(pool, source.storage());
   monitor.add_pattern(pattern_text);
 
   SessionConfig session = options.session;
@@ -121,7 +121,6 @@ ChaosResult run_chaos(const EventStore& source, StringPool& pool,
     ++ticks;
   }
 
-  monitor.drain();
   ChaosResult result;
   result.done = client.done();
   result.degraded = client.degraded();
@@ -147,7 +146,6 @@ std::vector<std::string> clean_matches(const EventStore& source,
     const EventId id = source.arrival(pos);
     monitor.on_event(source.event(id), source.clock(id));
   }
-  monitor.drain();
   return match_signature(monitor, 0);
 }
 

@@ -29,7 +29,6 @@ namespace ocep::testing {
 struct ChaosOptions {
   FaultSpec faults;
   SessionConfig session;
-  MonitorConfig monitor;
   /// Bytes per SessionClient::feed() call; small values exercise partial-
   /// frame reassembly.  0 = hand each delivered frame over in one piece.
   std::size_t feed_chunk = 0;

@@ -125,27 +125,5 @@ TEST(Chaos, SurvivesByteAtATimeFeed) {
   }
 }
 
-// Faulty wire in front of a pipelined (multi-threaded) monitor: resync
-// refills must stay ordered through the batch hand-off.
-TEST(Chaos, SurvivesWithPipelinedMonitor) {
-  StringPool pool;
-  testing::RandomComputationOptions options;
-  options.seed = 88;
-  options.events = 1200;
-  const EventStore store = testing::random_computation(pool, options);
-  const std::vector<std::string> clean =
-      testing::clean_matches(store, pool, kPattern);
-
-  testing::ChaosOptions chaos;
-  chaos.faults = make_spec("drop", 9);
-  chaos.monitor.worker_threads = 2;
-  chaos.monitor.batch_size = 16;
-  const testing::ChaosResult result =
-      testing::run_chaos(store, pool, kPattern, chaos);
-  ASSERT_TRUE(result.done);
-  EXPECT_FALSE(result.degraded);
-  EXPECT_EQ(result.matches, clean);
-}
-
 }  // namespace
 }  // namespace ocep

@@ -67,8 +67,7 @@ void feed_range(Monitor& monitor, const EventStore& store,
 /// checkpoint bytes at the end.
 void check_splits(const EventStore& store, StringPool& pool,
                   const std::string& pattern,
-                  const std::vector<std::uint64_t>& splits,
-                  const MonitorConfig& resume_config = {}) {
+                  const std::vector<std::uint64_t>& splits) {
   const std::uint64_t total = store.event_count();
   Monitor reference(pool, store.storage());
   reference.add_pattern(pattern);
@@ -86,12 +85,11 @@ void check_splits(const EventStore& store, StringPool& pool,
     feed_range(first, store, 0, split);
     std::istringstream saved(checkpoint_bytes(first));
 
-    Monitor resumed(pool, resume_config, store.storage());
+    Monitor resumed(pool, store.storage());
     resumed.add_pattern(pattern);
     resumed.restore(saved);
     EXPECT_EQ(resumed.events_seen(), split);
     feed_range(resumed, store, split, total);
-    resumed.drain();
 
     EXPECT_EQ(checkpoint_bytes(resumed), expected)
         << "resume at " << split << "/" << total
@@ -132,19 +130,6 @@ TEST(Checkpoint, GoldenDumpResumesAtArbitraryInterruptionPoints) {
   const std::uint64_t n = store.event_count();
   check_splits(store, pool, pattern_text.str(),
                {0, 1, n / 3, n / 2, n - 1, n});
-}
-
-TEST(Checkpoint, RestoredPipelineMatchesSynchronousRun) {
-  StringPool pool;
-  testing::RandomComputationOptions options;
-  options.seed = 311;
-  options.events = 300;
-  const EventStore store = testing::random_computation(pool, options);
-  MonitorConfig pipelined;
-  pipelined.worker_threads = 2;
-  pipelined.batch_size = 16;
-  check_splits(store, pool, kPattern,
-               {store.event_count() / 2}, pipelined);
 }
 
 TEST(Checkpoint, CorruptionIsDetectedNotTrusted) {
@@ -355,7 +340,6 @@ TEST(Checkpoint, SessionClientAndMonitorResumeAcrossRestart) {
   EXPECT_TRUE(client_b.done());
   EXPECT_FALSE(client_b.degraded())
       << "a restart healed by resync is not degradation";
-  resumed.drain();
   EXPECT_EQ(resumed.events_seen(), store.event_count());
   EXPECT_EQ(checkpoint_bytes(resumed), expected)
       << "restarted session diverged from the uninterrupted run";

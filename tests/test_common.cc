@@ -1,11 +1,13 @@
 // Unit tests for the common utilities.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "common/error.h"
 #include "common/flags.h"
 #include "common/rng.h"
+#include "common/stable_vector.h"
 #include "common/string_pool.h"
 
 namespace ocep {
@@ -140,6 +142,24 @@ TEST(Flags, CheckUnusedCatchesTypos) {
   Flags flags(2, argv);
   EXPECT_EQ(flags.get_int("traces", 3), 3);
   EXPECT_THROW(flags.check_unused(), Error);
+}
+
+// --- StableVector -----------------------------------------------------------
+
+TEST(StableVector, AddressesStayStableAcrossGrowth) {
+  StableVector<std::uint32_t, 4> vector;  // 16-element first chunk
+  vector.push_back(7);
+  const std::uint32_t* first = &vector[0];
+  for (std::uint32_t i = 1; i < 10000; ++i) {
+    vector.push_back(i);
+  }
+  EXPECT_EQ(first, &vector[0]) << "growth moved an element";
+  EXPECT_EQ(vector.size(), 10000U);
+  EXPECT_EQ(vector[0], 7U);
+  for (std::uint32_t i = 1; i < 10000; ++i) {
+    ASSERT_EQ(vector[i], i);
+  }
+  EXPECT_GE(vector.capacity(), vector.size());
 }
 
 }  // namespace

@@ -16,8 +16,7 @@
 //        the matcher that sweeps only the traces that can hold a
 //        candidate.
 //   2. Standalone equivalence — each pattern's output from the Monitor
-//      (synchronous and pipelined) equals that of an OcepMatcher that is
-//      fed every event itself.
+//      equals that of an OcepMatcher that is fed every event itself.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,10 +33,9 @@
 namespace ocep {
 namespace {
 
-/// test_pipeline.cc's eight-operator set, bench/pipeline's sixteen
-/// `P -> Q` patterns over types A..D, and leaves that no type index can
-/// narrow: a wildcard type, a type variable, and a literal or variable
-/// process.
+/// An eight-operator set, bench/pipeline's sixteen `P -> Q` patterns
+/// over types A..D, and leaves that no type index can narrow: a wildcard
+/// type, a type variable, and a literal or variable process.
 std::vector<std::string> mixed_patterns() {
   std::vector<std::string> patterns = {
       "P := ['', A, '']; Q := ['', B, ''];\npattern := P -> Q;\n",
@@ -109,13 +107,6 @@ std::vector<std::uint64_t> outcome_counters(const MatcherStats& s) {
           s.history_spilled, s.history_faulted, s.spans_lost};
 }
 
-/// The counters that do not depend on how far the store ran ahead of the
-/// observation point (see Pipeline.MetricsCountersMatchAcrossWorkerCounts).
-std::vector<std::uint64_t> schedule_free_counters(const MatcherStats& s) {
-  return {s.events_observed, s.leaf_hits, s.searches, s.matches_reported,
-          s.history_entries, s.history_merged, s.pins_run, s.pins_skipped};
-}
-
 class Fnv {
  public:
   void add(std::uint64_t value) {
@@ -155,35 +146,29 @@ struct Digests {
 };
 
 /// Replays `source` through one Monitor holding every pattern; returns
-/// each pattern's outcome and, when `digests` is given (synchronous runs
-/// only: workers call back concurrently), the digests over all of them,
-/// with the callbacks digested in the order the Monitor made them.
+/// each pattern's outcome and, when `digests` is given, the digests over
+/// all of them, with the callbacks digested in the order the Monitor made
+/// them.
 std::vector<Outcome> run_monitor(const EventStore& source, StringPool& pool,
-                                 const MonitorConfig& config,
                                  const MatcherConfig& matcher_config,
                                  Digests* digests) {
   const std::vector<std::string> patterns = mixed_patterns();
   std::vector<Outcome> out(patterns.size());
   Fnv fnv;
   Fnv effort;
-  Fnv* order = digests != nullptr ? &fnv : nullptr;
-  Monitor monitor(pool, config, source.storage());
+  Monitor monitor(pool, source.storage());
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     monitor.add_pattern(patterns[i], matcher_config,
-                        [&out, order, i](const Match& match, bool fresh) {
+                        [&out, &fnv, i](const Match& match, bool fresh) {
                           out[i].callbacks.push_back({fresh, match.bindings});
-                          if (order == nullptr) {
-                            return;
-                          }
-                          order->add(i);
-                          order->add(fresh ? 1U : 0U);
+                          fnv.add(i);
+                          fnv.add(fresh ? 1U : 0U);
                           for (const EventId id : match.bindings) {
-                            order->add(id);
+                            fnv.add(id);
                           }
                         });
   }
   replay(source, monitor);
-  monitor.drain();
   EXPECT_EQ(monitor.events_seen(), source.event_count());
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     const OcepMatcher& matcher = monitor.matcher(i);
@@ -237,7 +222,7 @@ TEST_P(DispatchDigest, MonitorOutputIsPinned) {
       pinned.governed ? governed_config() : MatcherConfig{};
   Digests digests;
   const std::vector<Outcome> outcome =
-      run_monitor(source, pool, MonitorConfig{}, config, &digests);
+      run_monitor(source, pool, config, &digests);
   EXPECT_EQ(digests.output, pinned.output);
   EXPECT_EQ(digests.effort, pinned.effort);
 
@@ -322,21 +307,12 @@ TEST_P(DispatchStandalone, EachPatternMatchesAMatcherFedEveryEvent) {
   }
 
   const std::vector<Outcome> synchronous =
-      run_monitor(source, pool, MonitorConfig{}, MatcherConfig{}, nullptr);
-  MonitorConfig pipelined;
-  pipelined.worker_threads = 3;
-  pipelined.batch_size = 7;
-  const std::vector<Outcome> parallel =
-      run_monitor(source, pool, pipelined, MatcherConfig{}, nullptr);
+      run_monitor(source, pool, MatcherConfig{}, nullptr);
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     SCOPED_TRACE("pattern " + std::to_string(i) + ": " + patterns[i]);
     EXPECT_EQ(synchronous[i].callbacks, standalone[i].callbacks);
     EXPECT_EQ(synchronous[i].subset, standalone[i].subset);
     EXPECT_EQ(counters(synchronous[i].stats), counters(standalone[i].stats));
-    EXPECT_EQ(parallel[i].callbacks, standalone[i].callbacks);
-    EXPECT_EQ(parallel[i].subset, standalone[i].subset);
-    EXPECT_EQ(schedule_free_counters(parallel[i].stats),
-              schedule_free_counters(standalone[i].stats));
   }
 }
 

@@ -71,7 +71,6 @@ TEST(GoldenDump, MatchResultsAreStableAfterReload) {
 
   std::istringstream in(golden);
   reload(in, pool, monitor);
-  monitor.drain();
 
   // Frozen when the golden file was recorded: two reported matches, one
   // representative after subset reduction.

@@ -1,5 +1,5 @@
 // Edge cases across module boundaries: error propagation, event limits,
-// sparse-backed monitoring, pattern diagnostics.
+// sparse-backed monitoring, pattern diagnostics and registration order.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -58,6 +58,25 @@ TEST(Monitor, SparseBackedMonitorFindsTheSameViolations) {
 sim::ProcessBody throwing_body(sim::Proc& ctx) {
   co_await ctx.local(ctx.sym("about_to_fail"));
   throw std::runtime_error("application bug");
+}
+
+TEST(MonitorDeathTest, AddPatternAfterFirstEventAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  StringPool pool;
+  Monitor monitor(pool);
+  monitor.on_traces({pool.intern("T0")});
+  VectorClock clock(1);
+  clock.tick(0);
+  Event event;
+  event.id = EventId{0, 1};
+  event.type = pool.intern("A");
+  monitor.on_event(event, clock);
+  // The documented contract ("patterns must be added before the first
+  // event") must be enforced, not just stated.
+  EXPECT_DEATH(
+      monitor.add_pattern(
+          "P := ['', A, '']; Q := ['', B, ''];\npattern := P -> Q;\n"),
+      "before the first event");
 }
 
 TEST(Sim, BodyExceptionsPropagateOutOfRun) {

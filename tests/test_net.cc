@@ -307,9 +307,7 @@ TEST(NetServe, SingleClientMatchesGolden) {
 // the clean-channel reference.  Runs under TSan in CI (-R MultiClient).
 TEST(NetServe, MultiClientConcurrentGoldenEquivalence) {
   constexpr int kClients = 8;
-  net::ServerConfig config = base_config();
-  config.tenant.monitor.worker_threads = 2;  // parallel pipeline per tenant
-  ServerThread st(std::move(config));
+  ServerThread st(base_config());
   const std::uint16_t port = st.server.port();
 
   std::vector<std::thread> producers;
@@ -632,7 +630,6 @@ TEST(NetShard, MultiClientShardedGoldenEquivalence) {
   constexpr std::size_t kShards = 4;
   net::ServerConfig config;
   config.shards = kShards;
-  config.tenant.monitor.worker_threads = 2;  // parallel pipeline per tenant
   ServerThread st(std::move(config));
   const std::uint16_t port = st.server.port();
 

@@ -1,11 +1,13 @@
 // Unit tests for the observability layer (src/obs): histogram bucket
 // arithmetic and quantile error bounds, registry lookup/export formats,
-// and the death-tested access invariants on Monitor::metrics().
+// and the registry a Monitor fills: its access invariant (death-tested)
+// and its contents after a replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -234,30 +236,78 @@ TEST(MonitorMetricsDeathTest, MetricsWhenDisabledAborts) {
                "enable MonitorConfig::metrics");
 }
 
-TEST(MonitorMetricsDeathTest, ReadingMetricsWithoutDrainAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+// A Monitor matches each arrival before on_event returns, so its registry
+// is current after a replay with no further call: each pattern counts
+// every arrival, and the store gauges describe the store as of the read.
+TEST(MonitorMetrics, RegistryIsCurrentWithoutABarrier) {
   StringPool pool;
   ocep::testing::RandomComputationOptions options;
-  options.seed = 31;
-  options.traces = 3;
-  options.events = 120;
+  options.seed = 29;
+  options.traces = 4;
+  options.events = 200;
   const EventStore source = ocep::testing::random_computation(pool, options);
 
+  // Eight patterns over the random computation's alphabets (types A..D,
+  // texts ''/x/y, traces T0..), covering every operator the matcher
+  // implements plus attribute variables.
+  const std::vector<std::string> patterns = {
+      "P := ['', A, '']; Q := ['', B, ''];\npattern := P -> Q;\n",
+      "P := ['', B, '']; Q := ['', C, ''];\npattern := P || Q;\n",
+      "S := ['', '', '']; R := ['', '', ''];\npattern := S <-> R;\n",
+      "P := ['', D, '']; Q := ['', A, ''];\npattern := P -lim-> Q;\n",
+      "P := ['', C, '$t']; Q := ['', '', '$t'];\npattern := P -> Q;\n",
+      "P := ['', A, '']; Q := ['', B, '']; R := ['', C, ''];\n"
+      "pattern := P -> Q -> R;\n",
+      "P := ['', A, '']; Q := ['', D, ''];\npattern := P || Q;\n",
+      "P := ['$p', B, '']; Q := ['$p', C, ''];\npattern := P -> Q;\n",
+  };
   MonitorConfig config;
   config.metrics = true;
-  config.worker_threads = 1;
-  config.batch_size = 8;
   Monitor monitor(pool, config, source.storage());
-  monitor.add_pattern(
-      "P := ['', A, '']; Q := ['', B, ''];\npattern := P -> Q;\n");
+  for (const std::string& pattern : patterns) {
+    monitor.add_pattern(pattern);
+  }
   replay(source, monitor);
-  // Workers may still be recording into the histograms: reading the
-  // registry mid-flight is the same race as reading matcher state.
-  EXPECT_DEATH(static_cast<void>(monitor.metrics()),
-               "drain\\(\\) the pipeline");
-  monitor.drain();
-  EXPECT_GT(monitor.metrics().counter_value("matcher.events{pattern=\"0\"}"),
-            0U);
+  const Registry& registry = std::as_const(monitor).metrics();
+
+  // The stream-deterministic counters: 6 per pattern, all patterns
+  // present.
+  static constexpr const char* kDeterministic[] = {
+      "matcher.events",  "matcher.leaf_hits", "matcher.searches",
+      "matcher.matches", "matcher.pins_run",  "matcher.pins_skipped",
+  };
+  std::size_t found = 0;
+  std::uint64_t events_total = 0;
+  for (const auto& [key, value] : registry.counter_values()) {
+    for (const char* name : kDeterministic) {
+      // Exact instrument name: the key is "name{labels}", and a bare
+      // prefix test would also sweep up e.g. matcher.searches_aborted.
+      if (key.rfind(std::string(name) + "{", 0) == 0) {
+        ++found;
+        break;
+      }
+    }
+    if (key.rfind("matcher.events{", 0) == 0) {
+      events_total += value;
+    }
+  }
+  EXPECT_EQ(found, 6 * patterns.size());
+  EXPECT_EQ(events_total, source.event_count() * patterns.size());
+
+  const EventStore& store = monitor.store();
+  ASSERT_GT(store.event_count(), 0U);
+  const std::string json = registry.to_json();
+  for (const auto& [gauge, value] : {
+           std::pair<const char*, std::uint64_t>{"store.events",
+                                                 monitor.events_seen()},
+           {"store.traces", store.trace_count()},
+           {"store.bytes", store.approx_bytes()},
+       }) {
+    EXPECT_NE(json.find("\"" + std::string(gauge) +
+                        "\":" + std::to_string(value)),
+              std::string::npos)
+        << gauge << " is not " << value << " in " << json;
+  }
 }
 
 }  // namespace

@@ -959,7 +959,6 @@ TEST(SpanSpillEquivalence, FaultBackMatchesUnboundedRamRun) {
       const EventId id = events.arrival(pos);
       monitor.on_event(events.event(id), events.clock(id));
     }
-    monitor.drain();
   };
 
   Monitor unbounded(pool, events.storage());

@@ -325,7 +325,6 @@ int main(int argc, char** argv) {
                                         const VectorClock& clock) {
                             linearizer.offer(event, clock);
                           });
-      monitor.drain();
       if (metrics) {
         std::string rendered;
         if (metrics_format == "json") {

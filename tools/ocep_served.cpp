@@ -1,7 +1,7 @@
 // ocep_served — run the monitor as a network daemon (docs/SERVER.md).
 //
 //   ocep_served [--host H] [--port P] [--admin-port P] [--shards N]
-//               [--workers N] [--batch N] [--metrics]
+//               [--metrics]
 //               [--checkpoint-dir DIR] [--store-dir DIR]
 //               [--flush-interval-ms N] [--spill-bytes N]
 //               [--pool-bytes N] [--compact-ratio R]
@@ -20,11 +20,11 @@
 // SO_REUSEPORT listeners with tenant-affinity placement (docs/SERVER.md).
 // The admin plane answers GET /metrics (Prometheus, merged across
 // shards), GET /healthz (JSON), and POST /checkpoint.  SIGINT/SIGTERM
-// shut down gracefully: every tenant pipeline is drained and
-// checkpointed (when --checkpoint-dir is set), so a restarted daemon
-// with the same directory resumes mid-stream tenants exactly — even when
-// restarted with a different shard count.  Both ports are printed on
-// stdout at startup (pass 0 for ephemeral — handy under test harnesses).
+// shut down gracefully: every tenant is checkpointed (when
+// --checkpoint-dir is set), so a restarted daemon with the same directory
+// resumes mid-stream tenants exactly — even when restarted with a
+// different shard count.  Both ports are printed on stdout at startup
+// (pass 0 for ephemeral — handy under test harnesses).
 //
 // Warm-standby replication (docs/ROBUSTNESS.md "Replication"):
 // --replicate-to streams every shard's segment log to a follower daemon
@@ -90,10 +90,6 @@ int main(int argc, char** argv) {
     config.admin_port =
         static_cast<std::uint16_t>(flags.get_int("admin-port", 7441));
     config.shards = static_cast<std::size_t>(flags.get_int("shards", 1));
-    config.tenant.monitor.worker_threads =
-        static_cast<std::size_t>(flags.get_int("workers", 0));
-    config.tenant.monitor.batch_size =
-        static_cast<std::size_t>(flags.get_int("batch", 64));
     config.tenant.monitor.metrics = flags.get_bool("metrics", false);
     config.checkpoint_dir = flags.get_string("checkpoint-dir", "");
     // Crash-consistent durability (docs/ROBUSTNESS.md "Durability"):
