@@ -2,22 +2,22 @@
 // tmp + fsync + rename + dir-fsync dance POSIX requires before a file
 // update can be called crash-safe.
 //
-// Plain tmp+rename (what placement.map and the .ckp writers used before
-// PR 8) survives a crash *between* the two steps, but not a power cut
-// after the rename: without an fsync of the data the renamed file can be
-// an empty or partial shell, and without an fsync of the directory the
-// rename itself may never reach disk — losing both the old and the new
-// copy.  write_file_durable() closes every window:
+// Plain tmp+rename survives a crash *between* the two steps, but not a
+// power cut after the rename: without an fsync of the data the renamed
+// file can be an empty or partial shell, and without an fsync of the
+// directory the rename itself may never reach disk — losing both the old
+// and the new copy.  write_file_durable() closes every window:
 //
 //   1. write bytes to  <path>.tmp
 //   2. fsync(<path>.tmp)           — data hits disk before it is named
 //   3. rename(<path>.tmp, <path>)  — atomic swap, old copy intact until now
 //   4. fsync(parent directory)     — the swap itself hits disk
 //
-// Helpers return false instead of throwing (callers count an error and
-// carry on — losing a checkpoint write must never take the daemon down)
-// and are cheap enough for metadata-sized files; bulk data belongs in the
-// append-only store (src/store), which amortizes its fsyncs.
+// Helpers return false instead of throwing, so each caller picks its
+// policy (placement.map counts an error and carries on — losing it must
+// never take the daemon down), and are cheap enough for metadata-sized
+// files; tenant state belongs in the append-only store (src/store),
+// which amortizes its fsyncs.
 #pragma once
 
 #include <fcntl.h>

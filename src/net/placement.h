@@ -6,9 +6,10 @@
 // the hash does not predict — so this map records the exceptions.  Every
 // shard consults it when routing a handshake, the rebalancer consults it
 // for residency, and the overridden entries persist to
-// `<checkpoint_dir>/placement.map` so a restart re-homes checkpointed
-// tenants to the shard that last owned them (entries whose shard index no
-// longer exists after a --shards change fall back to the hash).
+// `<store_dir>/placement.map` so a restart re-homes stored tenants to
+// the shard that last owned them (entries whose shard index no longer
+// exists after a --shards change fall back to the hash).  Without a
+// store nothing persists.
 //
 // Thread model: one mutex.  Shard threads touch it once per handshake and
 // once per migration edge; the admin thread reads residency per rebalance
@@ -29,7 +30,7 @@ namespace ocep::net {
 
 /// Stable tenant -> shard affinity: FNV-1a (64-bit) of the name, mod the
 /// shard count.  Deterministic across processes and restarts, so
-/// checkpoint restore and producer reconnects agree on placement.
+/// store restore and producer reconnects agree on placement.
 [[nodiscard]] std::size_t shard_for(std::string_view tenant,
                                     std::size_t shard_count) noexcept;
 
@@ -37,7 +38,7 @@ class PlacementMap {
  public:
   explicit PlacementMap(std::size_t shard_count);
 
-  /// Where handshakes and checkpoint restores route `tenant`: its
+  /// Where handshakes and store restores route `tenant`: its
   /// recorded placement when one exists, the affinity hash otherwise.
   [[nodiscard]] std::size_t owner_of(std::string_view tenant) const;
 

@@ -27,17 +27,32 @@ constexpr std::chrono::seconds kShardReplyDeadline{2};
 }  // namespace
 
 Server::Server(ServerConfig config) : config_(std::move(config)) {
+  if (config_.store_dir.empty()) {
+    // Each of these acts only on the store; ignoring one silently would
+    // let an operator believe tenants are being spilled or replicated.
+    const std::pair<const char*, bool> store_only[] = {
+        {"spill_bytes", config_.spill_bytes != 0},
+        {"pool_bytes", config_.pool_bytes != 0},
+        {"compact_ratio", config_.compact_ratio > 0.0},
+        {"replicate_host", !config_.replicate_host.empty()},
+    };
+    for (const auto& [field, set] : store_only) {
+      if (set) {
+        throw Error(std::string(field) + " requires store_dir");
+      }
+    }
+  }
   if (config_.shards == 0) {
     config_.shards = 1;
   }
   // Placement first: shards consult it (overrides loaded from the
-  // state dir) when partitioning the restore scan.
+  // store dir) when partitioning the restore scan.
   placement_ = std::make_unique<PlacementMap>(config_.shards);
   try {
-    placement_->load_file(config_.state_dir());
+    placement_->load_file(config_.store_dir);
   } catch (const Error&) {
     // A corrupt placement map degrades to pure hash placement; the
-    // tenant checkpoints themselves are untouched.
+    // tenant logs themselves are untouched.
     registry_.counter("net.placement_load_errors").add(1);
   }
   const bool reuseport = config_.shards > 1;
@@ -150,17 +165,6 @@ int Server::tenant_shard(const std::string& name) const {
   return shard ? static_cast<int>(*shard) : -1;
 }
 
-std::size_t Server::write_checkpoints() {
-  std::size_t written = 0;
-  for (const auto& shard : shards_) {
-    written += shard->write_checkpoints();
-  }
-  if (!placement_->save_file(config_.state_dir())) {
-    registry_.counter("net.placement_save_errors").add(1);
-  }
-  return written;
-}
-
 const obs::Registry& Server::shard_metrics(std::size_t index) const {
   return shards_.at(index)->metrics();
 }
@@ -192,7 +196,7 @@ void Server::run() {
     throw;
   }
   join_all();
-  if (!placement_->save_file(config_.state_dir())) {
+  if (!placement_->save_file(config_.store_dir)) {
     registry_.counter("net.placement_save_errors").add(1);
   }
 }
@@ -328,10 +332,10 @@ void Server::advance_admin(Conn& conn) {
     } else {
       respond_http(conn, 200, "application/json", std::move(body));
     }
-  } else if ((method == "POST" || method == "GET") && path == "/checkpoint") {
-    if (config_.checkpoint_dir.empty() && config_.store_dir.empty()) {
+  } else if (method == "POST" && path == "/checkpoint") {
+    if (config_.store_dir.empty()) {
       respond_http(conn, 409, "application/json",
-                   "{\"error\":\"no checkpoint_dir or store_dir\"}\n");
+                   "{\"error\":\"no store_dir\"}\n");
     } else {
       const long written = checkpoint_live();
       if (written < 0) {
@@ -489,16 +493,15 @@ std::string Server::healthz_json() {
 }
 
 long Server::checkpoint_live() {
-  if (!running_.load(std::memory_order_acquire)) {
-    return static_cast<long>(write_checkpoints());
-  }
+  // Called only by the admin plane inside run(): each shard owns its
+  // store, so the commit runs on the shard's own thread.
   std::vector<std::future<std::size_t>> replies;
   replies.reserve(shards_.size());
   for (const auto& shard : shards_) {
     auto promise = std::make_shared<std::promise<std::size_t>>();
     replies.push_back(promise->get_future());
     Shard* raw = shard.get();
-    shard->post([promise, raw] { promise->set_value(raw->write_checkpoints()); });
+    shard->post([promise, raw] { promise->set_value(raw->checkpoint()); });
   }
   long written = 0;
   for (auto& reply : replies) {
@@ -507,7 +510,7 @@ long Server::checkpoint_live() {
     }
     written += static_cast<long>(reply.get());
   }
-  if (!placement_->save_file(config_.state_dir())) {
+  if (!placement_->save_file(config_.store_dir)) {
     registry_.counter("net.placement_save_errors").add(1);
   }
   return written;

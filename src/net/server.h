@@ -20,12 +20,17 @@
 //                            merged across shards), GET /healthz (JSON,
 //                            aggregated), POST /checkpoint (fans out).
 //
+// Durability: the segment-log store (config.store_dir) is the only way
+// tenant state reaches disk.  Without it the daemon keeps everything in
+// RAM, and the store-only settings (spill, span pool, compaction,
+// replication) are refused at construction.
+//
 // Shutdown: request_shutdown() is async-signal-safe (atomic flags + one
-// byte down each reactor's self-pipe).  Every shard writes its
-// checkpoint partition into the shared directory and closes its
-// connections; the admin loop then joins the shard threads and run()
-// returns.  Tenants are retained after run() so
-// embedders and tests can inspect final monitor state.
+// byte down each reactor's self-pipe).  Every shard group-commits its
+// store log and closes its connections; the admin loop then joins the
+// shard threads, saves placement.map and run() returns.  Tenants are
+// retained after run() so embedders and tests can inspect final monitor
+// state.
 #pragma once
 
 #include <atomic>
@@ -75,18 +80,12 @@ struct ServerConfig {
   std::size_t shards = 1;
   /// Monitor / matcher / session configuration stamped onto every tenant.
   TenantConfig tenant;
-  /// Directory for OCEPNTC2 tenant checkpoints.  Non-empty enables
-  /// checkpoint-on-shutdown, the /checkpoint admin trigger, and
-  /// restore-on-start (every *.ckp found is loaded before serving, each
-  /// shard restoring its affinity partition).
-  std::string checkpoint_dir;
   /// Directory for the crash-consistent append-only tenant store
-  /// (docs/ROBUSTNESS.md "Durability").  Non-empty supersedes
-  /// checkpoint_dir for tenant state: each shard keeps a segment log
-  /// under <store_dir>/shard-<i>, appends input deltas on the group
-  /// commit interval, and replays base + deltas on restart.  Any *.ckp
-  /// files in checkpoint_dir are still loaded once (upgrade path) and
-  /// re-based into the log.
+  /// (docs/ROBUSTNESS.md "Durability").  Non-empty enables durability:
+  /// each shard keeps a segment log under <store_dir>/shard-<i>, appends
+  /// input deltas on the group commit interval (and on SIGTERM or POST
+  /// /checkpoint), and replays base + deltas on restart; placement.map
+  /// lives here too.  Empty keeps all tenant state in RAM.
   std::string store_dir;
   /// Group-commit window: pending input bytes are appended + fsynced at
   /// most this often.  Crash loss is bounded by one window (acknowledged
@@ -94,7 +93,8 @@ struct ServerConfig {
   std::uint64_t flush_interval_ms = 50;
   /// Byte budget for resident detached tenant state (0 = off).  Past it,
   /// the coldest finished detached tenants are written to the log and
-  /// dropped from RAM; a reconnect reloads them transparently.
+  /// dropped from RAM; a reconnect reloads them transparently.  This,
+  /// pool_bytes, compact_ratio and replicate_host require store_dir.
   std::uint64_t spill_bytes = 0;
   /// A tenant whose deltas-since-base exceed this is re-based (one full
   /// image append supersedes the delta chain); 0 disables re-basing.
@@ -157,19 +157,14 @@ struct ServerConfig {
   std::uint64_t rebalance_cooldown_ms = 2000;
   /// Test-only migration fault injection; see MigrationHook.
   MigrationHook migration_hook;
-
-  /// Where cross-restart daemon state that is not tenant state (the
-  /// placement override map) lives: checkpoint_dir when set, else
-  /// store_dir, else empty (not persisted).
-  [[nodiscard]] const std::string& state_dir() const noexcept {
-    return checkpoint_dir.empty() ? store_dir : checkpoint_dir;
-  }
 };
 
 class Server {
  public:
-  /// Binds every shard listener and the admin plane, and restores any
-  /// checkpoints; throws NetError when a port cannot be bound.
+  /// Binds every shard listener and the admin plane, and restores the
+  /// store; throws NetError when a port cannot be bound, and Error
+  /// naming the field when a store-only setting is set without
+  /// store_dir.
   explicit Server(ServerConfig config);
   ~Server();
 
@@ -229,12 +224,6 @@ class Server {
   /// intended for the admin thread and tests.
   std::size_t rebalance_cycle();
 
-  /// Writes one checkpoint per tenant into checkpoint_dir (tmp + rename,
-  /// so a crash mid-write never leaves a torn file).  Returns the number
-  /// written; 0 when no directory is configured.  Post-run only; while
-  /// running, POST /checkpoint fans the same work out to shard threads.
-  std::size_t write_checkpoints();
-
   /// Aggregated /healthz document (the same JSON GET /healthz serves);
   /// empty string when a shard failed to answer within the deadline.
   /// Thread-safe while running — rows are collected over the shard
@@ -254,8 +243,9 @@ class Server {
   void advance_admin(Conn& conn);
   void respond_http(Conn& conn, int code, const std::string& content_type,
                     std::string body);
-  /// Fans write_checkpoints out to every shard thread and sums; -1 when
-  /// a shard failed to answer within the deadline.
+  /// POST /checkpoint: every shard's group commit on its own thread,
+  /// then placement.map; returns the tenants committed, -1 when a shard
+  /// failed to answer within the deadline.
   [[nodiscard]] long checkpoint_live();
   [[nodiscard]] std::string metrics_prometheus() const;
   void settle_admin(std::uint64_t id);

@@ -9,11 +9,9 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
-#include "common/durable.h"
 #include "common/error.h"
 
 namespace ocep::net {
@@ -21,8 +19,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Tenant names become checkpoint filenames and Prometheus label values;
-/// a conservative charset keeps both planes trivially safe.
+/// Tenant names are keys of store records and Prometheus label values;
+/// a conservative charset keeps both trivially safe to write and parse.
 bool valid_tenant_name(std::string_view name) {
   if (name.empty() || name.size() > 128) {
     return false;
@@ -74,9 +72,6 @@ Shard::Shard(const ServerConfig& config, std::size_t index,
     open_store();
     restore_from_store();
   }
-  // With the store on this is the one-time upgrade path: any *.ckp files
-  // are loaded for tenants the log does not know and re-based into it.
-  restore_checkpoints();
   next_flush_ms_ = clock_ms_ + flush_interval_ms();
   if (store_ != nullptr && !config_.replicate_host.empty()) {
     replicator_ = std::make_unique<Replicator>(
@@ -151,61 +146,6 @@ void Shard::drain_stranded() { drain_mailbox(); }
 Tenant* Shard::find_tenant(const std::string& name) {
   const auto it = tenants_.find(name);
   return it == tenants_.end() ? nullptr : it->second.get();
-}
-
-void Shard::restore_checkpoints() {
-  if (config_.checkpoint_dir.empty()) {
-    return;
-  }
-  std::error_code ec;
-  if (!fs::is_directory(config_.checkpoint_dir, ec)) {
-    return;
-  }
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(config_.checkpoint_dir, ec)) {
-    if (ec) {
-      break;
-    }
-    if (!entry.is_regular_file() || entry.path().extension() != ".ckp") {
-      continue;
-    }
-    const std::string name = entry.path().stem().string();
-    if (!valid_tenant_name(name) || tenants_.contains(name)) {
-      continue;
-    }
-    // The checkpoint directory is shared across shards; each shard
-    // restores only its placement partition — the affinity hash unless a
-    // persisted override (live migration, least-loaded placement) says
-    // otherwise — so a restart with a different shard count
-    // redistributes tenants without coordination.
-    if (placement_.owner_of(name) != index_) {
-      continue;
-    }
-    try {
-      std::ifstream in(entry.path(), std::ios::binary);
-      auto tenant =
-          std::make_unique<Tenant>(name, config_.tenant, config_.observe_hook);
-      if (SpanSink* sink = span_sink_for(name)) {
-        tenant->set_span_sink(sink);
-      }
-      tenant->restore(in);
-      // Restored tenants start detached; a producer gets one linger window
-      // to reconnect before the stream is finalized as degraded.
-      tenant->detach_deadline_ms = clock_ms_ + config_.detach_linger_ms;
-      registry_.counter("net.tenants_restored").add(1);
-      tenant_total_.fetch_add(1, std::memory_order_relaxed);
-      Tenant& ref = *tenants_.emplace(name, std::move(tenant)).first->second;
-      placement_.set_resident(name, index_);
-      if (store_ != nullptr) {
-        // Upgrade: fold the legacy checkpoint into the log so the next
-        // restart never needs the .ckp file again.
-        store_rebase(ref, 1);
-        durable_[name].last_active_ms = clock_ms_;
-      }
-    } catch (const Error&) {
-      registry_.counter("net.restore_errors").add(1);
-    }
-  }
 }
 
 void Shard::open_store() {
@@ -780,19 +720,11 @@ void Shard::adopt_tenant_now(TenantHandoff handoff) {
   tenant->migrations = handoff.migrations;
   const bool stopping = stop_.load(std::memory_order_acquire);
   if (stopping) {
-    // This reactor already checkpointed and will not run again; write
-    // the image to disk directly so the shutdown still captures it, and
-    // keep the tenant for post-run inspection.  The fd just closes (the
-    // producer reconnects to the restarted daemon).
-    if (store_ != nullptr) {
-      store_try([&] {
-        store_->append_base(handoff.name, handoff.blob,
-                            handoff.store_epoch + 1);
-        store_->sync();
-      });
-    } else {
-      write_blob_checkpoint(handoff.name, handoff.blob);
-    }
+    // This reactor already committed and will not run again; store the
+    // image directly so the shutdown still captures it, and keep the
+    // tenant for post-run inspection.  The fd just closes (the producer
+    // reconnects to the restarted daemon).
+    store_handoff(handoff);
   }
   Tenant& ref = *tenants_.insert_or_assign(handoff.name, std::move(tenant))
                      .first->second;
@@ -863,35 +795,23 @@ void Shard::bounce_or_drop(TenantHandoff handoff) {
     peers_[handoff.from_shard]->adopt_tenant(std::move(handoff));
     return;
   }
-  // No way home (the bounce itself failed): preserve the image on disk
-  // and surface the loss — a tenant must never vanish silently.  Routing
-  // settles here so a reconnecting producer is not refused forever.
-  if (store_ != nullptr) {
-    store_try([&] {
-      store_->append_base(handoff.name, handoff.blob, handoff.store_epoch + 1);
-      store_->sync();
-    });
-  } else {
-    write_blob_checkpoint(handoff.name, handoff.blob);
-  }
+  // No way home (the bounce itself failed): preserve the image in the
+  // store and surface the loss — a tenant must never vanish silently.
+  // Routing settles here so a reconnecting producer is not refused
+  // forever.
+  store_handoff(handoff);
   placement_.finish_migration(handoff.name, index_);
   registry_.counter("net.tenant_migration_dropped").add(1);
 }
 
-void Shard::write_blob_checkpoint(const std::string& name,
-                                  const std::string& blob) {
-  if (config_.checkpoint_dir.empty()) {
+void Shard::store_handoff(const TenantHandoff& handoff) {
+  if (store_ == nullptr) {
     return;
   }
-  std::error_code ec;
-  fs::create_directories(config_.checkpoint_dir, ec);
-  const fs::path final_path =
-      fs::path(config_.checkpoint_dir) / (name + ".ckp");
-  if (!write_file_durable(final_path.string(), blob)) {
-    registry_.counter("net.checkpoint_errors").add(1);
-    return;
-  }
-  registry_.counter("net.checkpoints_written").add(1);
+  store_try([&] {
+    store_->append_base(handoff.name, handoff.blob, handoff.store_epoch + 1);
+    store_->sync();
+  });
 }
 
 void Shard::on_conn_event(std::uint64_t id, std::uint32_t events) {
@@ -1398,46 +1318,21 @@ void Shard::sweep_timers() {
   }
 }
 
-std::size_t Shard::write_checkpoints() {
-  if (store_ != nullptr) {
-    // Incremental: append + fsync whatever input arrived since the last
-    // group commit — O(dirty state), never a full image per tenant.
-    std::size_t dirty = 0;
-    for (const auto& [name, durable] : durable_) {
-      if (!durable.pending.empty()) {
-        ++dirty;
-      }
-    }
-    flush_store();
-    registry_.counter("net.checkpoints_written").add(dirty);
-    return dirty;
-  }
-  if (config_.checkpoint_dir.empty()) {
+std::size_t Shard::checkpoint() {
+  if (store_ == nullptr) {
     return 0;
   }
-  std::error_code ec;
-  fs::create_directories(config_.checkpoint_dir, ec);
-  std::size_t written = 0;
-  for (const auto& [name, tenant] : tenants_) {
-    if (!tenant->can_checkpoint()) {
-      continue;  // handshook, trace table never arrived: nothing to save
-    }
-    const fs::path final_path =
-        fs::path(config_.checkpoint_dir) / (name + ".ckp");
-    try {
-      std::ostringstream out;
-      tenant->checkpoint(out);
-      if (!out || !write_file_durable(final_path.string(),
-                                      std::move(out).str())) {
-        throw SerializationError("checkpoint write failed");
-      }
-      ++written;
-    } catch (const Error&) {
-      registry_.counter("net.checkpoint_errors").add(1);
+  // Incremental: append + fsync whatever input arrived since the last
+  // group commit — O(dirty state), never a full image per tenant.
+  std::size_t dirty = 0;
+  for (const auto& [name, durable] : durable_) {
+    if (!durable.pending.empty()) {
+      ++dirty;
     }
   }
-  registry_.counter("net.checkpoints_written").add(written);
-  return written;
+  flush_store();
+  registry_.counter("net.checkpoints_written").add(dirty);
+  return dirty;
 }
 
 std::uint64_t Shard::flush_interval_ms() const noexcept {
@@ -1692,14 +1587,12 @@ void Shard::graceful_shutdown() {
     replicator_->close_link();
   }
   // Tenants stay in whatever stream state they reached (a mid-stream
-  // tenant is checkpointed mid-stream — that is the restart-resume
+  // tenant is committed mid-stream — that is the restart-resume
   // contract).
   for (const auto& [name, tenant] : tenants_) {
     update_meters(*tenant);
   }
-  // The checkpoint directory is shared, but tenant name sets are disjoint
-  // by affinity, so concurrent shard shutdowns never collide on a file.
-  write_checkpoints();
+  checkpoint();
   std::vector<std::uint64_t> ids;
   ids.reserve(conns_.size());
   for (const auto& [id, conn] : conns_) {

@@ -60,7 +60,7 @@ struct ConnHandoff {
 };
 
 /// A whole tenant mid-migration between shards: the serialized OCEPNTC2
-/// image (the same bytes a checkpoint file would hold), bookkeeping the
+/// image (the same bytes a store base record holds), bookkeeping the
 /// image deliberately omits, and — when a producer was attached — the
 /// live socket with both directions' buffered bytes so the stream
 /// resumes without losing a byte in either direction.
@@ -84,8 +84,8 @@ struct TenantHandoff {
 class Shard {
  public:
   /// Binds this shard's ingest listener (SO_REUSEPORT when the daemon
-  /// runs more than one shard) and restores the checkpoint partition
-  /// owned by `index` from the shared directory.  `tenant_total` is the
+  /// runs more than one shard) and, with the store on, restores the
+  /// tenants `index` owns from the shard logs.  `tenant_total` is the
   /// daemon-wide tenant count the max_tenants limit is enforced against;
   /// `placement` is the daemon-wide placement/override map (already
   /// loaded from disk) that routing consults.
@@ -156,8 +156,10 @@ class Shard {
   [[nodiscard]] std::size_t connection_count() const noexcept {
     return conns_.size();
   }
-  /// One checkpoint per tenant into the shared directory (tmp + rename).
-  std::size_t write_checkpoints();
+  /// POST /checkpoint and shutdown: the store's group commit, now.
+  /// Returns (and counts in net.checkpoints_written) the tenants that had
+  /// uncommitted input; 0 without a store.
+  std::size_t checkpoint();
   /// This shard's tenants as comma-joined /healthz JSON objects.
   [[nodiscard]] std::string healthz_rows();
   /// This shard's store/replication status as one /healthz JSON object.
@@ -171,7 +173,6 @@ class Shard {
 
   [[nodiscard]] static std::uint64_t now_ms() noexcept;
 
-  void restore_checkpoints();
   void open_store();
   void restore_from_store();
   /// Rebuilds a tenant from a stored image: restore the base (or
@@ -211,10 +212,10 @@ class Shard {
   void adopt_now(ConnHandoff handoff);
   void adopt_tenant_now(TenantHandoff handoff);
   void bounce_or_drop(TenantHandoff handoff);
-  /// Raw OCEPNTC2 bytes straight to `<name>.ckp` (tmp + rename): the
-  /// stop_-raced adoption path, where no reactor will run again.
-  void write_blob_checkpoint(const std::string& name,
-                             const std::string& blob);
+  /// Last resort for a handoff image no reactor will serve (an adoption
+  /// that raced stop_, a bounce that failed): appended to the store as a
+  /// base at store_epoch + 1 and synced.  No-op without a store.
+  void store_handoff(const TenantHandoff& handoff);
   void migrate(Conn& conn, const HandshakeRequest& request,
                std::size_t target);
   void on_conn_event(std::uint64_t id, std::uint32_t events);
@@ -323,10 +324,10 @@ class Shard {
   store::BufferPoolStats last_pool_stats_;
   store::CompactorStats last_compactor_stats_;
 
-  /// Span storage tier (null unless the store is on, pool_bytes > 0, and
-  /// tenants run synchronous monitors).  The pool caches decoded span
-  /// records shard-wide; each tenant gets one StoreSpanSink adapter
-  /// routing matcher spills/faults to its log records.
+  /// Span storage tier (null unless the store is on and pool_bytes > 0).
+  /// The pool caches decoded span records shard-wide; each tenant gets
+  /// one StoreSpanSink adapter routing matcher spills/faults to its log
+  /// records.
   class StoreSpanSink;
   std::unique_ptr<store::BufferPool> pool_;
   std::map<std::string, std::unique_ptr<StoreSpanSink>> span_sinks_;

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -212,6 +213,17 @@ struct PinnedCase {
   const char* effort;
 };
 
+/// The instance name (`seed41_dense`, ...), also what gtest prints for the
+/// parameter: its raw bytes would carry the digest pointers and padding,
+/// so the listed test names would change from build to build.
+std::string case_name(const PinnedCase& c) {
+  return "seed" + std::to_string(c.seed) +
+         (c.storage == ClockStorage::kDense ? "_dense" : "_sparse") +
+         (c.governed ? "_governed" : "");
+}
+
+void PrintTo(const PinnedCase& c, std::ostream* out) { *out << case_name(c); }
+
 class DispatchDigest : public ::testing::TestWithParam<PinnedCase> {};
 
 TEST_P(DispatchDigest, MonitorOutputIsPinned) {
@@ -260,12 +272,7 @@ INSTANTIATE_TEST_SUITE_P(
                    "ee9c5a46d315762f"},
         PinnedCase{42, ClockStorage::kSparse, true, "11e0e3c60181bb7d",
                    "89ff43d7350f657a"}),
-    [](const auto& param_info) {
-      const PinnedCase& c = param_info.param;
-      return "seed" + std::to_string(c.seed) +
-             (c.storage == ClockStorage::kDense ? "_dense" : "_sparse") +
-             (c.governed ? "_governed" : "");
-    });
+    [](const auto& param_info) { return case_name(param_info.param); });
 
 class DispatchStandalone : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -21,8 +21,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/fd_stream.h"
 #include "common/string_pool.h"
 #include "net/client.h"
@@ -124,6 +126,24 @@ bool wait_counter(net::Server& server, const std::string& key,
       [&server, &key, at_least] {
         return server.counter_value(key) >= at_least;
       });
+}
+
+/// One HTTP/1.0 request to an admin plane; the whole response (status
+/// line, headers and body) as the server wrote it before closing.
+std::string admin_request(std::uint16_t port, const std::string& method,
+                          const std::string& target) {
+  net::OwnedFd fd = net::tcp_connect("127.0.0.1", port);
+  net::write_all(fd.get(), method + " " + target + " HTTP/1.0\r\n\r\n", 5000);
+  std::string response;
+  char chunk[4096];
+  while (net::wait_readable(fd.get(), 5000)) {
+    const net::IoResult got = net::read_some(fd.get(), chunk, sizeof(chunk));
+    if (got.status != net::IoStatus::kOk) {
+      break;
+    }
+    response.append(chunk, got.bytes);
+  }
+  return response;
 }
 
 /// Streams the golden store as `tenant`, retrying while the server still
@@ -461,91 +481,6 @@ TEST(NetServe, KillAndReconnectResumesViaSnapshotResync) {
   EXPECT_EQ(testing::match_signature(tenant->monitor(), 0), golden_clean());
 }
 
-// The shutdown/restart acceptance bar: SIGTERM (request_shutdown — same
-// code path) mid-stream checkpoints the tenant; a restarted server
-// restores it, the producer resumes at the watermark, and the final
-// monitor state is byte-identical to an uninterrupted run.
-TEST(NetServe, CheckpointOnShutdownThenRestartResumesByteIdentical) {
-  const std::string dir =
-      ::testing::TempDir() + "ocep_net_ckp_" + std::to_string(::getpid());
-  constexpr std::uint64_t kHalf = 171;
-
-  std::atomic<std::uint64_t> released{0};
-  net::ServerConfig config = base_config();
-  config.checkpoint_dir = dir;
-  config.detach_linger_ms = 10000;
-  config.observe_hook = [&released](std::string_view, std::uint64_t) {
-    released.fetch_add(1, std::memory_order_relaxed);
-  };
-  auto st = std::make_unique<ServerThread>(std::move(config));
-  const std::uint16_t port1 = st->server.port();
-
-  StringPool pool;
-  const EventStore store = golden_store(pool);
-  net::ConnectorConfig cc;
-  cc.port = port1;
-  cc.tenant = "durable";
-  cc.patterns = {golden_pattern()};
-  {
-    // Keep the connection open while the server is terminated, as a real
-    // daemon kill would.
-    net::Connector connector(cc);
-    ASSERT_EQ(connector.ack().status, net::AckStatus::kFresh);
-    std::vector<Symbol> names;
-    for (TraceId t = 0; t < store.trace_count(); ++t) {
-      names.push_back(store.trace_name(t));
-    }
-    SessionServer session(connector, pool, names);
-    for (std::uint64_t pos = 0; pos < kHalf; ++pos) {
-      const EventId id = store.arrival(pos);
-      session.write(store.event(id), store.clock(id));
-    }
-    ASSERT_TRUE(wait_until([&released] { return released.load() >= kHalf; }));
-    ASSERT_EQ(released.load(), kHalf);
-    st->stop();  // graceful shutdown: drains + checkpoints mid-stream
-  }
-
-  // Restart against the same checkpoint directory and finish the stream
-  // from the watermark on.
-  net::ServerConfig config2 = base_config();
-  config2.checkpoint_dir = dir;
-  config2.detach_linger_ms = 10000;
-  ServerThread st2(std::move(config2));
-  net::StreamOptions rest;
-  rest.skip_below = kHalf;
-  const net::StreamResult second =
-      stream_golden(st2.server.port(), "durable", rest);
-  ASSERT_EQ(second.ack.status, net::AckStatus::kResumed)
-      << second.ack.message;
-  ASSERT_EQ(second.ack.resume_position, kHalf);
-  ASSERT_TRUE(second.fin_received);
-  EXPECT_FALSE(second.fin.degraded);
-  st2.stop();
-
-  net::Tenant* resumed = st2.server.find_tenant("durable");
-  ASSERT_NE(resumed, nullptr);
-  EXPECT_EQ(resumed->state(), net::TenantState::kComplete);
-  EXPECT_EQ(resumed->monitor().events_seen(), 342U);
-  EXPECT_EQ(testing::match_signature(resumed->monitor(), 0), golden_clean());
-
-  // Byte-identity of the matching state against an uninterrupted run.
-  ServerThread st3(base_config());
-  const net::StreamResult uninterrupted =
-      stream_golden(st3.server.port(), "durable");
-  ASSERT_TRUE(uninterrupted.fin_received);
-  st3.stop();
-  net::Tenant* reference = st3.server.find_tenant("durable");
-  ASSERT_NE(reference, nullptr);
-
-  std::stringstream resumed_ckp;
-  resumed->checkpoint(resumed_ckp);
-  std::stringstream reference_ckp;
-  reference->checkpoint(reference_ckp);
-  const net::TenantCheckpoint a = net::read_tenant_checkpoint(resumed_ckp);
-  const net::TenantCheckpoint b = net::read_tenant_checkpoint(reference_ckp);
-  EXPECT_EQ(a.monitor_blob, b.monitor_blob);
-}
-
 TEST(NetServe, ByteBudgetShedsTenantAndRejectsReattach) {
   net::ServerConfig config = base_config();
   config.max_tenant_bytes = 2048;
@@ -588,23 +523,7 @@ TEST(NetServe, AdminPlaneServesMetricsAndHealth) {
   ASSERT_TRUE(result.fin_received);
 
   const auto http_get = [&](const std::string& target) {
-    net::OwnedFd fd = net::tcp_connect("127.0.0.1", st.server.admin_port());
-    const std::string request = "GET " + target + " HTTP/1.0\r\n\r\n";
-    net::write_all(fd.get(), request, 5000);
-    std::string response;
-    char chunk[4096];
-    while (true) {
-      if (!net::wait_readable(fd.get(), 5000)) {
-        break;
-      }
-      const net::IoResult got = net::read_some(fd.get(), chunk, sizeof(chunk));
-      if (got.status == net::IoStatus::kOk) {
-        response.append(chunk, got.bytes);
-        continue;
-      }
-      break;
-    }
-    return response;
+    return admin_request(st.server.admin_port(), "GET", target);
   };
 
   const std::string metrics = http_get("/metrics");
@@ -620,6 +539,31 @@ TEST(NetServe, AdminPlaneServesMetricsAndHealth) {
   const std::string missing = http_get("/nope");
   EXPECT_NE(missing.find("HTTP/1.0 404"), std::string::npos);
   st.stop();
+}
+
+// spill_bytes, pool_bytes, compact_ratio and replicate_host act only on
+// the store; a daemon given one without store_dir refuses to start and
+// names the field, instead of silently running without it.
+TEST(NetServe, StoreOnlySettingsWithoutAStoreAreRefused) {
+  using Set = void (*)(net::ServerConfig&);
+  const std::pair<std::string, Set> cases[] = {
+      {"spill_bytes", [](net::ServerConfig& c) { c.spill_bytes = 1; }},
+      {"pool_bytes", [](net::ServerConfig& c) { c.pool_bytes = 1; }},
+      {"compact_ratio", [](net::ServerConfig& c) { c.compact_ratio = 0.5; }},
+      {"replicate_host", [](net::ServerConfig& c) { c.replicate_host = "h"; }},
+  };
+  for (const auto& [field, set] : cases) {
+    SCOPED_TRACE(field);
+    net::ServerConfig config = base_config();
+    set(config);
+    try {
+      net::Server server(std::move(config));
+      ADD_FAILURE() << "constructed without a store";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // The sharded acceptance bar: 8 concurrent clients against a 4-shard
@@ -696,19 +640,20 @@ TEST(NetShard, HandshakeMigratesTenantsToOwningShard) {
 }
 
 // Shard-affinity resume across a repartition: kill the producer
-// mid-stream, SIGTERM a 3-shard daemon (checkpointing into the shared
-// directory), restart with 2 shards, and the tenant must restore on its
+// mid-stream, SIGTERM a 3-shard daemon (group-committing every shard's
+// store log), restart with 2 shards, and the tenant must restore on its
 // new affinity shard and finish byte-identical to an uninterrupted run.
 TEST(NetShard, RestartWithDifferentShardCountResumesByteIdentical) {
   const std::string dir =
       ::testing::TempDir() + "ocep_net_reshard_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
   constexpr std::uint64_t kHalf = 171;
   const std::string name = "resharded";
 
   std::atomic<std::uint64_t> released{0};
   net::ServerConfig config;
   config.shards = 3;
-  config.checkpoint_dir = dir;
+  config.store_dir = dir;
   config.detach_linger_ms = 10000;
   config.observe_hook = [&released](std::string_view, std::uint64_t) {
     released.fetch_add(1, std::memory_order_relaxed);
@@ -741,11 +686,11 @@ TEST(NetShard, RestartWithDifferentShardCountResumesByteIdentical) {
   EXPECT_EQ(st->server.tenant_shard(name),
             static_cast<int>(net::shard_for(name, 3)));
 
-  // Restart against the same checkpoint directory with a different shard
-  // count; the tenant must restore on its new owner and resume exactly.
+  // Restart against the same store root with a different shard count;
+  // the tenant must restore on its new owner and resume exactly.
   net::ServerConfig config2;
   config2.shards = 2;
-  config2.checkpoint_dir = dir;
+  config2.store_dir = dir;
   config2.detach_linger_ms = 10000;
   ServerThread st2(std::move(config2));
   net::StreamOptions rest;
@@ -1090,14 +1035,15 @@ TEST(NetRebalance, KillPointsAtEveryPhaseNeverLoseTheTenant) {
 // shard.  And an override naming a shard that no longer exists after a
 // --shards shrink falls back to the affinity hash instead of vanishing.
 TEST(NetRebalance, PlacementOverrideSurvivesRestartAndShardShrink) {
-  const std::string dir = ::testing::TempDir() + "ocep_net_rebal_ckp_" +
+  const std::string dir = ::testing::TempDir() + "ocep_net_rebal_store_" +
                           std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
   const std::string keeper = "ovr_keep";  // override stays valid at 2 shards
   const std::string faller = "ovr_fall";  // override invalid at 2 shards
 
   net::ServerConfig config;
   config.shards = 4;
-  config.checkpoint_dir = dir;
+  config.store_dir = dir;
   ServerThread st(std::move(config));
   const std::uint16_t port = st.server.port();
 
@@ -1114,7 +1060,7 @@ TEST(NetRebalance, PlacementOverrideSurvivesRestartAndShardShrink) {
       [&] { return force_migration(st.server, keeper, keep_to); }));
   ASSERT_TRUE(wait_until(
       [&] { return force_migration(st.server, faller, fall_to); }));
-  st.stop();  // writes checkpoints and placement.map
+  st.stop();  // commits the store logs and writes placement.map
   EXPECT_EQ(st.server.tenant_shard(keeper), static_cast<int>(keep_to));
   EXPECT_EQ(st.server.tenant_shard(faller), static_cast<int>(fall_to));
 
@@ -1122,7 +1068,7 @@ TEST(NetRebalance, PlacementOverrideSurvivesRestartAndShardShrink) {
   {
     net::ServerConfig config2;
     config2.shards = 4;
-    config2.checkpoint_dir = dir;
+    config2.store_dir = dir;
     net::Server server2(std::move(config2));  // restore happens at build
     EXPECT_EQ(server2.tenant_shard(keeper), static_cast<int>(keep_to));
     EXPECT_EQ(server2.tenant_shard(faller), static_cast<int>(fall_to));
@@ -1134,7 +1080,7 @@ TEST(NetRebalance, PlacementOverrideSurvivesRestartAndShardShrink) {
   {
     net::ServerConfig config3;
     config3.shards = 2;
-    config3.checkpoint_dir = dir;
+    config3.store_dir = dir;
     net::Server server3(std::move(config3));
     EXPECT_EQ(server3.tenant_shard(keeper), static_cast<int>(keep_to));
     EXPECT_EQ(server3.tenant_shard(faller),
@@ -1279,19 +1225,6 @@ std::uintmax_t dir_bytes(const std::string& dir) {
   return total;
 }
 
-/// True when no `.ckp` whole-image checkpoint exists anywhere under
-/// `dir` — the store path must never fall back to full-image writes.
-bool no_ckp_files(const std::string& dir) {
-  std::error_code ec;
-  for (const auto& entry :
-       fs_store::recursive_directory_iterator(dir, ec)) {
-    if (entry.path().extension() == ".ckp") {
-      return false;
-    }
-  }
-  return true;
-}
-
 net::ServerConfig store_config(const std::string& dir) {
   net::ServerConfig config = base_config();
   config.store_dir = dir;
@@ -1299,11 +1232,10 @@ net::ServerConfig store_config(const std::string& dir) {
   return config;
 }
 
-// The store-backed shutdown/restart acceptance bar, mirroring the
-// checkpoint-dir test above: SIGTERM mid-stream flushes the delta log, a
-// restarted server replays base+deltas, the producer resumes at the
-// watermark, and the final state is byte-identical to an uninterrupted
-// run — with no whole-image .ckp file ever written.
+// The shutdown/restart acceptance bar: SIGTERM (request_shutdown — same
+// code path) mid-stream flushes the delta log, a restarted server
+// replays base+deltas, the producer resumes at the watermark, and the
+// final state is byte-identical to an uninterrupted run.
 TEST(NetStore, ShutdownRestartResumesByteIdentical) {
   const std::string dir =
       ::testing::TempDir() + "ocep_net_store_" + std::to_string(::getpid());
@@ -1338,9 +1270,9 @@ TEST(NetStore, ShutdownRestartResumesByteIdentical) {
       session.write(store.event(id), store.clock(id));
     }
     ASSERT_TRUE(wait_until([&released] { return released.load() >= kHalf; }));
+    ASSERT_EQ(released.load(), kHalf);
     st->stop();  // SIGTERM path: drain + flush the delta log
   }
-  EXPECT_TRUE(no_ckp_files(dir));
   EXPECT_GT(st->server.counter_value("store.delta_records"), 0U);
 
   // Restart against the same store root and finish from the watermark.
@@ -1539,6 +1471,98 @@ TEST(NetStore, CrashImageRecoversPrefixAndResumesToGolden) {
   const net::TenantCheckpoint a = net::read_tenant_checkpoint(resumed_ckp);
   const net::TenantCheckpoint b = net::read_tenant_checkpoint(reference_ckp);
   EXPECT_EQ(a.monitor_blob, b.monitor_blob);
+}
+
+// POST /checkpoint and SIGTERM are the two group commits a producer does
+// not wait for.  With the timed commit pushed past the test:
+//  * without a store POST /checkpoint is refused (409), and GET is an
+//    unknown route (404) that commits nothing;
+//  * POST answers only after every shard has appended and synced, so a
+//    copy of the store taken right after the answer — what a kill -9 at
+//    that instant leaves — restores every event released before it;
+//  * the second half of the stream reaches disk only through the
+//    shutdown's commit, and a restart restores all of it.
+TEST(NetStore, PostCheckpointAndShutdownEachRunTheGroupCommit) {
+  {
+    ServerThread plain(base_config());
+    const std::string refused =
+        admin_request(plain.server.admin_port(), "POST", "/checkpoint");
+    EXPECT_EQ(refused.rfind("HTTP/1.0 409", 0), 0U) << refused;
+  }
+
+  const std::string dir = ::testing::TempDir() + "ocep_net_store_post_" +
+                          std::to_string(::getpid());
+  const std::string image = dir + "_image";
+  fs_store::remove_all(dir);
+  fs_store::remove_all(image);
+  constexpr std::uint64_t kHalf = 171;
+  constexpr std::uint64_t kEvents = 342;
+
+  std::atomic<std::uint64_t> released{0};
+  net::ServerConfig config = store_config(dir);
+  config.flush_interval_ms = 600000;  // no timed commit while the test runs
+  config.detach_linger_ms = 10000;
+  config.observe_hook = [&released](std::string_view, std::uint64_t) {
+    released.fetch_add(1, std::memory_order_relaxed);
+  };
+  auto st = std::make_unique<ServerThread>(std::move(config));
+  const std::uint16_t admin = st->server.admin_port();
+
+  StringPool pool;
+  const EventStore store = golden_store(pool);
+  net::ConnectorConfig cc;
+  cc.port = st->server.port();
+  cc.tenant = "snapshot";
+  cc.patterns = {golden_pattern()};
+  {
+    net::Connector connector(cc);
+    ASSERT_EQ(connector.ack().status, net::AckStatus::kFresh);
+    std::vector<Symbol> names;
+    for (TraceId t = 0; t < store.trace_count(); ++t) {
+      names.push_back(store.trace_name(t));
+    }
+    SessionServer session(connector, pool, names);
+    const auto send = [&](std::uint64_t from, std::uint64_t to) {
+      for (std::uint64_t pos = from; pos < to; ++pos) {
+        const EventId id = store.arrival(pos);
+        session.write(store.event(id), store.clock(id));
+      }
+    };
+    send(0, kHalf);
+    ASSERT_TRUE(wait_until([&released] { return released.load() >= kHalf; }));
+    ASSERT_EQ(released.load(), kHalf);
+
+    const std::string get = admin_request(admin, "GET", "/checkpoint");
+    EXPECT_EQ(get.rfind("HTTP/1.0 404", 0), 0U) << get;
+    EXPECT_EQ(st->server.counter_value("net.checkpoints_written"), 0U);
+
+    const std::string post = admin_request(admin, "POST", "/checkpoint");
+    EXPECT_EQ(post.rfind("HTTP/1.0 200", 0), 0U) << post;
+    EXPECT_NE(post.find("\r\n\r\n{\"written\":1}\n"), std::string::npos)
+        << post;
+    std::error_code ec;
+    fs_store::copy(dir, image, fs_store::copy_options::recursive, ec);
+    ASSERT_FALSE(ec) << ec.message();
+    EXPECT_EQ(st->server.counter_value("net.checkpoints_written"), 1U);
+
+    send(kHalf, kEvents);
+    ASSERT_TRUE(
+        wait_until([&released] { return released.load() >= kEvents; }));
+    st->stop();  // SIGTERM path: the only commit of the second half
+  }
+  EXPECT_EQ(st->server.counter_value("net.checkpoints_written"), 2U);
+  st.reset();
+
+  for (const auto& [root, events] :
+       {std::pair{image, kHalf}, std::pair{dir, kEvents}}) {
+    SCOPED_TRACE(root);
+    ServerThread restarted(store_config(root));
+    ASSERT_TRUE(wait_counter(restarted.server, "net.tenants_restored", 1));
+    restarted.stop();
+    net::Tenant* recovered = restarted.server.find_tenant("snapshot");
+    ASSERT_NE(recovered, nullptr);
+    EXPECT_EQ(recovered->monitor().events_seen(), events);
+  }
 }
 
 // Cold-tenant spill under a byte budget: a finished, detached tenant is

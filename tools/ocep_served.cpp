@@ -1,8 +1,7 @@
 // ocep_served — run the monitor as a network daemon (docs/SERVER.md).
 //
 //   ocep_served [--host H] [--port P] [--admin-port P] [--shards N]
-//               [--metrics]
-//               [--checkpoint-dir DIR] [--store-dir DIR]
+//               [--metrics] [--store-dir DIR]
 //               [--flush-interval-ms N] [--spill-bytes N]
 //               [--pool-bytes N] [--compact-ratio R]
 //               [--rebase-bytes N] [--idle-timeout-ms N]
@@ -19,12 +18,17 @@
 // per-tenant monitors; with --shards N it runs N reactor threads behind
 // SO_REUSEPORT listeners with tenant-affinity placement (docs/SERVER.md).
 // The admin plane answers GET /metrics (Prometheus, merged across
-// shards), GET /healthz (JSON), and POST /checkpoint.  SIGINT/SIGTERM
-// shut down gracefully: every tenant is checkpointed (when
-// --checkpoint-dir is set), so a restarted daemon with the same directory
-// resumes mid-stream tenants exactly — even when restarted with a
-// different shard count.  Both ports are printed on stdout at startup
-// (pass 0 for ephemeral — handy under test harnesses).
+// shards), GET /healthz (JSON), and POST /checkpoint.
+//
+// Durability (docs/ROBUSTNESS.md "Durability"): with --store-dir every
+// shard group-commits its tenants' input each --flush-interval-ms (and
+// at once on SIGINT/SIGTERM or POST /checkpoint), so a SIGKILL loses at
+// most one window, which the producer's resume heals, and a restart on
+// the same directory resumes mid-stream tenants exactly — even at a
+// different shard count.  Without it nothing reaches disk, and the
+// store-only flags (--spill-bytes, --pool-bytes, --compact-ratio,
+// --replicate-to) are refused.  Both ports are printed on stdout at
+// startup (pass 0 for ephemeral — handy under test harnesses).
 //
 // Warm-standby replication (docs/ROBUSTNESS.md "Replication"):
 // --replicate-to streams every shard's segment log to a follower daemon
@@ -91,12 +95,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint16_t>(flags.get_int("admin-port", 7441));
     config.shards = static_cast<std::size_t>(flags.get_int("shards", 1));
     config.tenant.monitor.metrics = flags.get_bool("metrics", false);
-    config.checkpoint_dir = flags.get_string("checkpoint-dir", "");
-    // Crash-consistent durability (docs/ROBUSTNESS.md "Durability"):
-    // --store-dir switches tenant persistence from whole-image .ckp
-    // files to an append-only segment log with group-committed input
-    // deltas; a SIGKILL loses at most one --flush-interval-ms window,
-    // and the acknowledged resume position heals even that on reconnect.
     config.store_dir = flags.get_string("store-dir", "");
     config.flush_interval_ms =
         static_cast<std::uint64_t>(flags.get_int("flush-interval-ms", 50));
@@ -148,9 +146,6 @@ int main(int argc, char** argv) {
     if (!replicate_to.empty()) {
       parse_host_port(replicate_to, config.replicate_host,
                       config.replicate_port);
-      if (config.store_dir.empty()) {
-        throw Error("--replicate-to requires --store-dir");
-      }
     }
     const bool standby = flags.get_bool("standby", false);
     flags.check_unused();
