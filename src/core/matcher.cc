@@ -15,6 +15,9 @@ constexpr std::uint64_t bit(std::size_t depth) noexcept {
   return 1ULL << depth;
 }
 
+/// Share of history_bytes_limit a byte-capped history is evicted down to.
+constexpr double kHistoryLowFraction = 0.5;
+
 }  // namespace
 
 OcepMatcher::OcepMatcher(const EventStore& store,
@@ -310,7 +313,7 @@ void OcepMatcher::enforce_history_budget() {
   }
   const auto low = static_cast<std::size_t>(
       static_cast<double>(config_.history_bytes_limit) *
-      config_.history_low_fraction);
+      kHistoryLowFraction);
   while (bytes > low) {
     std::uint32_t best_leaf = 0;
     TraceId best_trace = 0;

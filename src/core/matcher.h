@@ -64,9 +64,8 @@ struct MatcherConfig {
   /// Byte-accounted cap across this pattern's leaf histories (including
   /// the keyed index), 0 = unbounded.  Past the cap the matcher evicts
   /// oldest-per-trace entries — counted as `history_evicted` coverage
-  /// loss — down to `history_low_fraction` of the cap.
+  /// loss — down to half the cap.
   std::size_t history_bytes_limit = 0;
-  double history_low_fraction = 0.5;
 };
 
 struct MatcherStats {
@@ -285,8 +284,8 @@ class OcepMatcher {
   /// case a single integer compare.
   [[nodiscard]] bool budget_exhausted();
   /// Evicts oldest-per-trace history entries until the byte figure is back
-  /// under history_low_fraction of the cap (largest (leaf, trace) pair
-  /// first; deterministic tie-break on the lowest leaf then trace).
+  /// under half the cap (largest (leaf, trace) pair first; deterministic
+  /// tie-break on the lowest leaf then trace).
   void enforce_history_budget();
   /// Per-observe telemetry publication: counter deltas against `before`,
   /// plus the per-terminating-event histograms when a search ran.

@@ -9,7 +9,7 @@
 // order; a span the search has reabsorbed (or that coverage proved
 // useless) is released.
 //
-// The production sink (src/net/shard.cc) appends spans to the tenant's
+// The production sink (src/net/tenant_host.cc) appends spans to the tenant's
 // segment log and serves faults through the shared buffer pool; the
 // matcher itself only depends on this interface, so core stays free of
 // any store dependency.  A sink that declines a spill (returns false)

@@ -84,4 +84,40 @@ IoStatus Conn::flush_writes() {
   return IoStatus::kOk;
 }
 
+bool Conn::respond_http(int code, std::string_view content_type,
+                        std::string_view body) {
+  const char* reason = code == 200   ? "OK"
+                       : code == 404 ? "Not Found"
+                       : code == 409 ? "Conflict"
+                       : code == 503 ? "Service Unavailable"
+                                     : "Error";
+  std::string response = "HTTP/1.0 " + std::to_string(code) + " " + reason +
+                         "\r\nContent-Type: " + std::string(content_type) +
+                         "\r\nContent-Length: " + std::to_string(body.size()) +
+                         "\r\nConnection: close\r\n\r\n";
+  response += body;
+  if (!queue_write(std::move(response))) {
+    state_ = ConnState::kClosed;
+    return false;
+  }
+  state_ = ConnState::kClosing;
+  return true;
+}
+
+bool Conn::settle(Poller& poller) {
+  if (state_ == ConnState::kClosed) {
+    return true;
+  }
+  const IoStatus status = flush_writes();
+  if (status == IoStatus::kEof || status == IoStatus::kError) {
+    return true;
+  }
+  const bool want = status == IoStatus::kWouldBlock;
+  if (want != epollout_armed) {
+    poller.mod(fd(), want ? (EPOLLIN | EPOLLOUT) : EPOLLIN, id_);
+    epollout_armed = want;
+  }
+  return !want && state_ == ConnState::kClosing;
+}
+
 }  // namespace ocep::net

@@ -21,6 +21,7 @@
 #include <string>
 #include <string_view>
 
+#include "net/poller.h"
 #include "net/socket.h"
 
 namespace ocep::net {
@@ -76,6 +77,18 @@ class Conn {
   /// Writes queued bytes until EAGAIN or empty.  kOk means the queue is
   /// empty; kWouldBlock means EPOLLOUT should be armed.
   [[nodiscard]] IoStatus flush_writes();
+
+  /// Queues a complete "Connection: close" HTTP/1.0 response and marks
+  /// the connection closing; false (connection closed) when the write
+  /// queue overflowed.
+  bool respond_http(int code, std::string_view content_type,
+                    std::string_view body);
+
+  /// After a read or a write: flushes the queue and keeps this
+  /// connection's EPOLLOUT interest in `poller` in step with what is
+  /// left.  True when the connection is done — closed, flushed while
+  /// closing, or its peer gone — and the owner should close it.
+  [[nodiscard]] bool settle(Poller& poller);
 
   [[nodiscard]] bool write_pending() const noexcept { return !wq_.empty(); }
 

@@ -90,12 +90,16 @@ std::size_t PlacementMap::route_or_assign(const std::string& tenant) {
     }
   }
   entries_[tenant] = Entry{best, /*overridden=*/true, /*migrating=*/false};
+  ++changes_;
   return best;
 }
 
 void PlacementMap::set_resident(const std::string& tenant, std::size_t shard) {
   const std::lock_guard<std::mutex> lock(mutex_);
   Entry& entry = entries_[tenant];
+  if (entry.overridden && entry.shard != shard) {
+    ++changes_;
+  }
   entry.shard = shard;
   entry.migrating = false;
 }
@@ -107,6 +111,7 @@ void PlacementMap::begin_migration(const std::string& tenant,
   entry.shard = target;
   entry.overridden = true;
   entry.migrating = true;
+  ++changes_;
 }
 
 void PlacementMap::finish_migration(const std::string& tenant,
@@ -116,11 +121,7 @@ void PlacementMap::finish_migration(const std::string& tenant,
   entry.shard = shard;
   entry.overridden = true;
   entry.migrating = false;
-}
-
-void PlacementMap::cancel_migration(const std::string& tenant,
-                                    std::size_t shard) {
-  finish_migration(tenant, shard);
+  ++changes_;
 }
 
 void PlacementMap::set_load_hints(std::vector<double> hints) {
@@ -203,13 +204,23 @@ void PlacementMap::load(std::istream& in) {
       entries_[std::string(name)] =
           Entry{static_cast<std::size_t>(shard), /*overridden=*/true,
                 /*migrating=*/false};
+    } else {
+      ++changes_;  // the next save drops the entry from the file too
     }
   }
 }
 
-bool PlacementMap::save_file(const std::string& dir) const {
+bool PlacementMap::save_file(const std::string& dir) {
   if (dir.empty()) {
     return true;
+  }
+  std::uint64_t changes = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (changes_ == saved_changes_) {
+      return true;
+    }
+    changes = changes_;
   }
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -217,13 +228,19 @@ bool PlacementMap::save_file(const std::string& dir) const {
   try {
     // Serialize first, then replace the file durably (fsync + rename +
     // dir fsync) — a crash or power cut never leaves a torn map, and the
-    // rename itself cannot be lost.
+    // rename itself cannot be lost.  A change racing the serialization
+    // keeps changes_ ahead, so the next save writes it.
     std::ostringstream out;
     save(out);
-    return write_file_durable(final_path.string(), std::move(out).str());
+    if (!write_file_durable(final_path.string(), std::move(out).str())) {
+      return false;
+    }
   } catch (const Error&) {
     return false;
   }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  saved_changes_ = changes;
+  return true;
 }
 
 void PlacementMap::load_file(const std::string& dir) {
@@ -236,7 +253,13 @@ void PlacementMap::load_file(const std::string& dir) {
     return;
   }
   std::ifstream in(path, std::ios::binary);
-  load(in);
+  try {
+    load(in);
+  } catch (const Error&) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++changes_;  // the next save replaces the damaged file
+    throw;
+  }
 }
 
 }  // namespace ocep::net

@@ -64,11 +64,11 @@ class PlacementMap {
 
   /// Migration edges.  begin points routing at `target` and raises the
   /// in-flight flag (the choice persists as an override so a crash
-  /// mid-migration still re-homes to one defined place); finish/cancel
-  /// settle routing on the shard that ended up holding the tenant.
+  /// mid-migration still re-homes to one defined place); finish settles
+  /// routing on the shard that ended up holding the tenant, the source
+  /// when the migration was called off.
   void begin_migration(const std::string& tenant, std::size_t target);
   void finish_migration(const std::string& tenant, std::size_t shard);
-  void cancel_migration(const std::string& tenant, std::size_t shard);
 
   /// Rebalancer feedback: per-shard load scores consulted by
   /// route_or_assign.  Size must equal shard_count().
@@ -94,10 +94,12 @@ class PlacementMap {
   /// was.  Entries naming a shard index >= shard_count() are dropped:
   /// after a --shards shrink those tenants fall back to the affinity hash.
   void load(std::istream& in);
-  /// tmp + rename into `<dir>/placement.map`; false (counted by the
-  /// caller) on I/O failure.  No-op when dir is empty.
-  bool save_file(const std::string& dir) const;
-  /// Missing file or empty dir is a no-op; corrupt files throw.
+  /// tmp + rename into `<dir>/placement.map`, skipped while the
+  /// overrides are unchanged since the last load or save; false (counted
+  /// by the caller) on I/O failure.  No-op when dir is empty.
+  bool save_file(const std::string& dir);
+  /// Missing file or empty dir is a no-op; corrupt files throw (and are
+  /// replaced by the next save).
   void load_file(const std::string& dir);
 
  private:
@@ -111,6 +113,10 @@ class PlacementMap {
   std::size_t shard_count_;
   std::map<std::string, Entry, std::less<>> entries_;
   std::vector<double> load_hints_;
+  /// Counts changes to what save() writes; save_file() writes only when
+  /// it moved past saved_changes_.
+  std::uint64_t changes_ = 0;
+  std::uint64_t saved_changes_ = 0;
 };
 
 }  // namespace ocep::net

@@ -1,9 +1,11 @@
 #include "net/poller.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 
 namespace ocep::net {
 
@@ -54,6 +56,33 @@ std::size_t Poller::wait(std::vector<Event>& out, int timeout_ms) {
     raw_.resize(raw_.size() * 2);  // never starve under a full batch
   }
   return static_cast<std::size_t>(got);
+}
+
+std::uint64_t monotonic_ms() noexcept {
+  timespec ts{};
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000U +
+         static_cast<std::uint64_t>(ts.tv_nsec) / 1000000U;
+}
+
+WakePipe::WakePipe() {
+  int fds[2];
+  if (::pipe2(fds, O_NONBLOCK | O_CLOEXEC) != 0) {
+    throw NetError(std::string("pipe2(wake): ") + std::strerror(errno));
+  }
+  read_.reset(fds[0]);
+  write_.reset(fds[1]);
+}
+
+void WakePipe::wake() const noexcept {
+  const char byte = 'w';
+  [[maybe_unused]] const ssize_t rc = ::write(write_.get(), &byte, 1);
+}
+
+void WakePipe::drain() const noexcept {
+  char sink[64];
+  while (::read(read_.get(), sink, sizeof(sink)) > 0) {
+  }
 }
 
 }  // namespace ocep::net

@@ -3,7 +3,8 @@
 // EAGAIN", and a missed drain is a hang, not a slowdown.  Registrations
 // carry a plain 64-bit tag (the server maps tags to listeners, the wake
 // pipe, and connection ids) instead of pointers, so stale events after a
-// close cannot dangle.
+// close cannot dangle.  WakePipe is the self-pipe every event loop
+// registers so other threads and signal handlers can interrupt a wait.
 #pragma once
 
 #include <sys/epoll.h>
@@ -42,6 +43,26 @@ class Poller {
  private:
   OwnedFd epfd_;
   std::vector<epoll_event> raw_;
+};
+
+/// CLOCK_MONOTONIC in milliseconds: the event loops' clock.
+[[nodiscard]] std::uint64_t monotonic_ms() noexcept;
+
+/// A non-blocking self-pipe: register fd() for EPOLLIN, call wake() from
+/// any thread or signal handler, drain() when it reports readable.
+class WakePipe {
+ public:
+  WakePipe();
+
+  [[nodiscard]] int fd() const noexcept { return read_.get(); }
+  /// Async-signal-safe: one write(2) of one byte; a full pipe already
+  /// guarantees a pending wakeup.
+  void wake() const noexcept;
+  void drain() const noexcept;
+
+ private:
+  OwnedFd read_;
+  OwnedFd write_;
 };
 
 }  // namespace ocep::net

@@ -162,4 +162,30 @@ ParseStatus parse_reverse_frame(std::string_view buf, std::size_t& pos,
   return ParseStatus::kDone;
 }
 
+ParseStatus parse_http_request(std::string_view buf, std::size_t& pos,
+                               std::size_t max_head, HttpRequest& out) {
+  const std::string_view pending = buf.substr(pos);
+  const std::size_t head_end = pending.find("\r\n\r\n");
+  if (head_end == std::string_view::npos) {
+    return pending.size() > max_head ? ParseStatus::kError
+                                     : ParseStatus::kNeedMore;
+  }
+  const std::string_view line = pending.substr(0, pending.find("\r\n"));
+  const std::size_t sp1 = line.find(' ');
+  const std::size_t sp2 =
+      sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos) {
+    return ParseStatus::kError;
+  }
+  const std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  const std::size_t query = target.find('?');
+  out.method = std::string(line.substr(0, sp1));
+  out.path = std::string(target.substr(0, query));
+  out.query = query == std::string_view::npos
+                  ? std::string()
+                  : std::string(target.substr(query + 1));
+  pos += head_end + 4;
+  return ParseStatus::kDone;
+}
+
 }  // namespace ocep::net

@@ -110,4 +110,21 @@ enum class ParseStatus : std::uint8_t {
                                               ReverseFrame& out,
                                               std::string& error);
 
+// --- admin planes: one HTTP/1.0 request per connection -----------------
+
+struct HttpRequest {
+  std::string method;
+  std::string path;   ///< the target up to any '?'
+  std::string query;  ///< the target after the '?', undecoded
+};
+
+/// Parses a request head (request line, headers, blank line) at
+/// buf[pos..), skipping the headers.  kNeedMore until the blank line
+/// arrives; kError when the head outgrows `max_head` bytes or the request
+/// line is not "METHOD TARGET VERSION".
+[[nodiscard]] ParseStatus parse_http_request(std::string_view buf,
+                                             std::size_t& pos,
+                                             std::size_t max_head,
+                                             HttpRequest& out);
+
 }  // namespace ocep::net

@@ -1,19 +1,16 @@
 #include "net/server.h"
 
-#include <fcntl.h>
 #include <sys/epoll.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <ctime>
 #include <future>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "common/error.h"
+#include "net/protocol.h"
 #include "net/shard.h"
 
 namespace ocep::net {
@@ -24,6 +21,13 @@ namespace {
 /// only stalls this long when one tenant's arrival wedges its reactor.
 constexpr std::chrono::seconds kShardReplyDeadline{2};
 
+/// Rebalancer hysteresis: the hottest shard must exceed the mean shard
+/// load by this factor before anything moves (guards against noise
+/// churn).
+constexpr double kRebalanceHysteresis = 1.25;
+/// Migrations per rebalance cycle.
+constexpr std::size_t kRebalanceBudget = 4;
+
 }  // namespace
 
 Server::Server(ServerConfig config) : config_(std::move(config)) {
@@ -33,7 +37,6 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
     const std::pair<const char*, bool> store_only[] = {
         {"spill_bytes", config_.spill_bytes != 0},
         {"pool_bytes", config_.pool_bytes != 0},
-        {"compact_ratio", config_.compact_ratio > 0.0},
         {"replicate_host", !config_.replicate_host.empty()},
     };
     for (const auto& [field, set] : store_only) {
@@ -58,14 +61,12 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   const bool reuseport = config_.shards > 1;
   // Shard 0 binds first so an ephemeral port request resolves once; the
   // siblings then join the same port via SO_REUSEPORT.
-  shards_.push_back(std::make_unique<Shard>(config_, 0, config_.shards,
-                                            config_.port, reuseport,
-                                            tenant_total_, *placement_));
+  shards_.push_back(std::make_unique<Shard>(
+      config_, 0, config_.port, reuseport, tenant_total_, *placement_));
   const std::uint16_t ingest_port = shards_[0]->port();
   for (std::size_t i = 1; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config_, i, config_.shards,
-                                              ingest_port, reuseport,
-                                              tenant_total_, *placement_));
+    shards_.push_back(std::make_unique<Shard>(
+        config_, i, ingest_port, reuseport, tenant_total_, *placement_));
   }
   std::vector<Shard*> peers;
   peers.reserve(shards_.size());
@@ -79,50 +80,26 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   // record it holds but does not own must not race a sibling that still
   // needs to read that copy.
   for (const auto& shard : shards_) {
-    shard->settle_store();
+    shard->host().settle_store();
   }
 
   admin_ = std::make_unique<Listener>(config_.host, config_.admin_port);
-  int pipe_fds[2];
-  if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
-    throw NetError("pipe2(wake): " + std::string(std::strerror(errno)));
-  }
-  wake_read_ = pipe_fds[0];
-  wake_write_ = pipe_fds[1];
-  poller_.add(wake_read_, EPOLLIN, kTagWake);
+  poller_.add(wake_.fd(), EPOLLIN, kTagWake);
   poller_.add(admin_->fd(), EPOLLIN, kTagAdmin);
-  clock_ms_ = now_ms();
+  clock_ms_ = monotonic_ms();
 }
 
-Server::~Server() {
-  if (wake_read_ >= 0) {
-    ::close(wake_read_);
-  }
-  if (wake_write_ >= 0) {
-    ::close(wake_write_);
-  }
-}
+Server::~Server() = default;
 
 std::uint16_t Server::port() const noexcept { return shards_[0]->port(); }
 std::uint16_t Server::admin_port() const noexcept { return admin_->port(); }
-
-std::uint64_t Server::now_ms() noexcept {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000U +
-         static_cast<std::uint64_t>(ts.tv_nsec) / 1000000U;
-}
 
 void Server::request_shutdown() noexcept {
   for (const auto& shard : shards_) {
     shard->request_stop();
   }
   stop_.store(true, std::memory_order_release);
-  if (wake_write_ >= 0) {
-    const char byte = 'q';
-    // Best effort: a full pipe already guarantees a pending wakeup.
-    [[maybe_unused]] const ssize_t rc = ::write(wake_write_, &byte, 1);
-  }
+  wake_.wake();
 }
 
 std::uint64_t Server::counter_value(std::string_view key) const {
@@ -142,7 +119,7 @@ void Server::merge_metrics(obs::Registry& into) const {
 
 Tenant* Server::find_tenant(const std::string& name) {
   for (const auto& shard : shards_) {
-    if (Tenant* tenant = shard->find_tenant(name)) {
+    if (Tenant* tenant = shard->host().find_tenant(name)) {
       return tenant;
     }
   }
@@ -152,7 +129,7 @@ Tenant* Server::find_tenant(const std::string& name) {
 std::size_t Server::tenant_count() const noexcept {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->tenant_count();
+    total += shard->host().tenant_count();
   }
   return total;
 }
@@ -214,16 +191,13 @@ void Server::run_admin() {
   std::vector<Poller::Event> events;
   while (!stop_.load(std::memory_order_acquire)) {
     const std::size_t n = poller_.wait(events, timeout_ms);
-    clock_ms_ = now_ms();
+    clock_ms_ = monotonic_ms();
     for (std::size_t i = 0; i < n; ++i) {
       const Poller::Event& ev = events[i];
       switch (ev.tag) {
-        case kTagWake: {
-          char sink[64];
-          while (::read(wake_read_, sink, sizeof(sink)) > 0) {
-          }
+        case kTagWake:
+          wake_.drain();
           break;
-        }
         case kTagAdmin:
           accept_admin();
           break;
@@ -292,34 +266,22 @@ void Server::on_admin_event(std::uint64_t id, std::uint32_t events) {
 }
 
 void Server::advance_admin(Conn& conn) {
-  const std::string_view pending = conn.pending();
-  const std::size_t head_end = pending.find("\r\n\r\n");
-  if (head_end == std::string_view::npos) {
-    if (pending.size() > Conn::kMaxPrefaceBytes) {
+  std::size_t head_end = conn.rpos();
+  HttpRequest request;
+  switch (parse_http_request(conn.rbuf(), head_end, Conn::kMaxPrefaceBytes,
+                             request)) {
+    case ParseStatus::kNeedMore:
+      return;
+    case ParseStatus::kError:
       conn.set_state(ConnState::kClosed);
-    }
-    return;
+      return;
+    case ParseStatus::kDone:
+      break;
   }
-  const std::string_view head = pending.substr(0, head_end);
-  const std::size_t line_end = head.find("\r\n");
-  const std::string_view line =
-      line_end == std::string_view::npos ? head : head.substr(0, line_end);
-  const std::size_t sp1 = line.find(' ');
-  const std::size_t sp2 =
-      sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
-  const std::string method(sp1 == std::string_view::npos ? line
-                                                         : line.substr(0, sp1));
-  std::string path(
-      sp1 == std::string_view::npos || sp2 == std::string_view::npos
-          ? std::string_view{}
-          : line.substr(sp1 + 1, sp2 - sp1 - 1));
-  conn.consume(head_end + 4);
-
-  std::string query;
-  if (const std::size_t qpos = path.find('?'); qpos != std::string::npos) {
-    query = path.substr(qpos + 1);
-    path.resize(qpos);
-  }
+  conn.consume(head_end - conn.rpos());
+  const std::string& method = request.method;
+  const std::string& path = request.path;
+  const std::string& query = request.query;
 
   if (method == "GET" && path == "/metrics") {
     respond_http(conn, 200, "text/plain; version=0.0.4",
@@ -330,21 +292,15 @@ void Server::advance_admin(Conn& conn) {
       respond_http(conn, 503, "application/json",
                    "{\"error\":\"shard did not answer\"}\n");
     } else {
-      respond_http(conn, 200, "application/json", std::move(body));
+      respond_http(conn, 200, "application/json", body);
     }
   } else if (method == "POST" && path == "/checkpoint") {
     if (config_.store_dir.empty()) {
       respond_http(conn, 409, "application/json",
                    "{\"error\":\"no store_dir\"}\n");
     } else {
-      const long written = checkpoint_live();
-      if (written < 0) {
-        respond_http(conn, 503, "application/json",
-                     "{\"error\":\"shard did not answer\"}\n");
-      } else {
-        respond_http(conn, 200, "application/json",
-                     "{\"written\":" + std::to_string(written) + "}\n");
-      }
+      const auto [code, body] = checkpoint_live();
+      respond_http(conn, code, "application/json", body);
     }
   } else if (method == "POST" && path == "/rebalance") {
     // Plain POST runs one scoring + migration cycle; ?tenant=X&to=N
@@ -402,25 +358,10 @@ void Server::advance_admin(Conn& conn) {
   }
 }
 
-void Server::respond_http(Conn& conn, int code,
-                          const std::string& content_type, std::string body) {
-  const char* reason = code == 200   ? "OK"
-                       : code == 404 ? "Not Found"
-                       : code == 409 ? "Conflict"
-                       : code == 503 ? "Service Unavailable"
-                                     : "Error";
-  std::string response = "HTTP/1.0 " + std::to_string(code) + " " + reason +
-                         "\r\nContent-Type: " + content_type +
-                         "\r\nContent-Length: " + std::to_string(body.size()) +
-                         "\r\nConnection: close\r\n\r\n";
-  response += body;
-  if (!conn.queue_write(std::move(response))) {
+void Server::respond_http(Conn& conn, int code, std::string_view content_type,
+                          std::string_view body) {
+  if (!conn.respond_http(code, content_type, body)) {
     registry_.counter("net.write_overflow").add(1);
-    conn.set_state(ConnState::kClosed);
-    return;
-  }
-  if (conn.state() != ConnState::kClosed) {
-    conn.set_state(ConnState::kClosing);
   }
 }
 
@@ -447,7 +388,8 @@ std::string Server::healthz_json() {
       replies.push_back(promise->get_future());
       Shard* raw = shard.get();
       shard->post([promise, raw] {
-        promise->set_value({raw->healthz_rows(), raw->healthz_shard_json(),
+        promise->set_value({raw->host().healthz_rows(),
+                            raw->healthz_shard_json(),
                             raw->connection_count()});
       });
     }
@@ -463,7 +405,7 @@ std::string Server::healthz_json() {
     }
   } else {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      rows[i] = shards_[i]->healthz_rows();
+      rows[i] = shards_[i]->host().healthz_rows();
       status[i] = shards_[i]->healthz_shard_json();
       connections += shards_[i]->connection_count();
     }
@@ -492,28 +434,35 @@ std::string Server::healthz_json() {
   return out.str();
 }
 
-long Server::checkpoint_live() {
+std::pair<int, std::string> Server::checkpoint_live() {
   // Called only by the admin plane inside run(): each shard owns its
   // store, so the commit runs on the shard's own thread.
-  std::vector<std::future<std::size_t>> replies;
+  using Reply = std::optional<std::size_t>;
+  std::vector<std::future<Reply>> replies;
   replies.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    auto promise = std::make_shared<std::promise<std::size_t>>();
+    auto promise = std::make_shared<std::promise<Reply>>();
     replies.push_back(promise->get_future());
     Shard* raw = shard.get();
-    shard->post([promise, raw] { promise->set_value(raw->checkpoint()); });
+    shard->post([promise, raw] { promise->set_value(raw->host().checkpoint()); });
   }
-  long written = 0;
+  std::size_t written = 0;
+  bool failed = false;
   for (auto& reply : replies) {
     if (reply.wait_for(kShardReplyDeadline) != std::future_status::ready) {
-      return -1;
+      return {503, "{\"error\":\"shard did not answer\"}\n"};
     }
-    written += static_cast<long>(reply.get());
+    const Reply committed = reply.get();
+    failed = failed || !committed;
+    written += committed.value_or(0);
   }
   if (!placement_->save_file(config_.store_dir)) {
     registry_.counter("net.placement_save_errors").add(1);
   }
-  return written;
+  if (failed) {
+    return {503, "{\"error\":\"store commit failed\"}\n"};
+  }
+  return {200, "{\"written\":" + std::to_string(written) + "}\n"};
 }
 
 bool Server::migrate_tenant(const std::string& name, std::size_t target) {
@@ -542,7 +491,7 @@ std::size_t Server::rebalance_cycle() {
   if (shard_count < 2) {
     return 0;
   }
-  const std::uint64_t now = now_ms();
+  const std::uint64_t now = monotonic_ms();
 
   // Score: per-tenant byte rate over the window since the last cycle
   // (cumulative counters survive migration — each shard registry keeps
@@ -587,7 +536,7 @@ std::size_t Server::rebalance_cycle() {
   const double mean = sum / static_cast<double>(shard_count);
   // Hysteresis + an absolute imbalance floor: an idle or already-even
   // daemon must not churn tenants over measurement noise.
-  if (loads[hottest] < mean * config_.rebalance_hysteresis ||
+  if (loads[hottest] < mean * kRebalanceHysteresis ||
       loads[hottest] - loads[coldest] <=
           static_cast<double>(config_.rebalance_min_rate)) {
     return 0;
@@ -600,7 +549,7 @@ std::size_t Server::rebalance_cycle() {
             });
   std::size_t moves = 0;
   for (const Candidate& candidate : candidates) {
-    if (moves >= config_.rebalance_budget || loads[hottest] <= mean) {
+    if (moves >= kRebalanceBudget || loads[hottest] <= mean) {
       break;
     }
     if (candidate.shard != hottest || candidate.rate == 0) {
@@ -646,37 +595,9 @@ std::size_t Server::rebalance_cycle() {
 
 void Server::settle_admin(std::uint64_t id) {
   const auto it = conns_.find(id);
-  if (it == conns_.end()) {
-    return;
-  }
-  Conn& conn = *it->second;
-  if (conn.state() == ConnState::kClosed) {
+  if (it != conns_.end() && it->second->settle(poller_)) {
     close_admin(id);
-    return;
   }
-  switch (conn.flush_writes()) {
-    case IoStatus::kOk:
-      want_epollout(conn, false);
-      if (conn.state() == ConnState::kClosing) {
-        close_admin(id);
-      }
-      break;
-    case IoStatus::kWouldBlock:
-      want_epollout(conn, true);
-      break;
-    case IoStatus::kEof:
-    case IoStatus::kError:
-      close_admin(id);
-      break;
-  }
-}
-
-void Server::want_epollout(Conn& conn, bool want) {
-  if (want == conn.epollout_armed) {
-    return;
-  }
-  poller_.mod(conn.fd(), want ? (EPOLLIN | EPOLLOUT) : EPOLLIN, conn.id());
-  conn.epollout_armed = want;
 }
 
 void Server::close_admin(std::uint64_t id) {
@@ -693,7 +614,7 @@ void Server::close_admin(std::uint64_t id) {
 }
 
 void Server::sweep_admin_timers() {
-  clock_ms_ = now_ms();
+  clock_ms_ = monotonic_ms();
   if (config_.idle_timeout_ms == 0) {
     return;
   }

@@ -1,15 +1,15 @@
 // The serving daemon: N reactor shards for the ingest plane plus an
 // admin-plane reactor on the run() caller's thread.
 //
-// Each shard (src/net/shard.h) is the PR-5 single-threaded epoll loop —
-// it owns its listener, connections, tenants, and a private metrics
-// registry, so the per-tenant Monitor + SessionClient remain
-// single-threaded and lock-free at any shard count.  Tenants are placed
-// by a stable affinity hash (shard_for); connections accepted by the
-// wrong shard migrate at handshake time, before the ack is sent, so
-// producers never observe the hop.  With shards == 1 the daemon behaves
-// exactly like the original single-reactor server (no SO_REUSEPORT, one
-// loop, same timings).
+// Each shard (src/net/shard.h) is a single-threaded epoll loop that owns
+// its listener, connections, a private metrics registry and a socket-free
+// TenantHost (src/net/tenant_host.h) holding its tenants and store, so
+// the per-tenant Monitor + SessionClient remain single-threaded and
+// lock-free at any shard count.  Tenants are placed by a stable affinity
+// hash (shard_for); connections accepted by the wrong shard migrate at
+// handshake time, before the ack is sent, so producers never observe the
+// hop.  With shards == 1 the daemon behaves exactly like the original
+// single-reactor server (no SO_REUSEPORT, one loop, same timings).
 //
 // Planes:
 //   ingest (config.port)   — handshake envelope, then raw session frames
@@ -22,15 +22,15 @@
 //
 // Durability: the segment-log store (config.store_dir) is the only way
 // tenant state reaches disk.  Without it the daemon keeps everything in
-// RAM, and the store-only settings (spill, span pool, compaction,
-// replication) are refused at construction.
+// RAM, and the store-only settings (spill, span pool, replication) are
+// refused at construction.
 //
 // Shutdown: request_shutdown() is async-signal-safe (atomic flags + one
 // byte down each reactor's self-pipe).  Every shard group-commits its
 // store log and closes its connections; the admin loop then joins the
-// shard threads, saves placement.map and run() returns.  Tenants are
-// retained after run() so embedders and tests can inspect final monitor
-// state.
+// shard threads, saves placement.map if it changed, and run() returns.
+// Tenants are retained after run() so embedders and tests can inspect
+// final monitor state.
 #pragma once
 
 #include <atomic>
@@ -42,6 +42,7 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/conn.h"
@@ -94,10 +95,11 @@ struct ServerConfig {
   /// Byte budget for resident detached tenant state (0 = off).  Past it,
   /// the coldest finished detached tenants are written to the log and
   /// dropped from RAM; a reconnect reloads them transparently.  This,
-  /// pool_bytes, compact_ratio and replicate_host require store_dir.
+  /// pool_bytes and replicate_host require store_dir.
   std::uint64_t spill_bytes = 0;
-  /// A tenant whose deltas-since-base exceed this is re-based (one full
-  /// image append supersedes the delta chain); 0 disables re-basing.
+  /// A tenant whose deltas-since-base exceed this is re-based in the group
+  /// commit (one full image append supersedes the delta chain); 0
+  /// disables re-basing.
   std::uint64_t store_rebase_bytes = 1ULL << 20;
   /// Segment rotation threshold for the store's log files.
   std::size_t store_segment_bytes = std::size_t{4} << 20;
@@ -105,13 +107,9 @@ struct ServerConfig {
   /// Non-zero, with the store on, turns matcher history eviction into
   /// spill: evicted leaf-history spans append to the tenant's log as span
   /// records and fault back through the pool when a deep search needs
-  /// them.  0 keeps plain eviction (the pre-pool behaviour).
+  /// them, and a background compactor (store/compactor.h) relocates live
+  /// spans out of mostly-dead segments.  0 keeps plain eviction.
   std::uint64_t pool_bytes = 0;
-  /// Dead-byte ratio past which the background compactor rewrites a
-  /// sealed segment's live spans (store/compactor.h); > 0 also moves
-  /// store re-basing off the flush tick onto the compaction scheduler.
-  /// <= 0 disables the compactor (re-basing stays inline).
-  double compact_ratio = 0.0;
   /// Warm-standby target: every shard streams its segment log to this
   /// follower (empty host = replication off).  Requires store_dir.
   std::string replicate_host;
@@ -145,11 +143,6 @@ struct ServerConfig {
   /// by hash (recorded in the persisted placement override map).
   bool rebalance = false;
   std::uint64_t rebalance_interval_ms = 500;
-  /// Hysteresis: the hottest shard must exceed the mean shard load by
-  /// this factor before anything moves (guards against noise churn).
-  double rebalance_hysteresis = 1.25;
-  /// Migrations per rebalance cycle.
-  std::size_t rebalance_budget = 4;
   /// Minimum byte-rate gap (per interval) between the hottest and
   /// coldest shard before a cycle acts.
   std::uint64_t rebalance_min_rate = 16384;
@@ -235,21 +228,19 @@ class Server {
   static constexpr std::uint64_t kTagAdmin = 2;
   static constexpr std::uint64_t kFirstConnId = 16;
 
-  [[nodiscard]] static std::uint64_t now_ms() noexcept;
-
   void run_admin();
   void accept_admin();
   void on_admin_event(std::uint64_t id, std::uint32_t events);
   void advance_admin(Conn& conn);
-  void respond_http(Conn& conn, int code, const std::string& content_type,
-                    std::string body);
+  void respond_http(Conn& conn, int code, std::string_view content_type,
+                    std::string_view body);
   /// POST /checkpoint: every shard's group commit on its own thread,
-  /// then placement.map; returns the tenants committed, -1 when a shard
-  /// failed to answer within the deadline.
-  [[nodiscard]] long checkpoint_live();
+  /// then placement.map.  The status and JSON body to answer with: 200
+  /// and the tenants committed, or 503 when a shard did not answer within
+  /// the deadline or its commit failed.
+  [[nodiscard]] std::pair<int, std::string> checkpoint_live();
   [[nodiscard]] std::string metrics_prometheus() const;
   void settle_admin(std::uint64_t id);
-  void want_epollout(Conn& conn, bool want);
   void close_admin(std::uint64_t id);
   void sweep_admin_timers();
 
@@ -269,8 +260,7 @@ class Server {
 
   Poller poller_;
   std::unique_ptr<Listener> admin_;
-  int wake_read_ = -1;
-  int wake_write_ = -1;
+  WakePipe wake_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
 

@@ -1,15 +1,12 @@
 #include "net/standby.h"
 
-#include <fcntl.h>
 #include <sys/epoll.h>
-#include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 #include <vector>
 
+#include "net/protocol.h"
 #include "store/segment_log.h"
 
 namespace ocep::net {
@@ -22,7 +19,7 @@ constexpr std::uint64_t kFirstConnId = 16;
 constexpr std::uint64_t kMaxShardCount = 256;
 
 std::string shard_dir(const std::string& base, std::uint64_t index) {
-  // Must match the primary's layout (shard.cc) so a promoted standby's
+  // Must match the primary's layout (tenant_host.cc) so a promoted standby's
   // store opens as-is.
   return base + "/shard-" + std::to_string(index);
 }
@@ -35,42 +32,22 @@ Standby::Standby(StandbyConfig config)
   repl_listener_ = std::make_unique<Listener>(config_.host, config_.port);
   admin_listener_ =
       std::make_unique<Listener>(config_.host, config_.admin_port);
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
-    throw NetError("pipe2: " + std::string(std::strerror(errno)));
-  }
-  wake_read_ = pipe_fds[0];
-  wake_write_ = pipe_fds[1];
-  poller_.add(wake_read_, EPOLLIN, kTagWake);
+  poller_.add(wake_.fd(), EPOLLIN, kTagWake);
   poller_.add(repl_listener_->fd(), EPOLLIN, kTagRepl);
   poller_.add(admin_listener_->fd(), EPOLLIN, kTagAdmin);
-}
-
-Standby::~Standby() {
-  if (wake_read_ >= 0) {
-    ::close(wake_read_);
-  }
-  if (wake_write_ >= 0) {
-    ::close(wake_write_);
-  }
 }
 
 std::uint16_t Standby::port() const { return repl_listener_->port(); }
 std::uint16_t Standby::admin_port() const { return admin_listener_->port(); }
 
-void Standby::wake() {
-  const char byte = 'w';
-  static_cast<void>(::write(wake_write_, &byte, 1));
-}
-
 void Standby::request_shutdown() {
   shutdown_.store(true, std::memory_order_release);
-  wake();
+  wake_.wake();
 }
 
 void Standby::request_promote() {
   promote_.store(true, std::memory_order_release);
-  wake();
+  wake_.wake();
 }
 
 StandbyExit Standby::run() {
@@ -80,12 +57,9 @@ StandbyExit Standby::run() {
     poller_.wait(events, 500);
     for (const Poller::Event& ev : events) {
       switch (ev.tag) {
-        case kTagWake: {
-          char buf[64];
-          while (::read(wake_read_, buf, sizeof(buf)) > 0) {
-          }
+        case kTagWake:
+          wake_.drain();
           break;
-        }
         case kTagRepl:
           accept_repl();
           break;
@@ -124,7 +98,7 @@ StandbyExit Standby::run() {
 void Standby::accept_repl() {
   repl_listener_->accept_ready([this](OwnedFd fd) {
     const std::uint64_t id = next_conn_id_++;
-    poller_.add(fd.get(), EPOLLIN | EPOLLOUT, id);
+    poller_.add(fd.get(), EPOLLIN, id);
     auto conn = std::make_unique<Conn>(std::move(fd), id, ConnKind::kIngest);
     conn->set_state(ConnState::kStreaming);
     conns_.emplace(id, std::move(conn));
@@ -135,7 +109,7 @@ void Standby::accept_repl() {
 void Standby::accept_admin() {
   admin_listener_->accept_ready([this](OwnedFd fd) {
     const std::uint64_t id = next_conn_id_++;
-    poller_.add(fd.get(), EPOLLIN | EPOLLOUT, id);
+    poller_.add(fd.get(), EPOLLIN, id);
     conns_.emplace(id,
                    std::make_unique<Conn>(std::move(fd), id, ConnKind::kAdmin));
   });
@@ -177,39 +151,23 @@ void Standby::on_conn_event(std::uint64_t id, std::uint32_t events) {
     close_conn(id);
     return;
   }
-  if ((events & EPOLLOUT) != 0) {
-    if (conn.flush_writes() == IoStatus::kError) {
-      close_conn(id);
-      return;
+  if ((events & EPOLLIN) != 0) {
+    const IoStatus status = conn.fill();
+    if (conn.kind() == ConnKind::kAdmin) {
+      advance_admin(conn);
+    } else {
+      advance_repl(conn);
     }
-    if (conn.state() == ConnState::kClosing && !conn.write_pending()) {
-      close_conn(id);
-      return;
+    if (!conns_.contains(id)) {
+      return;  // advance closed it
+    }
+    if (status == IoStatus::kEof) {
+      conn.set_state(ConnState::kClosing);
+    } else if (status == IoStatus::kError) {
+      conn.set_state(ConnState::kClosed);
     }
   }
-  if ((events & EPOLLIN) == 0) {
-    return;
-  }
-  const IoStatus status = conn.fill();
-  if (conn.kind() == ConnKind::kAdmin) {
-    advance_admin(conn);
-  } else {
-    advance_repl(conn);
-  }
-  if (conns_.find(id) == conns_.end()) {
-    return;  // advance closed it
-  }
-  // Eager flush: queue_write only queues, and an edge-triggered EPOLLOUT
-  // never fires while the socket stays writable.
-  if (conn.write_pending() && conn.flush_writes() == IoStatus::kError) {
-    close_conn(id);
-    return;
-  }
-  if (status == IoStatus::kEof || status == IoStatus::kError) {
-    close_conn(id);
-    return;
-  }
-  if (conn.state() == ConnState::kClosing && !conn.write_pending()) {
+  if (conn.settle(poller_)) {
     close_conn(id);
   }
 }
@@ -363,21 +321,6 @@ bool Standby::dispatch_frame(Conn& conn, ReplConn& rc,
   return false;
 }
 
-void Standby::respond_http(Conn& conn, int code, const std::string& body) {
-  const char* reason = code == 200 ? "OK" : code == 404 ? "Not Found"
-                                                        : "Error";
-  std::string out = "HTTP/1.0 " + std::to_string(code) + " " + reason +
-                    "\r\nContent-Type: application/json\r\n"
-                    "Content-Length: " +
-                    std::to_string(body.size()) +
-                    "\r\nConnection: close\r\n\r\n" + body;
-  if (!conn.queue_write(std::move(out))) {
-    close_conn(conn.id());
-    return;
-  }
-  conn.set_state(ConnState::kClosing);
-}
-
 std::string Standby::healthz_json() const {
   std::string out = "{\"role\":\"standby\",\"shards\":[";
   bool first = true;
@@ -401,42 +344,32 @@ std::string Standby::healthz_json() const {
 }
 
 void Standby::advance_admin(Conn& conn) {
-  const std::string_view pending = conn.pending();
-  const std::size_t head_end = pending.find("\r\n\r\n");
-  if (head_end == std::string_view::npos) {
-    if (pending.size() > Conn::kMaxPrefaceBytes) {
+  std::size_t pos = conn.rpos();
+  HttpRequest request;
+  switch (parse_http_request(conn.rbuf(), pos, Conn::kMaxPrefaceBytes,
+                             request)) {
+    case ParseStatus::kNeedMore:
+      return;
+    case ParseStatus::kError:
       close_conn(conn.id());
-    }
-    return;
+      return;
+    case ParseStatus::kDone:
+      break;
   }
-  const std::string_view head = pending.substr(0, head_end);
-  const std::size_t line_end = head.find("\r\n");
-  const std::string_view line =
-      line_end == std::string_view::npos ? head : head.substr(0, line_end);
-  const std::size_t sp1 = line.find(' ');
-  const std::size_t sp2 =
-      sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
-  if (sp1 == std::string_view::npos || sp2 == std::string_view::npos) {
-    close_conn(conn.id());
-    return;
-  }
-  const std::string method(line.substr(0, sp1));
-  std::string path(line.substr(sp1 + 1, sp2 - sp1 - 1));
-  const std::size_t query = path.find('?');
-  if (query != std::string::npos) {
-    path.resize(query);
-  }
-  conn.consume(head_end + 4);
+  conn.consume(pos - conn.rpos());
 
-  if (method == "GET" && path == "/healthz") {
-    respond_http(conn, 200, healthz_json());
-  } else if (method == "GET" && path == "/metrics") {
-    respond_http(conn, 200, registry_.to_prometheus());
-  } else if (method == "POST" && path == "/promote") {
-    respond_http(conn, 200, "{\"promoting\":true}\n");
+  // A response that overflows the write queue leaves the connection
+  // closed, which the caller's settle reaps.
+  if (request.method == "GET" && request.path == "/healthz") {
+    conn.respond_http(200, "application/json", healthz_json());
+  } else if (request.method == "GET" && request.path == "/metrics") {
+    conn.respond_http(200, "text/plain; version=0.0.4",
+                      registry_.to_prometheus());
+  } else if (request.method == "POST" && request.path == "/promote") {
+    conn.respond_http(200, "application/json", "{\"promoting\":true}\n");
     promote_.store(true, std::memory_order_release);
   } else {
-    respond_http(conn, 404, "{\"error\":\"not found\"}\n");
+    conn.respond_http(404, "application/json", "{\"error\":\"not found\"}\n");
   }
 }
 

@@ -47,7 +47,6 @@ enum class StandbyExit : std::uint8_t {
 class Standby {
  public:
   explicit Standby(StandbyConfig config);
-  ~Standby();
 
   Standby(const Standby&) = delete;
   Standby& operator=(const Standby&) = delete;
@@ -74,7 +73,6 @@ class Standby {
     std::uint64_t records_base = 0;
   };
 
-  void wake();
   void accept_repl();
   void accept_admin();
   void on_conn_event(std::uint64_t id, std::uint32_t events);
@@ -82,7 +80,6 @@ class Standby {
   void advance_admin(Conn& conn);
   bool dispatch_frame(Conn& conn, ReplConn& rc, store::ReplFrameType type,
                       const std::string& payload);
-  void respond_http(Conn& conn, int code, const std::string& body);
   [[nodiscard]] std::string healthz_json() const;
   void close_conn(std::uint64_t id);
   void drop_shard(std::uint64_t shard_index);
@@ -91,8 +88,7 @@ class Standby {
   Poller poller_;
   std::unique_ptr<Listener> repl_listener_;
   std::unique_ptr<Listener> admin_listener_;
-  int wake_read_ = -1;
-  int wake_write_ = -1;
+  WakePipe wake_;
 
   std::uint64_t next_conn_id_;
   std::map<std::uint64_t, std::unique_ptr<Conn>> conns_;

@@ -18,6 +18,9 @@ namespace {
 // payloads, used to find the next frame boundary after corruption.
 constexpr char kMarker[2] = {'\xa7', '\x0c'};
 
+/// Events per SNAPSHOT frame.
+constexpr std::uint64_t kSnapshotChunk = 64;
+
 enum class Payload : std::uint8_t {
   kHello = 1,
   kEvent = 2,
@@ -104,9 +107,8 @@ void SessionServer::handle_resync(const ResyncRequest& request) {
     put_varint(payload, retained_.size());
     payload.push_back(finished_ ? '\1' : '\0');
     put_varint(payload, position);
-    const std::uint64_t count =
-        std::min<std::uint64_t>(config_.snapshot_chunk,
-                                retained_.size() - position);
+    const std::uint64_t count = std::min<std::uint64_t>(
+        kSnapshotChunk, retained_.size() - position);
     put_varint(payload, count);
     for (std::uint64_t i = 0; i < count; ++i) {
       append_event_body(payload, retained_[position + i]);

@@ -76,8 +76,6 @@ struct SessionConfig {
   /// Upper bound on one frame's payload; longer advertised lengths are
   /// treated as corruption.  Snapshots are chunked to respect it.
   std::uint32_t max_frame_payload = 1U << 16U;
-  /// Events per snapshot chunk frame.
-  std::uint32_t snapshot_chunk = 64;
   /// Ticks (feed/tick calls) a position gap may persist before the client
   /// requests a resync.
   std::uint64_t resync_grace = 8;

@@ -5,16 +5,7 @@
 
 namespace ocep::store {
 
-void Compactor::schedule_rebase(const std::string& tenant) {
-  if (rebase_queued_.insert(tenant).second) {
-    rebase_queue_.push_back(tenant);
-  }
-}
-
 bool Compactor::pick_segment() {
-  if (config_.dead_ratio <= 0.0) {
-    return false;
-  }
   const std::vector<SegmentUsage> usage = store_.log().segment_usage();
   // Prune bookkeeping for segments the log already collected.
   std::set<std::uint32_t> present;
@@ -50,35 +41,10 @@ bool Compactor::pick_segment() {
   return true;
 }
 
-bool Compactor::run_rebase() {
-  if (!rebase_fn_) {
-    return false;
-  }
-  while (!rebase_queue_.empty()) {
-    const std::string tenant = std::move(rebase_queue_.front());
-    rebase_queue_.pop_front();
-    if (rebase_fn_(tenant)) {
-      rebase_queued_.erase(tenant);
-      stats_.rebases_run += 1;
-      return true;
-    }
-    // Not rebasable right now (mid-migration, detached): retry later,
-    // behind everything already queued.
-    stats_.rebase_failures += 1;
-    rebase_queue_.push_back(tenant);
-    if (rebase_queue_.front() == tenant) {
-      return false;  // everything queued is stuck; yield
-    }
-  }
-  return false;
-}
-
 bool Compactor::tick() {
   stats_.ticks += 1;
-  bool worked = run_rebase();
-
   if (target_segment_ == 0 && !pick_segment()) {
-    return worked;
+    return false;
   }
   const std::vector<std::pair<std::string, SpanKey>> spans =
       store_.spans_in_segment(target_segment_, config_.quantum_spans);
@@ -87,7 +53,7 @@ bool Compactor::tick() {
     // rebase can retire, so stop re-picking this segment.
     barren_.insert(target_segment_);
     target_segment_ = 0;
-    return worked;
+    return false;
   }
   for (const auto& [tenant, key] : spans) {
     store_.relocate_span(tenant, key);
@@ -100,7 +66,7 @@ bool Compactor::tick() {
 }
 
 std::uint64_t Compactor::backlog() const {
-  return rebase_queue_.size() + (target_segment_ != 0 ? 1 : 0);
+  return target_segment_ != 0 ? 1 : 0;
 }
 
 void Compactor::quiesce() {

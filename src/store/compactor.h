@@ -1,6 +1,5 @@
-// Per-shard background compaction scheduler: the rebase + segment-rewrite
-// work that used to run inline on the flush tick, sliced into bounded
-// quanta the reactor runs between poll waits.
+// Per-shard background span compaction: segment rewriting sliced into
+// bounded quanta the reactor runs between poll waits.
 //
 // Not a thread.  The compactor is an incremental state machine driven by
 // tick() on the shard thread that owns the store, so it composes with the
@@ -8,21 +7,15 @@
 // migration freeze: quiesce() abandons the in-flight plan and the log is
 // untouched until the next tick.
 //
-// Two kinds of work:
-//   - span relocation: a sealed segment whose dead-byte ratio crosses the
-//     trigger gets its live span records rewritten at the log tail (spans
-//     are position-free — see tenant_store.h — so this is the only record
-//     type that is safe to relocate).  Once the segment's remaining live
-//     bytes are bases/deltas only, scheduled rebases supersede those and
-//     the log collects the fully-dead segment;
-//   - rebases: the owner enqueues tenants whose delta chain outgrew its
-//     threshold; tick() runs at most one per quantum through the rebase
-//     callback (which writes a fresh base and lets old records die).
+// A sealed segment whose dead-byte ratio crosses the trigger gets its
+// live span records rewritten at the log tail (spans are position-free —
+// see tenant_store.h — so this is the only record type that is safe to
+// relocate).  Once the segment's remaining live bytes are bases/deltas
+// only, the owner's inline re-bases (the group commit) supersede those
+// and the log collects the fully-dead segment.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <set>
 #include <string>
 
@@ -31,8 +24,7 @@
 namespace ocep::store {
 
 struct CompactorConfig {
-  /// Dead-byte ratio on a sealed segment that triggers span relocation;
-  /// <= 0 disables segment rewriting.
+  /// Dead-byte ratio on a sealed segment that triggers span relocation.
   double dead_ratio = 0.5;
   /// Spans relocated per tick — the yield quantum.
   std::size_t quantum_spans = 8;
@@ -42,32 +34,21 @@ struct CompactorStats {
   std::uint64_t ticks = 0;
   std::uint64_t spans_moved = 0;
   std::uint64_t segments_planned = 0;
-  std::uint64_t rebases_run = 0;
-  std::uint64_t rebase_failures = 0;
 };
 
 class Compactor {
  public:
-  /// Returns false when the tenant cannot be rebased right now (it is
-  /// re-enqueued and retried on a later tick).
-  using RebaseFn = std::function<bool(const std::string& tenant)>;
-
   Compactor(TenantStore& store, CompactorConfig config)
       : store_(store), config_(config) {}
 
   Compactor(const Compactor&) = delete;
   Compactor& operator=(const Compactor&) = delete;
 
-  void set_rebase_fn(RebaseFn fn) { rebase_fn_ = std::move(fn); }
-
-  /// Queues a tenant whose delta chain crossed the rebase threshold.
-  void schedule_rebase(const std::string& tenant);
-
   /// Runs one bounded quantum of work; returns true when anything was
   /// done (the owner keeps its poll timeout short while this is true).
   bool tick();
 
-  /// Pending work estimate: queued rebases + segments awaiting rewrite.
+  /// Pending work estimate: 1 while a segment rewrite is in flight.
   [[nodiscard]] std::uint64_t backlog() const;
 
   /// Abandons the in-flight plan (SIGTERM drain, migration freeze); the
@@ -80,14 +61,10 @@ class Compactor {
 
  private:
   [[nodiscard]] bool pick_segment();
-  [[nodiscard]] bool run_rebase();
 
   TenantStore& store_;
   CompactorConfig config_;
-  RebaseFn rebase_fn_;
-  std::deque<std::string> rebase_queue_;
-  std::set<std::string> rebase_queued_;  ///< dedup of rebase_queue_
-  std::uint32_t target_segment_ = 0;     ///< 0 = no rewrite in flight
+  std::uint32_t target_segment_ = 0;  ///< 0 = no rewrite in flight
   /// Sealed segments with no live spans left to move (their remaining
   /// live bytes are bases/deltas, which only rebases can retire) — never
   /// worth re-picking, since sealed segments gain no new records.

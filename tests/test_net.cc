@@ -18,6 +18,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -31,6 +32,8 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/shard.h"
+#include "net/tenant_host.h"
+#include "obs/metrics.h"
 #include "poet/dump.h"
 #include "random_computation.h"
 #include "testing/chaos_harness.h"
@@ -307,6 +310,97 @@ TEST(NetTenant, ImageLargerThanOneMiBRestoresByteIdentical) {
             saved.monitor_blob);
 }
 
+// The host half of the reactor split, driven without a socket, a thread
+// or a sleep: producer bytes come from a string, time is an argument.  A
+// tenant is attached, fed half its stream and committed; a host rebuilt
+// on the same store resumes it to the golden match set; detached and
+// past its linger, a commit spills it (spill_bytes = 1), and the next
+// attach reloads it and answers with the FIN.
+TEST(NetHost, AttachFeedCommitRestoreAndSpillWithoutSockets) {
+  const std::string dir =
+      ::testing::TempDir() + "ocep_net_host_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  constexpr std::uint64_t kHalf = 171;
+
+  // The producer's whole stream, and where event kHalf's frame starts.
+  StringPool pool;
+  const EventStore store = golden_store(pool);
+  struct StringSink final : ByteSink {
+    void write(std::string_view bytes) override { wire.append(bytes); }
+    std::string wire;
+  } sink;
+  std::vector<Symbol> names;
+  for (TraceId t = 0; t < store.trace_count(); ++t) {
+    names.push_back(store.trace_name(t));
+  }
+  SessionServer producer(sink, pool, names);
+  std::size_t half_bytes = 0;
+  for (std::uint64_t pos = 0; pos < store.event_count(); ++pos) {
+    if (pos == kHalf) {
+      half_bytes = sink.wire.size();
+    }
+    const EventId id = store.arrival(pos);
+    producer.write(store.event(id), store.clock(id));
+  }
+  producer.finish();
+  const std::string_view wire = sink.wire;
+
+  net::ServerConfig config;
+  config.store_dir = dir;
+  config.spill_bytes = 1;
+  config.detach_linger_ms = 50;
+  net::PlacementMap placement(1);
+  std::atomic<std::size_t> tenant_total{0};
+  obs::Registry registry;
+  net::HandshakeRequest request;
+  request.tenant = "host";
+  request.patterns = {golden_pattern()};
+  const auto nothing_attached = [](std::uint64_t, net::Outbox&) {
+    ADD_FAILURE() << "no tenant is attached";
+  };
+  const std::string clean_fin = net::encode_fin_frame(false, "");
+
+  {
+    net::TenantHost host(config, 0, placement, tenant_total, registry, 0);
+    ASSERT_EQ(host.attach(request, 1, 0).status, net::AckStatus::kFresh);
+    net::Outbox out;
+    ASSERT_TRUE(host.feed("host", wire.substr(0, half_bytes), 1, out));
+    EXPECT_FALSE(out.fin);
+    EXPECT_EQ(out.frames, "");
+    ASSERT_EQ(host.checkpoint(), std::optional<std::size_t>(1));
+  }  // gone mid-stream, as a crash right after the commit leaves it
+
+  net::TenantHost host(config, 0, placement, tenant_total, registry, 100);
+  const net::HandshakeAck ack = host.attach(request, 2, 100);
+  ASSERT_EQ(ack.status, net::AckStatus::kResumed) << ack.message;
+  EXPECT_EQ(ack.resume_position, kHalf);
+  net::Outbox out;
+  ASSERT_TRUE(host.feed("host", wire.substr(half_bytes), 101, out));
+  EXPECT_TRUE(out.fin);
+  EXPECT_EQ(out.frames, clean_fin);
+  net::Tenant* tenant = host.find_tenant("host");
+  ASSERT_NE(tenant, nullptr);
+  EXPECT_EQ(testing::match_signature(tenant->monitor(), 0), golden_clean());
+
+  host.detach("host", 2, 102);
+  host.tick(102 + config.detach_linger_ms, nothing_attached);
+  ASSERT_EQ(host.checkpoint(), std::optional<std::size_t>(1));
+  EXPECT_EQ(host.find_tenant("host"), nullptr);
+  EXPECT_EQ(host.tenant_count(), 1U);
+  EXPECT_EQ(registry.counter_value("net.tenants_spilled"), 1U);
+
+  ASSERT_EQ(host.attach(request, 3, 200).status, net::AckStatus::kResumed);
+  out = {};
+  ASSERT_TRUE(host.feed("host", {}, 200, out));
+  EXPECT_TRUE(out.fin);
+  EXPECT_EQ(out.frames, clean_fin);
+  EXPECT_EQ(registry.counter_value("net.tenants_unspilled"), 1U);
+  tenant = host.find_tenant("host");
+  ASSERT_NE(tenant, nullptr);
+  EXPECT_EQ(tenant->monitor().events_seen(), 342U);
+  EXPECT_EQ(testing::match_signature(tenant->monitor(), 0), golden_clean());
+}
+
 TEST(NetServe, SingleClientMatchesGolden) {
   ServerThread st(base_config());
   const net::StreamResult result =
@@ -541,15 +635,14 @@ TEST(NetServe, AdminPlaneServesMetricsAndHealth) {
   st.stop();
 }
 
-// spill_bytes, pool_bytes, compact_ratio and replicate_host act only on
-// the store; a daemon given one without store_dir refuses to start and
-// names the field, instead of silently running without it.
+// spill_bytes, pool_bytes and replicate_host act only on the store; a
+// daemon given one without store_dir refuses to start and names the
+// field, instead of silently running without it.
 TEST(NetServe, StoreOnlySettingsWithoutAStoreAreRefused) {
   using Set = void (*)(net::ServerConfig&);
   const std::pair<std::string, Set> cases[] = {
       {"spill_bytes", [](net::ServerConfig& c) { c.spill_bytes = 1; }},
       {"pool_bytes", [](net::ServerConfig& c) { c.pool_bytes = 1; }},
-      {"compact_ratio", [](net::ServerConfig& c) { c.compact_ratio = 0.5; }},
       {"replicate_host", [](net::ServerConfig& c) { c.replicate_host = "h"; }},
   };
   for (const auto& [field, set] : cases) {
@@ -1477,11 +1570,14 @@ TEST(NetStore, CrashImageRecoversPrefixAndResumesToGolden) {
 // not wait for.  With the timed commit pushed past the test:
 //  * without a store POST /checkpoint is refused (409), and GET is an
 //    unknown route (404) that commits nothing;
+//  * a POST whose commit hits a disk fault answers 503 and counts
+//    nothing; once the disk heals the next POST commits the same bytes;
 //  * POST answers only after every shard has appended and synced, so a
 //    copy of the store taken right after the answer — what a kill -9 at
 //    that instant leaves — restores every event released before it;
 //  * the second half of the stream reaches disk only through the
-//    shutdown's commit, and a restart restores all of it.
+//    shutdown's commit, and a restart restores all of it;
+//  * with no migration, neither commit writes placement.map.
 TEST(NetStore, PostCheckpointAndShutdownEachRunTheGroupCommit) {
   {
     ServerThread plain(base_config());
@@ -1499,11 +1595,19 @@ TEST(NetStore, PostCheckpointAndShutdownEachRunTheGroupCommit) {
   constexpr std::uint64_t kEvents = 342;
 
   std::atomic<std::uint64_t> released{0};
+  std::atomic<bool> disk_fault{false};
   net::ServerConfig config = store_config(dir);
   config.flush_interval_ms = 600000;  // no timed commit while the test runs
   config.detach_linger_ms = 10000;
   config.observe_hook = [&released](std::string_view, std::uint64_t) {
     released.fetch_add(1, std::memory_order_relaxed);
+  };
+  config.store_crash_hook = [&disk_fault](store::CrashEdge edge,
+                                          std::string_view detail) {
+    if (disk_fault.load(std::memory_order_relaxed) &&
+        edge == store::CrashEdge::kWrite && detail.rfind("pre:", 0) == 0) {
+      throw StoreError("injected EIO on append");
+    }
   };
   auto st = std::make_unique<ServerThread>(std::move(config));
   const std::uint16_t admin = st->server.admin_port();
@@ -1536,6 +1640,16 @@ TEST(NetStore, PostCheckpointAndShutdownEachRunTheGroupCommit) {
     EXPECT_EQ(get.rfind("HTTP/1.0 404", 0), 0U) << get;
     EXPECT_EQ(st->server.counter_value("net.checkpoints_written"), 0U);
 
+    disk_fault.store(true);
+    const std::string faulted = admin_request(admin, "POST", "/checkpoint");
+    EXPECT_EQ(faulted.rfind("HTTP/1.0 503", 0), 0U) << faulted;
+    EXPECT_NE(
+        faulted.find("\r\n\r\n{\"error\":\"store commit failed\"}\n"),
+        std::string::npos)
+        << faulted;
+    EXPECT_EQ(st->server.counter_value("net.checkpoints_written"), 0U);
+    disk_fault.store(false);
+
     const std::string post = admin_request(admin, "POST", "/checkpoint");
     EXPECT_EQ(post.rfind("HTTP/1.0 200", 0), 0U) << post;
     EXPECT_NE(post.find("\r\n\r\n{\"written\":1}\n"), std::string::npos)
@@ -1552,6 +1666,7 @@ TEST(NetStore, PostCheckpointAndShutdownEachRunTheGroupCommit) {
   }
   EXPECT_EQ(st->server.counter_value("net.checkpoints_written"), 2U);
   st.reset();
+  EXPECT_FALSE(fs_store::exists(dir + "/placement.map"));
 
   for (const auto& [root, events] :
        {std::pair{image, kHalf}, std::pair{dir, kEvents}}) {

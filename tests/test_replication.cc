@@ -433,6 +433,35 @@ TEST(ReplStandby, GoldenStreamReplicatesByteIdentical) {
   EXPECT_GT(report.bytes_compared, 0U);
 }
 
+// The standby's admin plane answers /metrics as Prometheus text, like the
+// primary's, with its own standby.* counters in it.
+TEST(ReplStandby, MetricsAreServedAsPrometheusText) {
+  const std::string primary_dir = temp_dir("metrics_p");
+  const std::string replica_dir = temp_dir("metrics_f");
+
+  net::StandbyConfig sc;
+  sc.store_dir = replica_dir;
+  StandbyThread sb(std::move(sc));
+
+  net::ServerConfig config = store_config(primary_dir);
+  config.replicate_host = "127.0.0.1";
+  config.replicate_port = sb.standby.port();
+  ServerThread st(std::move(config));
+
+  std::string metrics;
+  ASSERT_TRUE(wait_until([&] {
+    metrics = http_get(sb.standby.admin_port(), "/metrics");
+    return metrics.find("\nocep_standby_hellos ") != std::string::npos;
+  })) << metrics;
+  EXPECT_EQ(metrics.rfind("HTTP/1.0 200", 0), 0U) << metrics;
+  EXPECT_NE(metrics.find("\r\nContent-Type: text/plain; version=0.0.4\r\n"),
+            std::string::npos)
+      << metrics;
+
+  st.stop();
+  sb.stop();
+}
+
 // An unreachable follower must never degrade the serving path: the
 // primary retries with bounded backoff while tenants stream normally,
 // and a follower that appears later catches up from offset zero.
@@ -481,8 +510,8 @@ TEST(ReplStandby, UnreachableFollowerThenLateJoinCatchesUp) {
 }
 
 // The span storage tier on the primary — spills through the buffer pool,
-// rebases offloaded to the compactor, span relocation out of dead
-// segments, fully-dead segment collection — all happens as ordinary log
+// inline rebases, span relocation out of dead segments, fully-dead
+// segment collection — all happens as ordinary log
 // appends plus segment drops, which is exactly what the replication
 // stream carries.  A follower mirroring a compacting primary must
 // therefore converge byte-identically, and the tenant must still match
@@ -499,10 +528,9 @@ TEST(ReplStandby, CompactingPrimaryStaysDivergenceFree) {
   config.replicate_host = "127.0.0.1";
   config.replicate_port = sb.standby.port();
   // Aggressive span tier: tiny history cap so leaf histories spill,
-  // small segments and rebase threshold so the compactor has dead
-  // segments to rewrite and rebases to run while replication is live.
+  // small segments and rebase threshold so the group commit re-bases and
+  // the compactor has dead segments to rewrite while replication is live.
   config.pool_bytes = 64 << 10;
-  config.compact_ratio = 0.2;
   config.store_segment_bytes = 16 << 10;
   config.store_rebase_bytes = 2048;
   config.tenant.matcher.history_bytes_limit = 512;
@@ -513,10 +541,10 @@ TEST(ReplStandby, CompactingPrimaryStaysDivergenceFree) {
   ASSERT_TRUE(first.fin_received);
   EXPECT_FALSE(first.fin.degraded);
 
-  // The tier actually engaged: spans were spilled to the log and the
-  // compactor ran rebases off the flush tick.
+  // The tier actually engaged: spans were spilled to the log, the group
+  // commit re-based, and the compactor ticked.
   ASSERT_TRUE(wait_counter(st.server, "store.span_records", 1));
-  ASSERT_TRUE(wait_counter(st.server, "store.compaction_rebases", 1));
+  ASSERT_TRUE(wait_counter(st.server, "store.base_records", 1));
   ASSERT_TRUE(wait_counter(st.server, "store.compaction_ticks", 1));
   // Lag is fine mid-flight; divergence never is.  A segment the
   // compactor collects can vanish between the compare's directory scan

@@ -3,8 +3,7 @@
 //   ocep_served [--host H] [--port P] [--admin-port P] [--shards N]
 //               [--metrics] [--store-dir DIR]
 //               [--flush-interval-ms N] [--spill-bytes N]
-//               [--pool-bytes N] [--compact-ratio R]
-//               [--rebase-bytes N] [--idle-timeout-ms N]
+//               [--pool-bytes N] [--rebase-bytes N] [--idle-timeout-ms N]
 //               [--linger-ms N] [--max-tenant-bytes N]
 //               [--max-corrupt-frames N] [--max-tenants N] [--max-conns N]
 //               [--budget-steps N] [--budget-ns N] [--breaker-trip K]
@@ -22,13 +21,15 @@
 //
 // Durability (docs/ROBUSTNESS.md "Durability"): with --store-dir every
 // shard group-commits its tenants' input each --flush-interval-ms (and
-// at once on SIGINT/SIGTERM or POST /checkpoint), so a SIGKILL loses at
-// most one window, which the producer's resume heals, and a restart on
-// the same directory resumes mid-stream tenants exactly — even at a
-// different shard count.  Without it nothing reaches disk, and the
-// store-only flags (--spill-bytes, --pool-bytes, --compact-ratio,
-// --replicate-to) are refused.  Both ports are printed on stdout at
-// startup (pass 0 for ephemeral — handy under test harnesses).
+// at once on SIGINT/SIGTERM or POST /checkpoint, which answers 503 when
+// a commit failed), so a SIGKILL loses at most one window, which the
+// producer's resume heals, and a restart on the same directory resumes
+// mid-stream tenants exactly — even at a different shard count.  A
+// tenant whose delta chain outgrows --rebase-bytes is re-based in that
+// same commit.  Without --store-dir nothing reaches disk, and the
+// store-only flags (--spill-bytes, --pool-bytes, --replicate-to) are
+// refused.  Both ports are printed on stdout at startup (pass 0 for
+// ephemeral — handy under test harnesses).
 //
 // Warm-standby replication (docs/ROBUSTNESS.md "Replication"):
 // --replicate-to streams every shard's segment log to a follower daemon
@@ -101,13 +102,11 @@ int main(int argc, char** argv) {
     config.spill_bytes =
         static_cast<std::uint64_t>(flags.get_int("spill-bytes", 0));
     // Span storage tier (docs/ROBUSTNESS.md "Durability"): --pool-bytes
-    // budgets the shared buffer pool and turns matcher history eviction
-    // into span spill/fault-back; --compact-ratio enables the background
-    // compactor that rewrites dead segments and runs re-bases off the
-    // flush tick.  Both default off.
+    // budgets the shared buffer pool, turns matcher history eviction into
+    // span spill/fault-back, and starts the compactor that relocates live
+    // spans out of dead segments.  Default off.
     config.pool_bytes =
         static_cast<std::uint64_t>(flags.get_int("pool-bytes", 0));
-    config.compact_ratio = flags.get_double("compact-ratio", 0.0);
     config.store_rebase_bytes = static_cast<std::uint64_t>(
         flags.get_int("rebase-bytes", 1 << 20));
     config.idle_timeout_ms =
