@@ -14,6 +14,9 @@ namespace {
 
 constexpr std::string_view kTenantCkpMagic = "OCEPNTC2";
 constexpr std::size_t kMaxCheckpointPatterns = 1024;
+/// Ticks granted to a finalizing session before it is declared wedged
+/// (mirrors the chaos harness settle bound).
+constexpr std::uint64_t kSettleTicks = 65536;
 
 }  // namespace
 
@@ -54,8 +57,7 @@ void Tenant::TapSink::on_event(const Event& event, const VectorClock& clock) {
 void Tenant::build(const std::vector<std::string>& patterns) {
   patterns_ = patterns;
   pool_ = std::make_unique<StringPool>();
-  monitor_ =
-      std::make_unique<Monitor>(*pool_, config_.monitor, config_.storage);
+  monitor_ = std::make_unique<Monitor>(*pool_, config_.monitor);
   for (const std::string& pattern : patterns_) {
     monitor_->add_pattern(pattern, config_.matcher);
   }
@@ -121,8 +123,7 @@ void Tenant::finalize() {
     return;
   }
   session_->finish_input();
-  for (std::uint64_t i = 0; i < config_.settle_ticks && !session_->done();
-       ++i) {
+  for (std::uint64_t i = 0; i < kSettleTicks && !session_->done(); ++i) {
     session_->tick();
     transport_->pending.clear();  // nobody is attached to answer resyncs
   }

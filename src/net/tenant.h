@@ -49,10 +49,6 @@ struct TenantConfig {
   /// (docs/GOVERNANCE.md); defaults are the do-nothing configuration.
   MatcherConfig matcher;
   SessionConfig session;
-  ClockStorage storage = ClockStorage::kDense;
-  /// Ticks granted to a finalizing session before it is declared wedged
-  /// (mirrors the chaos harness settle bound).
-  std::uint64_t settle_ticks = 65536;
 };
 
 /// Test/bench hook: observes every event released into a tenant monitor,

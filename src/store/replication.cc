@@ -1,10 +1,8 @@
 #include "store/replication.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -241,7 +239,8 @@ std::uint64_t count_record_frames(std::string& pending,
 
 // --- ReplicaLog --------------------------------------------------------
 
-ReplicaLog::ReplicaLog(std::string dir) : dir_(std::move(dir)) {
+ReplicaLog::ReplicaLog(std::string dir, CrashHook crash_hook)
+    : dir_(std::move(dir)), crash_hook_(std::move(crash_hook)) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) {
@@ -257,25 +256,17 @@ ReplicaLog::~ReplicaLog() {
   }
 }
 
-std::string ReplicaLog::segment_path(std::uint32_t id) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "seg-%08u.log", id);
-  return dir_ + "/" + name;
-}
-
-void ReplicaLog::write_manifest() {
-  const std::string path = dir_ + "/manifest";
+void ReplicaLog::save_manifest() {
   if (ids_.empty()) {
-    ::unlink(path.c_str());
+    // A manifest always names at least one segment: an empty replica
+    // has none.
+    ::unlink(manifest_path(dir_).c_str());
     fsync_path(dir_);
     return;
   }
   // next id mirrors the primary's invariant: always max(ids) + 1, so the
   // manifest bytes match the primary's for the same segment set.
-  if (!write_file_durable(path,
-                          encode_manifest_file(ids_, ids_.back() + 1))) {
-    throw StoreError("replica manifest write failed", path, -1);
-  }
+  write_manifest(dir_, ids_, ids_.back() + 1, crash_hook_);
 }
 
 void ReplicaLog::wipe() {
@@ -283,31 +274,18 @@ void ReplicaLog::wipe() {
     ::close(fd_);
     fd_ = -1;
   }
-  ::unlink((dir_ + "/manifest").c_str());
-  ::unlink((dir_ + "/manifest.tmp").c_str());
-  fsync_path(dir_);
-  std::error_code ec;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir_, ec)) {
-    if (ec || !entry.is_regular_file()) {
-      continue;
-    }
-    if (parse_segment_file_name(entry.path().filename().string()) != 0) {
-      ::unlink(entry.path().string().c_str());
-    }
-  }
-  fsync_path(dir_);
   ids_.clear();
+  save_manifest();
+  remove_stale_files(dir_, ids_);
+  fsync_path(dir_);
   size_ = 0;
   dirty_ = false;
   pending_.clear();
 }
 
 void ReplicaLog::open_active_fd() {
-  const std::string path = segment_path(ids_.back());
-  fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd_ < 0) {
-    throw StoreError("cannot open replica segment for append", path, -1);
-  }
+  fd_ = reopen_segment(dir_, ids_.back());
+  const std::string path = segment_path(dir_, ids_.back());
   std::error_code ec;
   size_ = static_cast<std::uint64_t>(fs::file_size(path, ec));
   if (ec) {
@@ -323,9 +301,8 @@ void ReplicaLog::seal_active() {
   }
   // Seal durably before the successor exists, so a crash can only tear
   // the *last* segment — the one open() knows how to truncate.
-  if (dirty_ && ::fdatasync(fd_) != 0) {
-    throw StoreError("replica seal fdatasync failed",
-                     segment_path(ids_.back()), -1);
+  if (dirty_) {
+    sync_segment(fd_, dir_, crash_hook_);
   }
   ::close(fd_);
   fd_ = -1;
@@ -333,62 +310,30 @@ void ReplicaLog::seal_active() {
 }
 
 void ReplicaLog::open_existing() {
-  std::string manifest;
-  if (!read_whole_file(dir_ + "/manifest", manifest)) {
-    // No manifest: a fresh replica, or a crash mid-reset.  Either way
-    // segment files are dead bytes under manifest-is-truth.
+  // Recovery policy: the primary still holds every byte, so any local
+  // damage is wiped or truncated and re-shipped, never reported.  No
+  // manifest (a fresh replica, or a crash mid-reset) or a corrupt one
+  // leaves every segment file dead under manifest-is-truth.
+  std::uint32_t next_id = 0;
+  DecodeError error;
+  if (read_manifest(dir_, ids_, next_id, error) != FileStatus::kOk) {
     wipe();
     return;
   }
-  std::uint32_t next_id = 0;
-  if (DecodeError error; !decode_manifest_file(manifest, ids_, next_id,
-                                               error)) {
-    wipe();  // local damage; the primary will drive a full resync
-    return;
-  }
-  ::unlink((dir_ + "/manifest.tmp").c_str());
-  std::error_code ec;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir_, ec)) {
-    if (ec || !entry.is_regular_file()) {
-      continue;
-    }
-    const std::uint32_t id =
-        parse_segment_file_name(entry.path().filename().string());
-    if (id != 0 &&
-        std::find(ids_.begin(), ids_.end(), id) == ids_.end()) {
-      ::unlink(entry.path().string().c_str());
-    }
-  }
-  for (std::size_t i = 0; i < ids_.size(); ++i) {
-    const std::string path = segment_path(ids_[i]);
-    std::string data;
-    DecodeError error;
-    if (!read_whole_file(path, data) ||
-        !check_segment_header(data, ids_[i], error)) {
+  remove_stale_files(dir_, ids_);
+  std::string data;
+  for (const std::uint32_t id : ids_) {
+    if (read_segment(dir_, id, data, error) != FileStatus::kOk) {
       wipe();
       return;
     }
-    if (i + 1 == ids_.size()) {
-      // Truncate the torn tail of the active segment back to the last
-      // whole record frame; the primary resumes from exactly there.
-      std::uint64_t offset = kSegmentHeaderBytes;
-      Record scratch;
-      while (offset < data.size()) {
-        const std::uint64_t frame = try_parse_frame(data, offset, scratch);
-        if (frame == 0) {
-          break;
-        }
-        offset += frame;
-      }
-      if (offset < data.size()) {
-        stats_.torn_tail_bytes += data.size() - offset;
-        if (::truncate(path.c_str(), static_cast<off_t>(offset)) != 0) {
-          throw StoreError("replica torn-tail truncate failed", path,
-                           static_cast<std::int64_t>(offset));
-        }
-        fsync_path(path);
-      }
-    }
+  }
+  // `data` holds the active (last) segment.  Truncate its torn tail back
+  // to the last whole record frame; the primary resumes from there.
+  const FrameWalk walk = walk_frames(ids_.back(), data, nullptr);
+  if (walk.end < data.size()) {
+    stats_.torn_tail_bytes += data.size() - walk.end;
+    truncate_segment(dir_, ids_.back(), walk.end);
   }
   open_active_fd();
 }
@@ -398,8 +343,9 @@ std::vector<ReplSegmentState> ReplicaLog::state() const {
   out.reserve(ids_.size());
   for (const std::uint32_t id : ids_) {
     std::string data;
-    if (!read_whole_file(segment_path(id), data)) {
-      throw StoreError("replica segment unreadable", segment_path(id), -1);
+    if (!read_whole_file(segment_path(dir_, id), data)) {
+      throw StoreError("replica segment unreadable", segment_path(dir_, id),
+                       -1);
     }
     out.push_back({id, data.size(), crc32c(data)});
   }
@@ -413,69 +359,32 @@ void ReplicaLog::reset() {
 
 void ReplicaLog::open_segment(std::uint32_t id) {
   if (!ids_.empty() && id <= ids_.back()) {
-    throw StoreError("replica open_segment out of order", segment_path(id),
-                     -1);
+    throw StoreError("replica open_segment out of order",
+                     segment_path(dir_, id), -1);
   }
   seal_active();
-  const std::string path = segment_path(id);
-  fd_ = ::open(path.c_str(),
-               O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC, 0644);
-  if (fd_ < 0) {
-    throw StoreError("cannot create replica segment: " +
-                         std::string(std::strerror(errno)),
-                     path, -1);
-  }
-  const std::string header = encode_segment_header(id);
-  std::size_t written = 0;
-  while (written < header.size()) {
-    const ssize_t n =
-        ::write(fd_, header.data() + written, header.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw StoreError("replica segment header write failed", path, -1);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  // Header durable before the manifest names the segment — the same
-  // rotation contract as the primary's SegmentLog.
-  if (::fsync(fd_) != 0) {
-    throw StoreError("replica segment header fsync failed", path, -1);
-  }
-  fsync_path(dir_);
+  fd_ = create_segment(dir_, id, crash_hook_);
   ids_.push_back(id);
-  write_manifest();
   size_ = kSegmentHeaderBytes;
   dirty_ = false;
   pending_.clear();
+  save_manifest();
 }
 
 void ReplicaLog::append(std::uint32_t id, std::uint64_t offset,
                         std::string_view bytes) {
   if (ids_.empty() || id != ids_.back() || fd_ < 0) {
     throw StoreError("replica append to non-active segment",
-                     segment_path(id), -1);
+                     segment_path(dir_, id), -1);
   }
   if (offset != size_) {
     throw StoreError("replica append offset mismatch (have " +
                          std::to_string(size_) + ", got " +
                          std::to_string(offset) + ")",
-                     segment_path(id), static_cast<std::int64_t>(offset));
+                     segment_path(dir_, id),
+                     static_cast<std::int64_t>(offset));
   }
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd_, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw StoreError("replica append write failed", segment_path(id),
-                       static_cast<std::int64_t>(size_));
-    }
-    written += static_cast<std::size_t>(n);
-  }
+  write_fully(fd_, bytes, dir_, "append", crash_hook_);
   size_ += bytes.size();
   dirty_ = true;
   records_applied_ += count_record_frames(pending_, bytes);
@@ -486,7 +395,8 @@ void ReplicaLog::append(std::uint32_t id, std::uint64_t offset,
 void ReplicaLog::drop_segment(std::uint32_t id) {
   const auto pos = std::find(ids_.begin(), ids_.end(), id);
   if (pos == ids_.end()) {
-    throw StoreError("replica drop of unknown segment", segment_path(id), -1);
+    throw StoreError("replica drop of unknown segment",
+                     segment_path(dir_, id), -1);
   }
   const bool was_active = id == ids_.back();
   if (was_active && fd_ >= 0) {
@@ -494,8 +404,8 @@ void ReplicaLog::drop_segment(std::uint32_t id) {
     fd_ = -1;
   }
   ids_.erase(pos);
-  write_manifest();
-  ::unlink(segment_path(id).c_str());
+  save_manifest();
+  ::unlink(segment_path(dir_, id).c_str());
   fsync_path(dir_);
   if (was_active) {
     size_ = 0;
@@ -508,10 +418,7 @@ void ReplicaLog::drop_segment(std::uint32_t id) {
 
 void ReplicaLog::commit() {
   if (fd_ >= 0 && dirty_) {
-    if (::fdatasync(fd_) != 0) {
-      throw StoreError("replica commit fdatasync failed",
-                       segment_path(ids_.back()), -1);
-    }
+    sync_segment(fd_, dir_, crash_hook_);
     dirty_ = false;
   }
   stats_.commits += 1;
@@ -527,7 +434,7 @@ std::vector<std::pair<std::string, std::string>> log_dirs(
     const std::string& root) {
   std::vector<std::pair<std::string, std::string>> out;
   std::error_code ec;
-  if (fs::exists(root + "/manifest", ec)) {
+  if (fs::exists(manifest_path(root), ec)) {
     out.emplace_back(".", root);
     return out;
   }
@@ -552,18 +459,14 @@ void compare_logs(const std::string& dir_a, const std::string& dir_b,
   report.logs += 1;
   auto load = [&report](const std::string& dir,
                         std::vector<std::uint32_t>& ids) {
-    std::string manifest;
-    if (!read_whole_file(dir + "/manifest", manifest)) {
-      return true;  // empty store: vacuously a prefix of anything
-    }
     std::uint32_t next_id = 0;
-    if (DecodeError error; !decode_manifest_file(manifest, ids, next_id,
-                                                 error)) {
+    DecodeError error;
+    if (read_manifest(dir, ids, next_id, error) == FileStatus::kCorrupt) {
       report.issues.push_back(
-          {dir + "/manifest", "manifest: " + error.message});
+          {manifest_path(dir), "manifest: " + error.message});
       return false;
     }
-    return true;
+    return true;  // a missing manifest is an empty store: vacuously a prefix
   };
   std::vector<std::uint32_t> ids_a;
   std::vector<std::uint32_t> ids_b;
@@ -574,10 +477,8 @@ void compare_logs(const std::string& dir_a, const std::string& dir_b,
     if (std::find(ids_b.begin(), ids_b.end(), id) == ids_b.end()) {
       continue;  // lag or compaction skew, not divergence
     }
-    char name[32];
-    std::snprintf(name, sizeof(name), "seg-%08u.log", id);
-    const std::string path_a = dir_a + "/" + name;
-    const std::string path_b = dir_b + "/" + name;
+    const std::string path_a = segment_path(dir_a, id);
+    const std::string path_b = segment_path(dir_b, id);
     std::string data_a;
     std::string data_b;
     if (!read_whole_file(path_a, data_a)) {

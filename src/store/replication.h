@@ -127,14 +127,17 @@ struct ReplAck {
 
 // --- follower-side writer ---------------------------------------------
 
-/// The standby's mirror of one primary shard's log directory.  Applies
-/// the stream frames with the same durability discipline as SegmentLog
-/// (segment header fsynced before the manifest names it; manifest via
-/// tmp + fsync + rename + dir fsync), so a promoted replica replays
-/// exactly like a crash-restarted primary.  Self-healing: any local
-/// inconsistency found at open (corrupt manifest, bad header) wipes the
-/// directory — the primary's state verification then drives a full
-/// resync, which can never leave the follower divergent.
+/// The standby's mirror of one primary shard's log directory.  It writes
+/// through the same segment-directory functions as SegmentLog
+/// (store/segment_log.h) — segment header fsynced before the manifest
+/// names it, manifest via tmp + fsync + rename + dir fsync — and fires
+/// the same crash edges, so a promoted replica replays exactly like a
+/// crash-restarted primary.  Its recovery policy differs: the primary
+/// still holds every byte, so local damage is never reported.  A missing
+/// or corrupt manifest, or a bad segment header, wipes the directory; a
+/// torn active segment is truncated at its last whole record frame.  The
+/// primary's state verification then re-ships whatever is missing, which
+/// can never leave the follower divergent.
 class ReplicaLog {
  public:
   struct Stats {
@@ -147,7 +150,8 @@ class ReplicaLog {
 
   /// Opens (creating if absent) the replica directory and truncates any
   /// torn tail of the last segment back to a record-frame boundary.
-  explicit ReplicaLog(std::string dir);
+  /// `crash_hook` (test-only) sees every write, sync and rename edge.
+  explicit ReplicaLog(std::string dir, CrashHook crash_hook = {});
   ~ReplicaLog();
 
   ReplicaLog(const ReplicaLog&) = delete;
@@ -176,14 +180,14 @@ class ReplicaLog {
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
  private:
-  [[nodiscard]] std::string segment_path(std::uint32_t id) const;
-  void write_manifest();
+  void save_manifest();
   void open_existing();
   void wipe();
   void open_active_fd();
   void seal_active();
 
   std::string dir_;
+  CrashHook crash_hook_;
   std::vector<std::uint32_t> ids_;
   int fd_ = -1;          ///< active (last) segment, O_APPEND
   std::uint64_t size_ = 0;

@@ -22,7 +22,9 @@
 //     (tmp + fsync + rename + dir fsync).  A crash between the steps
 //     leaves only an empty orphan segment, removed at the next open;
 //   - the manifest is the root of truth: a segment it names must exist
-//     and parse (else StoreError), a segment file it does not name must
+//     and parse (else StoreError); a segment file it does not name is an
+//     orphan (a rotation or compaction the crash cut short) and is
+//     removed at open.  With no manifest at all, every segment file must
 //     be empty (else StoreError — records never vanish silently).
 //
 // Recovery (open of a rw log) replays every record through the caller's
@@ -31,6 +33,13 @@
 // are truncated and counted, never reported as an error.  The same
 // failure anywhere else — mid-log, or with a valid record following —
 // is corruption and throws a positioned StoreError.
+//
+// Each step of the format (file names, manifest read and write, segment
+// creation, the record-frame walk, the write/sync/read loops) is one
+// free function below the class.  SegmentLog, the follower's ReplicaLog
+// (store/replication.h), verify_log and compare_store_dirs all call
+// them, so the two writers fire the same crash edges; each caller keeps
+// its own recovery policy on top.
 //
 // Thread model: one owner thread (each reactor shard owns its own log).
 // The crash_hook fires before and after every write/fsync/rename so a
@@ -172,14 +181,11 @@ class SegmentLog {
   }
 
  private:
-  [[nodiscard]] std::string segment_path(std::uint32_t id) const;
-  void write_manifest();
   void open_or_create();
   void scan_segment(std::uint32_t id, bool last, const ScanCallback& on_scan);
-  void create_segment(std::uint32_t id);
+  void begin_segment(int fd);
   void rotate();
-  void full_write(std::string_view bytes, const char* what);
-  void hook(CrashEdge edge, const std::string& detail) const;
+  [[nodiscard]] std::uint64_t durable_size(std::uint32_t id) const;
 
   LogConfig config_;
   std::vector<std::uint32_t> segment_ids_;  ///< manifest order (ascending)
@@ -192,7 +198,7 @@ class SegmentLog {
   LogStats stats_;
 };
 
-// --- shared frame/manifest encoding (tenant_store + verify reuse) ------
+// --- the segment-directory format ------------------------------------
 
 constexpr std::string_view kManifestMagic = "OCEPMAN2";
 constexpr std::string_view kSegmentMagic = "OCEPSEG2";
@@ -207,40 +213,76 @@ struct DecodeError {
   std::int64_t offset = -1;
 };
 
-/// Serializes the record body (type | epoch | name | payload).
-[[nodiscard]] std::string encode_record_body(const Record& record);
+/// Outcome of reading a manifest or a segment file.
+enum class FileStatus : std::uint8_t { kOk, kMissing, kCorrupt };
 
-/// Parses a record body; false on malformed input (bad type, short name).
-[[nodiscard]] bool decode_record_body(std::string_view body, Record& out);
+/// <dir>/manifest
+[[nodiscard]] std::string manifest_path(const std::string& dir);
 
-/// Attempts to parse one frame at `offset` of `data` (a whole segment
-/// file in memory).  Returns the frame size (header + body) and fills
-/// `out` on success; 0 when the bytes do not form a valid record.
-[[nodiscard]] std::uint64_t try_parse_frame(std::string_view data,
-                                            std::uint64_t offset, Record& out);
+/// <dir>/seg-NNNNNNNN.log
+[[nodiscard]] std::string segment_path(const std::string& dir,
+                                       std::uint32_t id);
 
-/// Encodes a whole manifest file for `ids` in ascending order with
-/// `next_id` as the successor id.  Replication writes follower manifests
-/// through this so primary and follower manifests are byte-identical for
-/// the same segment set.
-[[nodiscard]] std::string encode_manifest_file(
-    const std::vector<std::uint32_t>& ids, std::uint32_t next_id);
+/// Reads and decodes <dir>/manifest: its segment ids (ascending, at
+/// least one) and the successor id.  kCorrupt sets `error`.
+[[nodiscard]] FileStatus read_manifest(const std::string& dir,
+                                       std::vector<std::uint32_t>& ids,
+                                       std::uint32_t& next_id,
+                                       DecodeError& error);
 
-/// Parses a manifest file; false (with `error` set) on any corruption.
-[[nodiscard]] bool decode_manifest_file(std::string_view file,
-                                        std::vector<std::uint32_t>& ids,
-                                        std::uint32_t& next_id,
-                                        DecodeError& error);
+/// Replaces <dir>/manifest durably (tmp + fsync + rename + dir fsync),
+/// firing the "manifest" and "manifest-dir" crash edges.  `ids` must be
+/// non-empty and ascending.  Throws StoreError.
+void write_manifest(const std::string& dir,
+                    const std::vector<std::uint32_t>& ids,
+                    std::uint32_t next_id, const CrashHook& hook);
 
-/// The segment file header for `id`.
-[[nodiscard]] std::string encode_segment_header(std::uint32_t id);
+/// Unlinks every segment file in `dir` that `ids` does not list, and a
+/// leftover manifest tmp file.
+void remove_stale_files(const std::string& dir,
+                        const std::vector<std::uint32_t>& ids);
 
-/// Checks that `data` (a segment file) starts with the header for `id`.
-[[nodiscard]] bool check_segment_header(std::string_view data,
-                                        std::uint32_t id, DecodeError& error);
+/// Creates segment `id` in `dir`: header write, header fsync, directory
+/// fsync, all before any manifest may name it.  Returns the file's
+/// O_APPEND descriptor.  Throws StoreError.
+[[nodiscard]] int create_segment(const std::string& dir, std::uint32_t id,
+                                 const CrashHook& hook);
 
-/// seg-NNNNNNNN.log -> id, or 0 when the name does not match the scheme.
-[[nodiscard]] std::uint32_t parse_segment_file_name(const std::string& name);
+/// Opens an existing segment file for appending.  Throws StoreError.
+[[nodiscard]] int reopen_segment(const std::string& dir, std::uint32_t id);
+
+/// Reads segment `id` of `dir` whole into `data` and checks its header.
+/// kCorrupt (a bad header) sets `error`.
+[[nodiscard]] FileStatus read_segment(const std::string& dir,
+                                      std::uint32_t id, std::string& data,
+                                      DecodeError& error);
+
+/// Where a walk over a segment's record frames stopped.
+struct FrameWalk {
+  std::uint64_t end = 0;     ///< where the last whole frame ends
+  bool valid_after = false;  ///< a valid frame starts somewhere past `end`
+};
+
+/// Walks the record frames of segment `id` (`data` is the whole file,
+/// header included), handing each record and its ref to `visit` (may be
+/// null).  end < data.size() means the bytes from `end` on do not parse:
+/// a torn tail when !valid_after, damage that would drop records if not.
+[[nodiscard]] FrameWalk walk_frames(std::uint32_t id, std::string_view data,
+                                    const SegmentLog::ScanCallback& visit);
+
+/// Truncates segment `id` of `dir` to `size` bytes and fsyncs it.
+/// Throws StoreError.
+void truncate_segment(const std::string& dir, std::uint32_t id,
+                      std::uint64_t size);
+
+/// Writes all of `bytes` to `fd`, retrying EINTR, between the "pre:" and
+/// "post:" kWrite edges named `step`.  Throws StoreError naming `file`.
+void write_fully(int fd, std::string_view bytes, const std::string& file,
+                 const char* step, const CrashHook& hook);
+
+/// fdatasync of a segment descriptor between the "segment" kSync edges.
+/// Throws StoreError naming `file`.
+void sync_segment(int fd, const std::string& file, const CrashHook& hook);
 
 // --- tolerant offline verification (ocep_inspect --store) --------------
 

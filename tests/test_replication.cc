@@ -219,12 +219,14 @@ bool stores_converged(const std::string& primary, const std::string& replica) {
   }
 }
 
-/// Minimal HTTP/1.0 GET against an admin port; empty string on any
+/// Minimal HTTP/1.0 request against an admin port; empty string on any
 /// connection failure (the caller polls).
-std::string http_get(std::uint16_t port, const std::string& path) {
+std::string http_request(std::uint16_t port, const std::string& method,
+                         const std::string& path) {
   try {
     net::OwnedFd fd = net::tcp_connect("127.0.0.1", port);
-    net::write_all(fd.get(), "GET " + path + " HTTP/1.0\r\n\r\n", 2000);
+    net::write_all(fd.get(), method + " " + path + " HTTP/1.0\r\n\r\n",
+                   2000);
     std::string out;
     char buf[4096];
     while (net::wait_readable(fd.get(), 2000)) {
@@ -238,6 +240,10 @@ std::string http_get(std::uint16_t port, const std::string& path) {
   } catch (const Error&) {
     return {};
   }
+}
+
+std::string http_get(std::uint16_t port, const std::string& path) {
+  return http_request(port, "GET", path);
 }
 
 // ===================================================================
@@ -932,6 +938,23 @@ TEST(ReplFailover, KillPrimaryPromoteFollowerClientsResume) {
   const net::StreamResult first = stream_golden(
       static_cast<std::uint16_t>(ingest_port), "failover", half);
   ASSERT_EQ(first.ack.status, net::AckStatus::kFresh) << first.ack.message;
+
+  // Make tenant input durable before the kill, not just the genesis
+  // record the handshake wrote: once the primary has released an event,
+  // POST /checkpoint commits every byte it has read.  A group commit that
+  // ran before the first event's bytes arrived would otherwise leave the
+  // follower a delta with no event to resume from.
+  ASSERT_TRUE(wait_until([&] {
+    const std::string health = http_get(
+        static_cast<std::uint16_t>(admin_port), "/healthz");
+    const std::size_t at = health.find("\"name\":\"failover\"");
+    const std::size_t events = health.find("\"events\":", at);
+    return at != std::string::npos && events != std::string::npos &&
+           std::strtoull(health.c_str() + events + 9, nullptr, 10) > 0;
+  }));
+  const std::string checkpoint = http_request(
+      static_cast<std::uint16_t>(admin_port), "POST", "/checkpoint");
+  ASSERT_NE(checkpoint.find("{\"written\":"), std::string::npos) << checkpoint;
 
   // Wait until everything the primary made durable is acked by the
   // follower: /healthz lag zero AND byte-identical store roots.

@@ -1,12 +1,13 @@
 // Durability-store suite (ctest -L store): the segment log's crash
 // contract, the recovery corpus (torn tails at every byte boundary,
-// bit flips, manifest damage, missing segments), tenant-record
-// semantics (base supersession, tombstones, orphan deltas, GC), the
-// span storage tier (span record semantics, buffer pool, compactor,
+// bit flips, manifest damage, missing segments), the follower log's
+// recovery corpus (wipe, truncate, re-ship), tenant-record semantics
+// (base supersession, tombstones, orphan deltas, GC), the span storage
+// tier (span record semantics, buffer pool, compactor,
 // spill-then-fault-back matcher equivalence), and fork-based
-// crash-point exhaustions that kill deterministic workloads at every
-// write/fsync/rename edge and prove the survivor is always a valid
-// prefix.
+// crash-point exhaustions that kill deterministic workloads (the
+// follower's included) at every write/fsync/rename edge and prove the
+// survivor is always a valid prefix.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -14,11 +15,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/durable.h"
 #include "common/error.h"
 #include "common/string_pool.h"
@@ -27,6 +30,7 @@
 #include "random_computation.h"
 #include "store/buffer_pool.h"
 #include "store/compactor.h"
+#include "store/replication.h"
 #include "store/segment_log.h"
 #include "store/tenant_store.h"
 #include "testing/chaos_harness.h"
@@ -142,6 +146,47 @@ TEST(SegmentLog, RotationPreservesOrderAcrossSegments) {
   for (int i = 0; i < kRecords; ++i) {
     EXPECT_EQ(seen[static_cast<std::size_t>(i)].payload,
               "payload-" + std::to_string(i));
+  }
+}
+
+TEST(SegmentLog, FailedRotationKeepsAppendsOnTheActiveSegment) {
+  const std::string dir = scratch_dir("rotate_fault");
+  // One disk fault while the successor's header is written: the append
+  // that triggered the rotation throws, every later append lands (the
+  // next one retries the rotation), and a reopen holds every record
+  // whose append returned.
+  std::vector<std::string> kept;
+  {
+    bool fail = false;
+    LogConfig config = log_config(dir);
+    config.segment_bytes = 64;  // every record seals its segment
+    config.crash_hook = [&fail](CrashEdge, std::string_view detail) {
+      if (fail && detail == "pre:segment-header") {
+        fail = false;
+        throw StoreError("injected EIO");
+      }
+    };
+    SegmentLog log(std::move(config), nullptr);
+    for (int i = 0; i < 5; ++i) {
+      fail = i == 1;
+      const std::string payload(40, static_cast<char>('a' + i));
+      try {
+        log.append(make_record(RecordType::kDelta, 1, "t", payload));
+        kept.push_back(payload);
+      } catch (const StoreError&) {
+        EXPECT_EQ(i, 1);
+      }
+    }
+    log.sync();
+  }
+  ASSERT_EQ(kept.size(), 4U);
+  std::vector<std::string> seen;
+  for (const Record& record : scan_all(log_config(dir))) {
+    seen.push_back(record.payload);
+  }
+  for (const std::string& payload : kept) {
+    EXPECT_NE(std::find(seen.begin(), seen.end(), payload), seen.end())
+        << "lost the record of '" << payload.front() << "'";
   }
 }
 
@@ -432,6 +477,336 @@ TEST(RecoveryCorpus, VerifyLogReportsWithoutThrowing) {
     positioned = positioned || (issue.fatal && issue.offset >= 0);
   }
   EXPECT_TRUE(positioned);
+}
+
+TEST(RecoveryCorpus, LogKeepsOneSegmentWhenEverythingIsDead) {
+  const std::string dir = scratch_dir("one_segment");
+  {
+    LogConfig config = log_config(dir);
+    config.segment_bytes = 64;  // every record seals its segment
+    SegmentLog log(std::move(config), nullptr);
+    const Record record =
+        make_record(RecordType::kDelta, 1, "t", std::string(60, 'x'));
+    std::vector<RecordRef> refs;
+    for (int i = 0; i < 4; ++i) {
+      refs.push_back(log.append(record));
+    }
+    log.sync();
+    for (const RecordRef& ref : refs) {
+      log.mark_dead(ref);
+    }
+    // Every sealed segment is collected; the active one never is.
+    ASSERT_EQ(log.segments().size(), 1U);
+    EXPECT_EQ(log.stats().segments_deleted, 4U);
+  }
+  LogConfig config = log_config(dir);
+  SegmentLog log(std::move(config), nullptr);
+  EXPECT_EQ(log.segments().size(), 1U);
+  EXPECT_TRUE(verify_log(dir).issues.empty());
+}
+
+// --- replica recovery corpus -------------------------------------------
+//
+// The follower's recovery policy differs from the primary's: any local
+// damage wipes or truncates the replica and lets the primary re-ship,
+// because the primary still holds every byte.  Each case mirrors a
+// multi-segment primary into a replica, damages the replica, reopens it,
+// and re-ships from the reopened state() to prove it converges.
+
+/// Every regular file in `dir` by name, with its bytes.
+std::map<std::string, std::string> dir_files(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  std::error_code ec;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+    if (entry.is_regular_file()) {
+      files[entry.path().filename().string()] =
+          read_file(entry.path().string());
+    }
+  }
+  return files;
+}
+
+/// Flips the bits of `mask` in the byte at `offset` of `path`.
+void flip_bits(const std::string& path, std::uintmax_t offset, char mask) {
+  std::string data = read_file(path);
+  data[offset] ^= mask;
+  write_file(path, data);
+}
+
+/// A synced primary log of three segments whose active one holds three
+/// records; `collect_first` also kills every record of segment 1, so
+/// the primary drops it from its manifest.
+void build_primary(const std::string& dir, bool collect_first = false) {
+  LogConfig config = log_config(dir);
+  config.segment_bytes = 96;
+  SegmentLog log(std::move(config), nullptr);
+  std::vector<RecordRef> refs;
+  for (int i = 0; i < 11; ++i) {
+    refs.push_back(log.append(make_record(RecordType::kDelta, 1, "t",
+                                          "record-" + std::to_string(i))));
+  }
+  log.sync();
+  ASSERT_EQ(log.segments().size(), 3U);
+  if (collect_first) {
+    for (const RecordRef& ref : refs) {
+      if (ref.segment == 1) {
+        log.mark_dead(ref);
+      }
+    }
+    ASSERT_EQ(log.segments().front().id, 2U);
+  }
+}
+
+/// Continues the replication stream from the replica's own state(), as
+/// the primary does after a handshake: a state that is a prefix of the
+/// primary resumes (drop what the primary collected, finish the active
+/// segment, open the rest); anything else, including an empty replica,
+/// is reset and re-shipped whole.  Appends go in `chunk`-byte pieces.
+/// True when it resumed.
+bool reship(const std::string& primary_dir, ReplicaLog& replica,
+            std::uint64_t chunk = 1U << 20U) {
+  LogConfig config = log_config(primary_dir);
+  config.read_only = true;
+  const SegmentLog primary(std::move(config), nullptr);
+  const std::vector<SegmentView> views = primary.segments();
+  const std::vector<ReplSegmentState> state = replica.state();
+  const auto primary_size = [&views](std::uint32_t id) -> std::int64_t {
+    for (const SegmentView& view : views) {
+      if (view.id == id) {
+        return static_cast<std::int64_t>(view.bytes);
+      }
+    }
+    return -1;
+  };
+  // Every primary segment up to the replica's last one must be held.
+  bool resume = !state.empty();
+  for (const SegmentView& view : views) {
+    bool held = false;
+    for (const ReplSegmentState& s : state) {
+      held = held || s.id == view.id;
+    }
+    resume = resume && (held || view.id > state.back().id);
+  }
+  for (std::size_t i = 0; resume && i < state.size(); ++i) {
+    const std::int64_t size = primary_size(state[i].id);
+    if (size < 0) {
+      resume = state[i].id < views.back().id;  // collected, not ahead
+      continue;
+    }
+    const bool last = i + 1 == state.size();
+    resume = static_cast<std::int64_t>(state[i].bytes) <= size &&
+             (last || static_cast<std::int64_t>(state[i].bytes) == size) &&
+             crc32c(primary.read_range(state[i].id, 0, state[i].bytes)) ==
+                 state[i].crc;
+  }
+  std::map<std::uint32_t, std::uint64_t> have;
+  if (resume) {
+    for (const ReplSegmentState& s : state) {
+      if (primary_size(s.id) < 0) {
+        replica.drop_segment(s.id);
+      } else {
+        have[s.id] = s.bytes;
+      }
+    }
+  } else {
+    replica.reset();
+  }
+  for (const SegmentView& view : views) {
+    if (!have.contains(view.id)) {
+      replica.open_segment(view.id);
+      have[view.id] = kSegmentHeaderBytes;
+    }
+    for (std::uint64_t at = have[view.id]; at < view.bytes; at += chunk) {
+      replica.append(view.id, at, primary.read_range(view.id, at, chunk));
+    }
+  }
+  replica.commit();
+  return resume;
+}
+
+/// Byte offsets (within its file) where each record frame of the
+/// primary's segment `id` ends.
+std::vector<std::uint64_t> frame_ends(const std::string& primary,
+                                      std::uint32_t id) {
+  std::vector<std::uint64_t> ends;
+  LogConfig config = log_config(primary);
+  config.read_only = true;
+  SegmentLog log(std::move(config),
+                 [&ends, id](const Record&, const RecordRef& ref) {
+                   if (ref.segment == id) {
+                     ends.push_back(ref.offset + ref.frame_bytes);
+                   }
+                 });
+  return ends;
+}
+
+TEST(ReplicaRecovery, MirrorIsByteIdenticalWithMatchingManifests) {
+  for (const bool collect_first : {false, true}) {
+    const std::string primary = scratch_dir("rr_mirror_p");
+    build_primary(primary, collect_first);
+    const std::string dir = scratch_dir("rr_mirror_f");
+    {
+      ReplicaLog replica(dir);
+      reship(primary, replica, 7);  // chunks split frames
+      EXPECT_EQ(replica.active_segment(), 3U);
+      EXPECT_EQ(replica.records_applied(), collect_first ? 7U : 11U);
+    }
+    // The follower's next id is max(id)+1, like the primary's, so the
+    // two manifests (and every segment) are byte-identical.
+    EXPECT_TRUE(dir_files(primary) == dir_files(dir))
+        << "collect_first=" << collect_first;
+    EXPECT_TRUE(compare_store_dirs(primary, dir).ok());
+    EXPECT_TRUE(verify_log(dir).issues.empty());
+  }
+}
+
+TEST(ReplicaRecovery, TornActiveSegmentAtEveryByteBoundaryHeals) {
+  const std::string primary = scratch_dir("rr_torn_p");
+  build_primary(primary);
+  const std::vector<std::uint64_t> ends = frame_ends(primary, 3);
+  ASSERT_EQ(ends.size(), 3U);
+  const std::string source = scratch_dir("rr_torn_src");
+  {
+    ReplicaLog replica(source);
+    reship(primary, replica);
+  }
+  const std::uint64_t full = fs::file_size(seg_path(source, 3));
+  ASSERT_EQ(full, ends.back());
+
+  const std::string work = scratch_dir("rr_torn_case");
+  for (std::uint64_t cut = 0; cut < full; ++cut) {
+    clone_dir(source, work);
+    fs::resize_file(seg_path(work, 3), cut);
+    std::uint64_t valid_end = kSegmentHeaderBytes;
+    for (const std::uint64_t end : ends) {
+      valid_end = end <= cut ? end : valid_end;
+    }
+    {
+      ReplicaLog replica(work);
+      if (cut < kSegmentHeaderBytes) {
+        // A cut inside the header is a bad header: the replica wipes.
+        EXPECT_TRUE(replica.state().empty()) << "cut at byte " << cut;
+        EXPECT_FALSE(fs::exists(work + "/manifest")) << "cut at byte " << cut;
+      } else {
+        // Truncated at the last whole frame, not a byte further.
+        EXPECT_EQ(replica.active_segment(), 3U) << "cut at byte " << cut;
+        EXPECT_EQ(replica.active_size(), valid_end) << "cut at byte " << cut;
+        EXPECT_EQ(fs::file_size(seg_path(work, 3)), valid_end)
+            << "cut at byte " << cut;
+        EXPECT_EQ(replica.stats().torn_tail_bytes, cut - valid_end)
+            << "cut at byte " << cut;
+      }
+    }
+    EXPECT_TRUE(compare_store_dirs(primary, work).ok())
+        << "cut at byte " << cut;
+    EXPECT_TRUE(verify_log(work).issues.empty()) << "cut at byte " << cut;
+
+    ReplicaLog replica(work);
+    reship(primary, replica);
+    EXPECT_TRUE(dir_files(primary) == dir_files(work))
+        << "cut at byte " << cut;
+  }
+}
+
+TEST(ReplicaRecovery, DamagedManifestOrHeaderWipesTheReplica) {
+  const std::string primary = scratch_dir("rr_wipe_p");
+  build_primary(primary);
+  const std::string source = scratch_dir("rr_wipe_src");
+  {
+    ReplicaLog replica(source);
+    reship(primary, replica);
+  }
+  const std::string work = scratch_dir("rr_wipe_case");
+  // Each damage, on a fresh copy: a manifest bit flip, no manifest, a
+  // bit flip in the sealed segment's header, one in the active's.
+  for (int damage = 0; damage < 4; ++damage) {
+    clone_dir(source, work);
+    const std::string manifest = work + "/manifest";
+    if (damage == 0) {
+      flip_bits(manifest, fs::file_size(manifest) - 1, 0x08);
+    } else if (damage == 1) {
+      fs::remove(manifest);
+    } else if (damage == 2) {
+      flip_bits(seg_path(work, 1), kSegmentHeaderBytes - 2, 0x01);
+    } else {
+      flip_bits(seg_path(work, 3), 3, 0x40);
+    }
+    {
+      ReplicaLog replica(work);
+      EXPECT_TRUE(replica.state().empty()) << "damage " << damage;
+      EXPECT_EQ(replica.active_segment(), 0U) << "damage " << damage;
+    }
+    // Wiped means no segment and no manifest left behind.
+    EXPECT_TRUE(dir_files(work).empty()) << "damage " << damage;
+    EXPECT_TRUE(verify_log(work).issues.empty()) << "damage " << damage;
+
+    ReplicaLog replica(work);
+    reship(primary, replica);
+    EXPECT_TRUE(dir_files(primary) == dir_files(work)) << "damage " << damage;
+  }
+}
+
+TEST(ReplicaRecovery, OpenRemovesOrphanSegmentAndStaleManifestTmp) {
+  const std::string primary = scratch_dir("rr_orphan_p");
+  build_primary(primary);
+  const std::string dir = scratch_dir("rr_orphan_f");
+  std::vector<ReplSegmentState> before;
+  {
+    ReplicaLog replica(dir);
+    reship(primary, replica);
+    before = replica.state();
+  }
+  // A crash after segment 4 was created but before the manifest named
+  // it, and a manifest write that died before its rename.
+  write_file(seg_path(dir, 4), read_file(seg_path(dir, 3)));
+  write_file(dir + "/manifest.tmp", "half a manifest");
+  ReplicaLog replica(dir);
+  EXPECT_FALSE(fs::exists(seg_path(dir, 4)));
+  EXPECT_FALSE(fs::exists(dir + "/manifest.tmp"));
+  const std::vector<ReplSegmentState> after = replica.state();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].id, before[i].id);
+    EXPECT_EQ(after[i].bytes, before[i].bytes);
+    EXPECT_EQ(after[i].crc, before[i].crc);
+  }
+  EXPECT_TRUE(dir_files(primary) == dir_files(dir));
+}
+
+TEST(ReplicaRecovery, DropActiveSegmentThenNoManifestAtZero) {
+  const std::string primary = scratch_dir("rr_drop_p");
+  build_primary(primary);
+  const std::string dir = scratch_dir("rr_drop_f");
+  {
+    ReplicaLog replica(dir);
+    reship(primary, replica);
+    ASSERT_EQ(replica.active_segment(), 3U);
+    // Dropping the active segment makes its predecessor active again,
+    // at its full size.
+    replica.drop_segment(3);
+    EXPECT_EQ(replica.active_segment(), 2U);
+    EXPECT_EQ(replica.active_size(), fs::file_size(seg_path(dir, 2)));
+    EXPECT_FALSE(fs::exists(seg_path(dir, 3)));
+    EXPECT_THROW(replica.append(3, kSegmentHeaderBytes, "x"), StoreError);
+  }
+  EXPECT_TRUE(compare_store_dirs(primary, dir).ok());
+  EXPECT_TRUE(verify_log(dir).issues.empty());
+  {
+    ReplicaLog replica(dir);
+    ASSERT_EQ(replica.state().size(), 2U);
+    EXPECT_EQ(replica.active_segment(), 2U);
+    replica.drop_segment(2);
+    replica.drop_segment(1);
+    EXPECT_TRUE(replica.state().empty());
+    EXPECT_EQ(replica.active_segment(), 0U);
+  }
+  // Zero segments: no manifest file at all (a manifest always names at
+  // least one segment).
+  EXPECT_TRUE(dir_files(dir).empty());
+  ReplicaLog replica(dir);
+  EXPECT_TRUE(replica.state().empty());
+  reship(primary, replica);
+  EXPECT_TRUE(dir_files(primary) == dir_files(dir));
 }
 
 // --- tenant record semantics -------------------------------------------
@@ -862,9 +1237,10 @@ TEST(CompactorTier, DrainsDeadSegmentsInBoundedQuanta) {
 
 // --- spill-then-fault-back matcher equivalence -------------------------
 
-/// The production sink shape (src/net/shard.cc) rebuilt on the test's
-/// own store + pool: spills append span records, faults load through
-/// the buffer pool, releases kill the record and drop the frame.
+/// The production sink shape (TenantHost::StoreSpanSink in
+/// src/net/tenant_host.cc) rebuilt on the test's own store + pool:
+/// spills append span records, faults load through the buffer pool,
+/// releases kill the record and drop the frame.
 class StoreBackedSink final : public SpanSink {
  public:
   StoreBackedSink(TenantStore& store, BufferPool& pool, std::string tenant)
@@ -1182,6 +1558,196 @@ TEST(CrashExhaustion, SpanAndCompactionEdgesRecoverToValidPrefix) {
   // Span appends, releases, the relocation appends + kills, and the
   // closing re-base must all contribute edges.
   EXPECT_GE(edges_exercised, 40);
+}
+
+/// One frame of a replication stream, as the standby applies it.
+struct ReplStep {
+  ReplFrameType type = ReplFrameType::kReset;
+  std::uint32_t id = 0;
+  std::uint64_t offset = 0;
+  std::string bytes;
+};
+
+/// How often each crash edge fired.
+using EdgeCounts = std::map<std::pair<CrashEdge, std::string>, int>;
+
+/// After a primary group commit, queues what a replicator ships: drops
+/// of collected segments, opens of new ones, the new durable bytes in
+/// 24-byte appends (so frames split across appends), then a commit.
+void ship_commit(const SegmentLog& log,
+                 std::map<std::uint32_t, std::uint64_t>& shipped,
+                 std::vector<ReplStep>& steps) {
+  const std::vector<SegmentView> views = log.segments();
+  for (auto it = shipped.begin(); it != shipped.end();) {
+    bool listed = false;
+    for (const SegmentView& view : views) {
+      listed = listed || view.id == it->first;
+    }
+    if (listed) {
+      ++it;
+    } else {
+      steps.push_back({ReplFrameType::kDrop, it->first, 0, {}});
+      it = shipped.erase(it);
+    }
+  }
+  for (const SegmentView& view : views) {
+    if (!shipped.contains(view.id)) {
+      steps.push_back({ReplFrameType::kOpenSegment, view.id, 0, {}});
+      shipped[view.id] = kSegmentHeaderBytes;
+    }
+    for (std::uint64_t& at = shipped[view.id]; at < view.bytes;) {
+      std::string chunk = log.read_range(view.id, at, 24);
+      steps.push_back({ReplFrameType::kAppend, view.id, at, chunk});
+      at += chunk.size();
+    }
+  }
+  steps.push_back({ReplFrameType::kCommit, 0, 0, {}});
+}
+
+/// Runs a primary workload in `dir` — group commits, rotations and a
+/// compaction that collects segment 1 — and returns the stream that
+/// mirrors it, starting with a reset.  `edges` counts the crash edges
+/// the primary fired.
+std::vector<ReplStep> primary_stream(const std::string& dir,
+                                     EdgeCounts& edges) {
+  LogConfig config = log_config(dir);
+  config.segment_bytes = 96;
+  config.crash_hook = [&edges](CrashEdge edge, std::string_view detail) {
+    edges[{edge, std::string(detail)}] += 1;
+  };
+  SegmentLog log(std::move(config), nullptr);
+  std::vector<ReplStep> steps{{ReplFrameType::kReset, 0, 0, {}}};
+  std::map<std::uint32_t, std::uint64_t> shipped;
+  std::vector<RecordRef> refs;
+  int next = 0;
+  const auto append = [&](int count) {
+    for (int i = 0; i < count; ++i, ++next) {
+      refs.push_back(log.append(make_record(RecordType::kDelta, 1, "t",
+                                            "r-" + std::to_string(next))));
+    }
+    log.sync();
+    ship_commit(log, shipped, steps);
+  };
+  append(3);
+  append(4);  // rotates
+  append(3);  // rotates again
+  for (const RecordRef& ref : refs) {
+    if (ref.segment == 1) {
+      log.mark_dead(ref);
+    }
+  }
+  append(2);  // ships the drop of segment 1 first
+  EXPECT_EQ(log.segments().front().id, 2U) << "segment 1 never collected";
+  return steps;
+}
+
+void apply_step(ReplicaLog& replica, const ReplStep& step) {
+  switch (step.type) {
+    case ReplFrameType::kReset:
+      replica.reset();
+      break;
+    case ReplFrameType::kOpenSegment:
+      replica.open_segment(step.id);
+      break;
+    case ReplFrameType::kAppend:
+      replica.append(step.id, step.offset, step.bytes);
+      break;
+    case ReplFrameType::kCommit:
+      replica.commit();
+      break;
+    case ReplFrameType::kDrop:
+      replica.drop_segment(step.id);
+      break;
+    case ReplFrameType::kAck:
+      break;
+  }
+}
+
+TEST(CrashExhaustion, ReplicaKilledAtEveryEdgeResumesToByteIdentical) {
+  const std::string primary = scratch_dir("repl_crash_primary");
+  EdgeCounts primary_edges;
+  const std::vector<ReplStep> steps = primary_stream(primary, primary_edges);
+
+  // The follower writes through the primary's segment code, so a clean
+  // run of the stream fires the primary's crash edges as often as the
+  // primary did (its group commits, seals, segment creations and
+  // manifest writes), except appends: it writes shipped chunks, not
+  // records.
+  {
+    const std::string dir = scratch_dir("repl_crash_clean");
+    EdgeCounts replica_edges;
+    const auto tally = [&replica_edges](CrashEdge edge,
+                                        std::string_view detail) {
+      replica_edges[{edge, std::string(detail)}] += 1;
+    };
+    ReplicaLog replica(dir, tally);
+    int appends = 0;
+    for (const ReplStep& step : steps) {
+      apply_step(replica, step);
+      appends += step.type == ReplFrameType::kAppend ? 1 : 0;
+    }
+    for (const char* phase : {"pre:append", "post:append"}) {
+      const std::pair<CrashEdge, std::string> edge{CrashEdge::kWrite, phase};
+      EXPECT_EQ(replica_edges[edge], appends) << phase;
+      replica_edges.erase(edge);
+      primary_edges.erase(edge);
+    }
+    EXPECT_EQ(replica_edges, primary_edges);
+    EXPECT_TRUE(dir_files(primary) == dir_files(dir));
+    fs::remove_all(dir);
+  }
+
+  bool completed = false;
+  int edges_exercised = 0;
+  int resumed = 0;
+  for (int crash_at = 1; crash_at <= 500; ++crash_at) {
+    const std::string dir =
+        scratch_dir("repl_crash_" + std::to_string(crash_at));
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      try {
+        int edges = 0;
+        const auto die = [&edges, crash_at](CrashEdge, std::string_view) {
+          if (++edges == crash_at) {
+            ::_Exit(0);  // the simulated kill -9
+          }
+        };
+        ReplicaLog replica(dir, die);
+        for (const ReplStep& step : steps) {
+          apply_step(replica, step);
+        }
+      } catch (...) {
+        ::_Exit(kChildError);
+      }
+      ::_Exit(kChildDone);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << "edge " << crash_at;
+    ASSERT_NE(WEXITSTATUS(status), kChildError) << "edge " << crash_at;
+    if (WEXITSTATUS(status) == kChildDone) {
+      completed = true;
+      edges_exercised = crash_at - 1;
+      break;
+    }
+    // The survivor reopens clean and is a byte prefix of the primary...
+    { ReplicaLog survivor(dir); }
+    const VerifyReport report = verify_log(dir);
+    EXPECT_TRUE(report.issues.empty())
+        << "edge " << crash_at << ": " << report.issues.front().message;
+    EXPECT_TRUE(compare_store_dirs(primary, dir).ok()) << "edge " << crash_at;
+    // ...and the stream continued from its own state() converges.
+    ReplicaLog survivor(dir);
+    resumed += reship(primary, survivor, 24) ? 1 : 0;
+    EXPECT_TRUE(dir_files(primary) == dir_files(dir)) << "edge " << crash_at;
+    fs::remove_all(dir);
+  }
+  ASSERT_TRUE(completed) << "stream never ran out of edges to kill";
+  // Opens, appends, commits, seals and the drop all contribute edges,
+  // and most kills leave a prefix the stream resumes from.
+  EXPECT_GE(edges_exercised, 60);
+  EXPECT_GT(resumed, edges_exercised / 2);
 }
 
 // --- durable small-file helper (satellite 1) ---------------------------
