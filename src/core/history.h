@@ -41,13 +41,20 @@ struct HistoryEntry {
 
 class LeafHistory {
  public:
+  /// What append() did with one event.
+  enum class Outcome : std::uint8_t {
+    kNone,    ///< not offered to this history (latest append was another)
+    kStored,
+    kMerged,  ///< dropped as causally redundant (§VI)
+  };
+
   /// One spilled span of this history: entries dropped from RAM but
   /// recoverable through a SpanSink.  Metas per trace are kept oldest to
   /// newest, with strictly ascending, non-overlapping index ranges that
   /// all precede the resident entries.  Metas are bookkeeping, not
   /// entries: they are excluded from total()/approx_bytes().
   struct SpanMeta {
-    std::uint64_t seq = 0;         ///< matcher-wide spill sequence number
+    std::uint64_t seq = 0;         ///< table-wide spill sequence number
     EventIndex first_index = kNoEvent;
     EventIndex last_index = kNoEvent;
     std::uint32_t count = 0;
@@ -80,7 +87,10 @@ class LeafHistory {
     merged_ = 0;
     evicted_ = 0;
     spilled_ = 0;
+    faulted_ = 0;
+    lost_ = 0;
     bytes_ = 0;
+    last_ = EventId{};
   }
 
   [[nodiscard]] bool keyed() const noexcept { return keyed_; }
@@ -93,22 +103,32 @@ class LeafHistory {
   bool append(TraceId trace, EventIndex index, std::uint32_t comm_before,
               bool is_communication, bool merge, Symbol key = kEmptySymbol) {
     check_insert(trace, index);
+    last_ = EventId{trace, index};
     std::vector<HistoryEntry>& entries = per_trace_[trace];
     if (merge && !is_communication && !entries.empty() &&
         entries.back().comm_before == comm_before) {
       ++merged_;
+      last_outcome_ = Outcome::kMerged;
       return false;
     }
     store(trace, index, comm_before, key);
+    last_outcome_ = Outcome::kStored;
     return true;
+  }
+
+  /// What the latest append() did with the event `id`: kNone unless `id`
+  /// was the latest event appended.  This is how the readers of a shared
+  /// history learn what an arrival did to it (core/history_table.h).
+  [[nodiscard]] Outcome outcome_of(EventId id) const noexcept {
+    return id == last_ ? last_outcome_ : Outcome::kNone;
   }
 
   /// The leaf's sweep set: every trace that has held a resident entry or
   /// a spilled span, ascending.  The set only grows, so a trace emptied
-  /// later is still swept.  (A matcher never empties a trace: eviction and
-  /// spill keep at least one entry, so after a checkpoint restore the set
-  /// is the same.)  Searches never grow it: a fault refills a trace that
-  /// holds a spilled span, which is already a member.
+  /// later is still swept.  (The byte cap never empties a trace: eviction
+  /// and spill keep at least one entry, so after a checkpoint restore the
+  /// set is the same.)  Searches never grow it: a fault refills a trace
+  /// that holds a spilled span, which is already a member.
   [[nodiscard]] std::span<const TraceId> traces() const noexcept {
     return occupied_;
   }
@@ -195,6 +215,10 @@ class LeafHistory {
   [[nodiscard]] std::size_t merged() const noexcept { return merged_; }
   [[nodiscard]] std::size_t evicted() const noexcept { return evicted_; }
   [[nodiscard]] std::size_t spilled() const noexcept { return spilled_; }
+  /// Entries faulted back from spilled spans.
+  [[nodiscard]] std::size_t faulted() const noexcept { return faulted_; }
+  /// Spilled spans that could not be faulted back (coverage loss).
+  [[nodiscard]] std::size_t spans_lost() const noexcept { return lost_; }
 
   /// Deterministic size estimate for memory governance: stored entry count
   /// times entry size (main plus keyed copies) plus a flat charge per
@@ -227,13 +251,17 @@ class LeafHistory {
     store(trace, index, comm_before, key);
   }
 
-  /// Checkpoint support: restores the merge/evict counters.
-  void set_counters(std::size_t merged, std::size_t evicted) {
+  /// Checkpoint support: restores the counters that the entries alone do
+  /// not determine.
+  void set_counters(std::size_t merged, std::size_t evicted,
+                    std::size_t spilled, std::size_t faulted,
+                    std::size_t lost) {
     merged_ = merged;
     evicted_ = evicted;
+    spilled_ = spilled;
+    faulted_ = faulted;
+    lost_ = lost;
   }
-  /// Checkpoint support (format v3): restores the spilled counter.
-  void set_spilled_counter(std::size_t spilled) { spilled_ = spilled; }
 
   /// Memory governance (docs/GOVERNANCE.md): drops the oldest entries on
   /// `trace`, keeping the `keep` most recent, charged to the `evicted`
@@ -291,6 +319,7 @@ class LeafHistory {
     resident.insert(resident.begin(), entries.begin(), entries.end());
     insert_sorted(occupied_, trace);
     total_ += entries.size();
+    faulted_ += entries.size();
     bytes_ += entries.size() * sizeof(HistoryEntry);
     if (keyed_) {
       OCEP_ASSERT(keys.size() == entries.size());
@@ -320,7 +349,7 @@ class LeafHistory {
   }
 
   /// Removes the newest spilled span's meta (its entries were faulted
-  /// back via prepend_front, or proved unrecoverable).
+  /// back via prepend_front).
   void pop_spilled(TraceId trace) {
     OCEP_ASSERT(trace < spilled_meta_.size() &&
                 !spilled_meta_[trace].empty());
@@ -330,14 +359,11 @@ class LeafHistory {
     }
   }
 
-  /// Removes and returns every spilled meta of `trace` (coverage made the
-  /// pair prunable, so the spans will never be faulted again).
-  [[nodiscard]] std::vector<SpanMeta> take_spilled(TraceId trace) {
-    OCEP_ASSERT(trace < spilled_meta_.size());
-    std::vector<SpanMeta> out = std::move(spilled_meta_[trace]);
-    spilled_meta_[trace].clear();
-    erase_sorted(spilled_traces_, trace);
-    return out;
+  /// Removes the newest spilled span's meta of a span that proved
+  /// unrecoverable, counted in spans_lost().
+  void lose_newest(TraceId trace) {
+    pop_spilled(trace);
+    ++lost_;
   }
 
   /// Checkpoint support: re-records one spilled meta (oldest first).
@@ -532,7 +558,12 @@ class LeafHistory {
   std::size_t merged_ = 0;
   std::size_t evicted_ = 0;
   std::size_t spilled_ = 0;
+  std::size_t faulted_ = 0;
+  std::size_t lost_ = 0;
   std::size_t bytes_ = 0;
+  /// The latest event appended, and what append() did with it.
+  EventId last_;
+  Outcome last_outcome_ = Outcome::kNone;
 };
 
 }  // namespace ocep

@@ -15,20 +15,30 @@ constexpr std::uint64_t bit(std::size_t depth) noexcept {
   return 1ULL << depth;
 }
 
-/// Share of history_bytes_limit a byte-capped history is evicted down to.
-constexpr double kHistoryLowFraction = 0.5;
-
 }  // namespace
 
 OcepMatcher::OcepMatcher(const EventStore& store,
                          pattern::CompiledPattern pattern,
                          MatcherConfig config, MatchCallback on_match)
+    : OcepMatcher(store, std::move(pattern), config, std::move(on_match),
+                  nullptr, 0) {}
+
+OcepMatcher::OcepMatcher(const EventStore& store,
+                         pattern::CompiledPattern pattern,
+                         MatcherConfig config, MatchCallback on_match,
+                         HistoryTable* histories, std::uint32_t index)
     : store_(store),
       pattern_(std::move(pattern)),
       config_(config),
-      on_match_(std::move(on_match)) {
+      on_match_(std::move(on_match)),
+      table_(histories),
+      pattern_index_(index) {
   OCEP_ASSERT_MSG(pattern_.size() >= 1 && pattern_.size() <= 63,
                   "pattern size must be in [1, 63]");
+  if (table_ == nullptr) {
+    own_table_ = std::make_unique<HistoryTable>(store_);
+    table_ = own_table_.get();
+  }
   governor_.configure(config_.budget, config_.breaker);
 }
 
@@ -60,14 +70,9 @@ void OcepMatcher::initialize() {
     }
   }
 
-  key_attr_.assign(k, KeyAttr::kNone);
+  key_attr_.resize(k);
   for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
-    if (pattern_.leaves[leaf].text.kind == pattern::Attr::Kind::kVariable) {
-      key_attr_[leaf] = KeyAttr::kText;
-    } else if (pattern_.leaves[leaf].type.kind ==
-               pattern::Attr::Kind::kVariable) {
-      key_attr_[leaf] = KeyAttr::kType;
-    }
+    key_attr_[leaf] = key_attr_of(pattern_.leaves[leaf]);
   }
 
   orders_.resize(k);
@@ -84,17 +89,24 @@ void OcepMatcher::initialize() {
   // A leaf quantified by limited precedence ('a' in a -lim-> b) must keep
   // every occurrence: a merged-away event could be the intervening witness
   // that invalidates the limit.
-  merge_allowed_.assign(k, true);
+  std::vector<bool> merge(k, config_.merge_redundant_history);
   for (const pattern::Constraint& c : pattern_.constraints) {
     if (c.op == pattern::ConstraintOp::kBeforeLimited) {
-      merge_allowed_[c.a] = false;
+      merge[c.a] = false;
     }
   }
-
+  class_of_.resize(k);
   histories_.resize(k);
   for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
-    histories_[leaf].reset(traces_, key_attr_[leaf] != KeyAttr::kNone);
+    class_of_[leaf] = table_->intern(
+        LeafClass::of(pattern_.leaves[leaf], merge[leaf]), pattern_index_,
+        leaf);
+    histories_[leaf] = &table_->history(class_of_[leaf]);
   }
+  classes_ = class_of_;
+  std::sort(classes_.begin(), classes_.end());
+  classes_.erase(std::unique(classes_.begin(), classes_.end()),
+                 classes_.end());
 
   // Sorted by (name, trace), so a lookup finds the lowest trace id of a
   // repeated name.
@@ -178,27 +190,14 @@ std::vector<std::uint32_t> OcepMatcher::make_order(
   return order;
 }
 
-bool OcepMatcher::leaf_accepts(const pattern::Leaf& leaf,
-                               const Event& event) const {
-  using Kind = pattern::Attr::Kind;
-  if (leaf.type.kind == Kind::kLiteral && leaf.type.literal != event.type) {
-    return false;
-  }
-  if (leaf.text.kind == Kind::kLiteral && leaf.text.literal != event.text) {
-    return false;
-  }
-  if (leaf.process.kind == Kind::kLiteral &&
-      leaf.process.literal != store_.trace_name(event.id.trace)) {
-    return false;
-  }
-  return true;
-}
-
 void OcepMatcher::observe(const Event& event, std::uint64_t position) {
   OCEP_ASSERT_MSG(position >= stats_.events_observed,
                   "events must be observed in arrival order");
   advance(position);
   lazy_init();
+  if (own_table_ != nullptr) {
+    own_table_->append(event, classes_);
+  }
   if (telemetry_on_) {
     // Snapshot for the per-observe telemetry deltas.
     const MatcherStats before = stats_;
@@ -214,34 +213,26 @@ void OcepMatcher::observe_next(const Event& event) {
   const TraceId trace = event.id.trace;
   OCEP_ASSERT(trace < traces_);
 
-  // The leaves that accept the event, found once: each appends it to its
-  // history, and the terminating ones then anchor searches at it.
+  // The leaves that accept the event are those whose class's history the
+  // table appended it to; each counts the append as its own copy would,
+  // and the terminating ones then anchor searches at it.
   std::uint64_t accepting = 0;
   for (std::uint32_t leaf = 0; leaf < pattern_.size(); ++leaf) {
-    if (leaf_accepts(pattern_.leaves[leaf], event)) {
-      accepting |= bit(leaf);
+    const LeafHistory::Outcome outcome = histories_[leaf]->outcome_of(event.id);
+    if (outcome == LeafHistory::Outcome::kNone) {
+      continue;
+    }
+    accepting |= bit(leaf);
+    if (outcome == LeafHistory::Outcome::kStored) {
+      ++stats_.history_entries;
+    } else {
+      ++stats_.history_merged;
     }
   }
   if (accepting == 0) {
     return;
   }
   ++stats_.leaf_hits;
-  const bool is_comm = is_communication(event.kind);
-  const std::uint32_t comm = store_.comm_before(event.id);
-  for (std::uint64_t rest = accepting; rest != 0; rest &= rest - 1) {
-    const auto leaf = static_cast<std::uint32_t>(std::countr_zero(rest));
-    const Symbol key =
-        key_attr_[leaf] == KeyAttr::kText
-            ? event.text
-            : (key_attr_[leaf] == KeyAttr::kType ? event.type : kEmptySymbol);
-    const bool merge = config_.merge_redundant_history && merge_allowed_[leaf];
-    LeafHistory& history = histories_[leaf];
-    if (history.append(trace, event.id.index, comm, is_comm, merge, key)) {
-      ++stats_.history_entries;
-    } else {
-      ++stats_.history_merged;
-    }
-  }
   // The governor gates the whole search phase of this observe: an open
   // or quarantined breaker degrades it to the O(1) appends above, and an
   // admitted search runs under one shared budget across every anchor and
@@ -268,9 +259,6 @@ void OcepMatcher::observe_next(const Event& event) {
       stats_.breaker_trips = governor_.trips();
     }
   }
-  if (config_.history_bytes_limit > 0) {
-    enforce_history_budget();
-  }
 }
 
 void OcepMatcher::refresh_history_stats() {
@@ -278,11 +266,24 @@ void OcepMatcher::refresh_history_stats() {
   stats_.history_merged = 0;
   stats_.history_evicted = 0;
   stats_.history_spilled = 0;
-  for (const LeafHistory& history : histories_) {
-    stats_.history_entries += history.total();
-    stats_.history_merged += history.merged();
-    stats_.history_evicted += history.evicted();
-    stats_.history_spilled += history.spilled();
+  stats_.history_faulted = 0;
+  stats_.spans_lost = 0;
+  for (const LeafHistory* history : histories_) {
+    stats_.history_entries += history->total();
+    stats_.history_merged += history->merged();
+    stats_.history_evicted += history->evicted();
+    stats_.history_spilled += history->spilled();
+    stats_.history_faulted += history->faulted();
+    stats_.spans_lost += history->spans_lost();
+  }
+}
+
+void OcepMatcher::sync_history_stats() {
+  const std::uint64_t evicted = stats_.history_evicted;
+  refresh_history_stats();
+  if (telemetry_.history_evicted != nullptr &&
+      stats_.history_evicted > evicted) {
+    telemetry_.history_evicted->add(stats_.history_evicted - evicted);
   }
 }
 
@@ -306,172 +307,10 @@ bool OcepMatcher::budget_exhausted() {
          std::chrono::steady_clock::now() >= search_deadline_;
 }
 
-void OcepMatcher::enforce_history_budget() {
-  std::size_t bytes = history_bytes();
-  if (bytes <= config_.history_bytes_limit) {
-    return;
-  }
-  const auto low = static_cast<std::size_t>(
-      static_cast<double>(config_.history_bytes_limit) *
-      kHistoryLowFraction);
-  while (bytes > low) {
-    std::uint32_t best_leaf = 0;
-    TraceId best_trace = 0;
-    std::size_t best_size = 0;
-    for (std::uint32_t leaf = 0; leaf < pattern_.size(); ++leaf) {
-      TraceId trace = 0;
-      const std::size_t size = histories_[leaf].largest_trace(trace);
-      if (size > best_size) {
-        best_size = size;
-        best_leaf = leaf;
-        best_trace = trace;
-      }
-    }
-    if (best_size <= 1) {
-      break;  // nothing evictable left without emptying a pair entirely
-    }
-    // With a sink attached the prefix spills (recoverable); eviction is
-    // the fallback when the sink declines (e.g. degraded store).
-    std::size_t freed = 0;
-    if (span_sink_ != nullptr) {
-      freed = spill_pair(best_leaf, best_trace, best_size / 2);
-    }
-    if (freed == 0) {
-      freed = histories_[best_leaf].evict_front(best_trace, best_size / 2);
-    }
-    if (freed == 0) {
-      break;
-    }
-    bytes -= std::min(bytes, freed);
-  }
-  refresh_history_stats();
-}
-
-std::size_t OcepMatcher::spill_pair(std::uint32_t leaf, TraceId trace,
-                                    std::size_t keep) {
-  const std::span<const HistoryEntry> entries =
-      histories_[leaf].on_trace(trace);
-  if (entries.size() <= keep) {
-    return 0;
-  }
-  const std::size_t drop = entries.size() - keep;
-  if (!span_sink_->spill(pattern_index_, leaf, trace, next_span_seq_,
-                         entries.first(drop))) {
-    return 0;
-  }
-  const std::size_t freed =
-      histories_[leaf].spill_front(trace, keep, next_span_seq_);
-  ++next_span_seq_;
-  return freed;
-}
-
-bool OcepMatcher::fault_newest(std::uint32_t leaf, TraceId trace) {
-  LeafHistory& history = histories_[leaf];
-  OCEP_ASSERT(history.has_spilled(trace));
-  const LeafHistory::SpanMeta meta = history.spilled_on(trace).back();
-  std::vector<HistoryEntry> entries;
-  bool valid =
-      span_sink_ != nullptr &&
-      span_sink_->fault(pattern_index_, leaf, trace, meta.seq, entries) &&
-      entries.size() == meta.count;
-  if (valid) {
-    EventIndex prev = kNoEvent;
-    for (const HistoryEntry& entry : entries) {
-      if (entry.index == kNoEvent || entry.index > store_.trace_size(trace) ||
-          (prev != kNoEvent && entry.index <= prev)) {
-        valid = false;
-        break;
-      }
-      prev = entry.index;
-    }
-    const std::span<const HistoryEntry> resident = history.on_trace(trace);
-    if (valid && !resident.empty() &&
-        entries.back().index >= resident.front().index) {
-      valid = false;
-    }
-  }
-  history.pop_spilled(trace);
-  if (!valid) {
-    // Unrecoverable (store degraded, record corrupt): proceed over what
-    // remains, reported as permanent coverage loss.
-    ++stats_.spans_lost;
-    if (span_sink_ != nullptr) {
-      span_sink_->release(pattern_index_, leaf, trace, meta.seq);
-    }
-    return false;
-  }
-  std::vector<Symbol> keys;
-  if (history.keyed()) {
-    keys.reserve(entries.size());
-    for (const HistoryEntry& entry : entries) {
-      const Event& event = store_.event(EventId{trace, entry.index});
-      keys.push_back(key_attr_[leaf] == KeyAttr::kText ? event.text
-                                                       : event.type);
-    }
-  }
-  history.prepend_front(trace, entries, keys);
-  stats_.history_faulted += entries.size();
-  stats_.history_entries += entries.size();
-  span_sink_->release(pattern_index_, leaf, trace, meta.seq);
-  return true;
-}
-
-void OcepMatcher::ensure_history_loaded(std::uint32_t leaf, TraceId trace,
-                                        EventIndex lo) {
-  LeafHistory& history = histories_[leaf];
-  while (history.has_spilled(trace)) {
-    const std::span<const HistoryEntry> resident = history.on_trace(trace);
-    if (!resident.empty() && resident.front().index <= lo) {
-      return;  // the resident window already reaches the bound
-    }
-    if (history.spilled_on(trace).back().last_index < lo) {
-      return;  // everything still spilled is older than needed
-    }
-    fault_newest(leaf, trace);  // consumes a meta either way: terminates
-  }
-}
-
-void OcepMatcher::release_spilled(std::uint32_t leaf, TraceId trace) {
-  for (const LeafHistory::SpanMeta& meta :
-       histories_[leaf].take_spilled(trace)) {
-    if (span_sink_ != nullptr) {
-      span_sink_->release(pattern_index_, leaf, trace, meta.seq);
-    }
-  }
-}
-
-void OcepMatcher::fault_all_spans() {
-  if (!initialized_ || span_sink_ == nullptr) {
-    return;
-  }
-  for (std::uint32_t leaf = 0; leaf < pattern_.size(); ++leaf) {
-    // Each fault consumes a meta; a trace leaves the list with its last.
-    while (!histories_[leaf].spilled_traces().empty()) {
-      fault_newest(leaf, histories_[leaf].spilled_traces().front());
-    }
-  }
-}
-
-void OcepMatcher::for_each_spilled(
-    const std::function<void(std::uint32_t leaf, TraceId trace,
-                             std::uint64_t seq)>& fn) const {
-  if (!initialized_) {
-    return;
-  }
-  for (std::uint32_t leaf = 0; leaf < pattern_.size(); ++leaf) {
-    for (const TraceId t : histories_[leaf].spilled_traces()) {
-      for (const LeafHistory::SpanMeta& meta :
-           histories_[leaf].spilled_on(t)) {
-        fn(leaf, t, meta.seq);
-      }
-    }
-  }
-}
-
 std::size_t OcepMatcher::history_bytes() const noexcept {
   std::size_t bytes = 0;
-  for (const LeafHistory& history : histories_) {
-    bytes += history.approx_bytes();
+  for (const std::uint32_t id : classes_) {
+    bytes += table_->history(id).approx_bytes();
   }
   return bytes;
 }
@@ -511,8 +350,6 @@ void OcepMatcher::publish_telemetry(const MatcherStats& before) {
        stats_.searches_aborted - before.searches_aborted);
   bump(telemetry_.observes_shed, stats_.observes_shed - before.observes_shed);
   bump(telemetry_.breaker_trips, stats_.breaker_trips - before.breaker_trips);
-  bump(telemetry_.history_evicted,
-       stats_.history_evicted - before.history_evicted);
   bump(telemetry_.callback_errors,
        stats_.callback_errors - before.callback_errors);
   if (stats_.searches == before.searches) {
@@ -614,7 +451,7 @@ void OcepMatcher::run_anchor(std::uint32_t anchor_leaf, const Event& event) {
     // Walk the leaf's sweep set.  A trace outside it holds nothing, so its
     // pin is skipped: each gap counts as that many skipped pins.  Pins
     // never grow the set (DESIGN.md §4), so the view stays valid.
-    const std::span<const TraceId> occupied = histories_[leaf].traces();
+    const std::span<const TraceId> occupied = histories_[leaf]->traces();
     TraceId next = 0;  // the first trace not yet accounted for
     for (std::size_t i = 0; i <= occupied.size(); ++i) {
       if (search_aborted_) {
@@ -629,8 +466,8 @@ void OcepMatcher::run_anchor(std::uint32_t anchor_leaf, const Event& event) {
       next = t + 1;
       if (local_covered_[static_cast<std::size_t>(leaf) * traces_ + t] != 0 ||
           (config_.global_coverage && subset_.covered(leaf, t)) ||
-          (histories_[leaf].on_trace(t).empty() &&
-           !histories_[leaf].has_spilled(t))) {
+          (histories_[leaf]->on_trace(t).empty() &&
+           !histories_[leaf]->has_spilled(t))) {
         ++stats_.pins_skipped;
         continue;
       }
@@ -702,7 +539,7 @@ bool OcepMatcher::extend(const std::vector<std::uint32_t>& order,
   ++stats_.levels_entered;
   const std::uint32_t leaf = order[depth];
   const pattern::Leaf& spec = pattern_.leaves[leaf];
-  const LeafHistory& history = histories_[leaf];
+  const LeafHistory& history = *histories_[leaf];
 
   // Trace selection: a pin, a literal process attribute, or a bound
   // process variable restrict the sweep to a single trace (this is what
@@ -733,6 +570,7 @@ bool OcepMatcher::extend(const std::vector<std::uint32_t>& order,
 
   // With the leaf's key variable already bound, probe the secondary
   // index: only occurrences with the matching attribute value.
+  const bool spills = table_->spills();
   const LeafHistory::KeySlice* slice = nullptr;
   bool keyed_probe = false;
   Symbol probe_key = kEmptySymbol;
@@ -752,8 +590,8 @@ bool OcepMatcher::extend(const std::vector<std::uint32_t>& order,
       return history.on_trace(t);
     }
     // A fault may have created the slice since the level began.
-    return span_sink_ != nullptr ? history.on_trace_keyed(t, probe_key)
-                                 : LeafHistory::on_trace_in(slice, t);
+    return spills ? history.on_trace_keyed(t, probe_key)
+                  : LeafHistory::on_trace_in(slice, t);
   };
 
   // The sweep (DESIGN.md §4): the single trace, else only the traces that
@@ -795,11 +633,12 @@ bool OcepMatcher::extend(const std::vector<std::uint32_t>& order,
     }
     // Fault spilled history covering [lo, hi] back in before taking the
     // entries view.  Afterwards every span still spilled on (leaf, t) is
-    // strictly older than lo, so deeper faults (a limited_ok check can
-    // prepend into this same history) only ever grow the view below
-    // range.first — positions shift by exactly the growth.
-    if (span_sink_ != nullptr) {
-      ensure_history_loaded(leaf, t, lo);
+    // strictly older than lo, so deeper faults (a limited_ok check, or a
+    // deeper leaf of the same class, can prepend into this same history)
+    // only ever grow the view below range.first — positions shift by
+    // exactly the growth.
+    if (spills) {
+      table_->ensure_loaded(class_of_[leaf], t, lo);
     }
     std::span<const HistoryEntry> entries = fetch(t);
     LeafHistory::Range range = LeafHistory::range_of(entries, lo, hi);
@@ -821,7 +660,7 @@ bool OcepMatcher::extend(const std::vector<std::uint32_t>& order,
         conflict_out |= my_conflicts;
         return false;
       }
-      if (span_sink_ != nullptr) {
+      if (spills) {
         // A deeper fault may have prepended older entries (all < lo) into
         // this view, reallocating it: re-fetch and shift positions.
         const std::span<const HistoryEntry> fresh = fetch(t);
@@ -1077,7 +916,7 @@ bool OcepMatcher::limited_ok(std::uint32_t a_leaf, EventId a, EventId b) {
   // satisfies a -> x -> b: on each trace that is the index window
   // [LS(a, t), GP(b, t)].  Only traces in a_leaf's sweep set can hold x;
   // faults below refill traces already in the set, so the view is stable.
-  for (const TraceId t : histories_[a_leaf].traces()) {
+  for (const TraceId t : histories_[a_leaf]->traces()) {
     const EventIndex ls = store_.least_successor(a, t);
     if (ls == kInfiniteIndex) {
       continue;
@@ -1088,10 +927,10 @@ bool OcepMatcher::limited_ok(std::uint32_t a_leaf, EventId a, EventId b) {
     }
     // The intervening witness may sit below the in-RAM window: fault the
     // spilled spans that could cover [ls, gp] back in first.
-    if (span_sink_ != nullptr) {
-      ensure_history_loaded(a_leaf, t, ls);
+    if (table_->spills()) {
+      table_->ensure_loaded(class_of_[a_leaf], t, ls);
     }
-    if (histories_[a_leaf].any_in(t, ls, gp)) {
+    if (histories_[a_leaf]->any_in(t, ls, gp)) {
       return false;
     }
   }
@@ -1114,7 +953,9 @@ bool OcepMatcher::partner_kind_ok(std::uint32_t leaf,
 
 namespace {
 
-/// The MatcherStats fields in checkpoint order.
+/// The MatcherStats fields in checkpoint order.  The history counters are
+/// not written: the histories are the table's, and restore() recomputes
+/// them, keeping each figure stored exactly once.
 template <typename Stats, typename Fn>
 void for_each_stat(Stats& stats, Fn&& fn) {
   fn(stats.events_observed);
@@ -1123,8 +964,6 @@ void for_each_stat(Stats& stats, Fn&& fn) {
   fn(stats.matches_reported);
   fn(stats.nodes_explored);
   fn(stats.backjumps);
-  fn(stats.history_entries);
-  fn(stats.history_merged);
   fn(stats.levels_entered);
   fn(stats.domain_prunes);
   fn(stats.pins_run);
@@ -1138,25 +977,11 @@ void OcepMatcher::checkpoint(std::ostream& out) {
   const std::size_t k = pattern_.size();
   for_each_stat(stats_,
                 [&out](std::uint64_t field) { poet::put_varint(out, field); });
-  // Governance counters.  breaker_trips and history_evicted are not
-  // written: they are recomputed on restore from the governor blob and the
-  // per-leaf evicted counters, keeping each figure stored exactly once.
+  // Governance counters.  breaker_trips is not written: it is recomputed
+  // on restore from the governor blob.
   poet::put_varint(out, stats_.searches_aborted);
   poet::put_varint(out, stats_.observes_shed);
   poet::put_varint(out, stats_.callback_errors);
-  for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
-    const LeafHistory& history = histories_[leaf];
-    poet::put_varint(out, history.merged());
-    poet::put_varint(out, history.evicted());
-    for (TraceId t = 0; t < traces_; ++t) {
-      const std::span<const HistoryEntry> entries = history.on_trace(t);
-      poet::put_varint(out, entries.size());
-      for (const HistoryEntry& entry : entries) {
-        poet::put_varint(out, entry.index);
-        poet::put_varint(out, entry.comm_before);
-      }
-    }
-  }
   for (const std::uint32_t slot : subset_.slots()) {
     poet::put_varint(out, slot);
   }
@@ -1170,27 +995,6 @@ void OcepMatcher::checkpoint(std::ostream& out) {
     }
   }
   governor_.checkpoint(out);
-  // Span-spill state: the spill sequence, fault counters, and the
-  // per-(leaf, trace) spilled-span metas.  The entries themselves are not
-  // written — they live in the tenant's log as span records, addressed by
-  // the (pattern, leaf, trace, seq) fingerprints recorded here.
-  poet::put_varint(out, next_span_seq_);
-  poet::put_varint(out, stats_.history_faulted);
-  poet::put_varint(out, stats_.spans_lost);
-  for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
-    poet::put_varint(out, histories_[leaf].spilled());
-    for (TraceId t = 0; t < traces_; ++t) {
-      const std::span<const LeafHistory::SpanMeta> metas =
-          histories_[leaf].spilled_on(t);
-      poet::put_varint(out, metas.size());
-      for (const LeafHistory::SpanMeta& meta : metas) {
-        poet::put_varint(out, meta.seq);
-        poet::put_varint(out, meta.first_index);
-        poet::put_varint(out, meta.last_index);
-        poet::put_varint(out, meta.count);
-      }
-    }
-  }
 }
 
 void OcepMatcher::restore(std::istream& in) {
@@ -1203,33 +1007,6 @@ void OcepMatcher::restore(std::istream& in) {
   stats_.searches_aborted = poet::get_varint(in);
   stats_.observes_shed = poet::get_varint(in);
   stats_.callback_errors = poet::get_varint(in);
-  for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
-    // Sequenced reads: as direct arguments their evaluation order would be
-    // unspecified.
-    const std::uint64_t merged = poet::get_varint(in);
-    const std::uint64_t evicted = poet::get_varint(in);
-    histories_[leaf].set_counters(merged, evicted);
-    for (TraceId t = 0; t < traces_; ++t) {
-      const std::uint64_t count = poet::get_varint(in);
-      if (count > store_.trace_size(t)) {
-        throw SerializationError("checkpoint history longer than its trace");
-      }
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const auto index = static_cast<EventIndex>(poet::get_varint(in));
-        const auto comm = static_cast<std::uint32_t>(poet::get_varint(in));
-        if (index == kNoEvent || index > store_.trace_size(t)) {
-          throw SerializationError("checkpoint history entry out of range");
-        }
-        const Event& event = store_.event(EventId{t, index});
-        const Symbol key = key_attr_[leaf] == KeyAttr::kText
-                               ? event.text
-                               : (key_attr_[leaf] == KeyAttr::kType
-                                      ? event.type
-                                      : kEmptySymbol);
-        histories_[leaf].restore_entry(t, index, comm, key);
-      }
-    }
-  }
   std::vector<std::uint32_t> slots(k * traces_);
   for (std::uint32_t& slot : slots) {
     slot = static_cast<std::uint32_t>(poet::get_varint(in));
@@ -1257,41 +1034,6 @@ void OcepMatcher::restore(std::istream& in) {
   }
   subset_.restore(std::move(slots), std::move(matches));
   governor_.restore(in);
-  next_span_seq_ = poet::get_varint(in);
-  stats_.history_faulted = poet::get_varint(in);
-  stats_.spans_lost = poet::get_varint(in);
-  for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
-    histories_[leaf].set_spilled_counter(poet::get_varint(in));
-    for (TraceId t = 0; t < traces_; ++t) {
-      const std::uint64_t meta_count = poet::get_varint(in);
-      if (meta_count > store_.trace_size(t)) {
-        throw SerializationError("checkpoint spans exceed the trace");
-      }
-      EventIndex prev_last = kNoEvent;
-      for (std::uint64_t i = 0; i < meta_count; ++i) {
-        LeafHistory::SpanMeta meta;
-        meta.seq = poet::get_varint(in);
-        meta.first_index = static_cast<EventIndex>(poet::get_varint(in));
-        meta.last_index = static_cast<EventIndex>(poet::get_varint(in));
-        meta.count = static_cast<std::uint32_t>(poet::get_varint(in));
-        if (meta.count == 0 || meta.first_index == kNoEvent ||
-            meta.first_index > meta.last_index ||
-            meta.last_index > store_.trace_size(t) ||
-            (prev_last != kNoEvent && meta.first_index <= prev_last)) {
-          throw SerializationError("checkpoint span meta out of range");
-        }
-        prev_last = meta.last_index;
-        histories_[leaf].restore_spilled(t, meta);
-      }
-      const std::span<const HistoryEntry> resident =
-          histories_[leaf].on_trace(t);
-      if (prev_last != kNoEvent && !resident.empty() &&
-          prev_last >= resident.front().index) {
-        throw SerializationError(
-            "checkpoint span metas overlap resident history");
-      }
-    }
-  }
   stats_.breaker_trips = governor_.trips();
   refresh_history_stats();
 }

@@ -26,13 +26,14 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/assert.h"
 #include "core/governor.h"
 #include "core/history.h"
-#include "core/span_sink.h"
+#include "core/history_table.h"
 #include "core/subset.h"
 #include "obs/metrics.h"
 #include "pattern/compiled.h"
@@ -57,15 +58,11 @@ struct MatcherConfig {
   /// violation occurrence).
   bool global_coverage = true;
   /// Overload governance (docs/GOVERNANCE.md).  All defaults are the
-  /// do-nothing configuration: unlimited budget, breaker disabled, no
-  /// byte cap — guaranteed zero-cost and zero-semantics.
+  /// do-nothing configuration: unlimited budget, breaker disabled —
+  /// guaranteed zero-cost and zero-semantics.  (The history byte cap is
+  /// the Monitor's: MonitorConfig::history_bytes_limit.)
   SearchBudget budget;
   BreakerConfig breaker;
-  /// Byte-accounted cap across this pattern's leaf histories (including
-  /// the keyed index), 0 = unbounded.  Past the cap the matcher evicts
-  /// oldest-per-trace entries — counted as `history_evicted` coverage
-  /// loss — down to half the cap.
-  std::size_t history_bytes_limit = 0;
 };
 
 struct MatcherStats {
@@ -77,6 +74,8 @@ struct MatcherStats {
   std::uint64_t matches_reported = 0;
   std::uint64_t nodes_explored = 0;     ///< candidate instantiations tried
   std::uint64_t backjumps = 0;
+  // The history counters sum over this pattern's leaves, each reading
+  // the shared history of its class (core/history_table.h).
   std::uint64_t history_entries = 0;
   std::uint64_t history_merged = 0;
   std::uint64_t history_pruned = 0;     ///< always 0: only the byte cap cuts
@@ -131,6 +130,12 @@ using MatchCallback = std::function<void(const Match&, bool newly_covering)>;
 /// Threading contract: a matcher is single-owner — the thread that
 /// appends to its EventStore calls observe() and reads its state.  It
 /// takes no locks.
+///
+/// The leaf histories a matcher searches live in a HistoryTable.  A
+/// matcher built here owns a table of its own pattern's classes and
+/// appends each arrival to it; a Monitor's matchers share the Monitor's
+/// table, which the Monitor appends to once per arrival before offering
+/// the arrival to them.
 class OcepMatcher {
  public:
   /// The store must outlive the matcher and must already contain every
@@ -187,40 +192,30 @@ class OcepMatcher {
   /// PatternHealth::pattern (the matcher does not know its index).
   [[nodiscard]] PatternHealth health() const;
 
-  /// Approximate bytes held by this pattern's leaf histories.
+  /// Approximate bytes held by the leaf histories this pattern reads,
+  /// each shared history counted once.
   [[nodiscard]] std::size_t history_bytes() const noexcept;
 
-  /// Attaches the span-spill tier (core/span_sink.h): byte-cap pressure
-  /// then spills the oldest entries of the largest (leaf, trace) pair
-  /// through the sink instead of evicting them, and deep searches fault
-  /// them back on demand.  `pattern_index` is this matcher's index at the
-  /// sink (the matcher does not know it, as with health()).  Attach from
-  /// the owning thread before any events are observed or restored; the
-  /// sink must outlive the matcher.  Null detaches (spilled-span metas
-  /// then become unreachable, so only detach on teardown).
-  void set_span_sink(SpanSink* sink, std::uint32_t pattern_index) {
-    span_sink_ = sink;
-    pattern_index_ = pattern_index;
-  }
+ private:
+  friend class Monitor;
 
-  /// Faults every spilled span back into RAM and releases it at the sink.
-  /// Used before a migration freeze so the checkpoint blob is
-  /// self-contained (the source log's spans are about to be tombstoned).
-  void fault_all_spans();
+  /// A matcher reading `histories`, where its leaves' spans are keyed by
+  /// pattern index `index` (a Monitor's matchers).
+  OcepMatcher(const EventStore& store, pattern::CompiledPattern pattern,
+              MatcherConfig config, MatchCallback on_match,
+              HistoryTable* histories, std::uint32_t index);
 
-  /// Enumerates every span currently spilled through the sink, as
-  /// (leaf, trace, seq) — the store-side reconcile after a restart uses
-  /// this to drop span records the restored matcher no longer references.
-  void for_each_spilled(
-      const std::function<void(std::uint32_t leaf, TraceId trace,
-                               std::uint64_t seq)>& fn) const;
+  /// Recomputes the history counters of stats_ from the histories, and
+  /// publishes the evictions to telemetry (after the table evicted,
+  /// spilled or faulted; appends update them in place).
+  void sync_history_stats();
 
-  /// Serializes the matcher's incremental state: stats, per-leaf
-  /// histories, and the representative subset.  The store and pattern are
-  /// not serialized — restore() must run on a matcher built over the
-  /// restored store with the identical pattern and config.  History keys
-  /// are recomputed from the store on restore, so they are not written
-  /// either.
+  /// Serializes the matcher's incremental state: stats, the governor and
+  /// the representative subset.  The store, the pattern and the leaf
+  /// histories are not serialized: the Monitor writes its history table
+  /// ahead of the matcher blobs, and restore() must run on a matcher
+  /// built over the restored store and table with the identical pattern
+  /// and config.
   void checkpoint(std::ostream& out);
 
   /// Counterpart of checkpoint().  Requires a fresh matcher (no events
@@ -228,7 +223,6 @@ class OcepMatcher {
   /// SerializationError when the blob is inconsistent with the store.
   void restore(std::istream& in);
 
- private:
   /// A constraint as seen from one endpoint leaf.
   enum class Role : std::uint8_t {
     kAfterOther,    ///< other -> me
@@ -244,21 +238,19 @@ class OcepMatcher {
     Role role = Role::kConcurrent;
   };
 
-  /// Sizes the per-leaf state on first use, once the store knows its
-  /// traces.
+  /// Interns the leaves' classes and sizes the per-leaf state on first
+  /// use, once the store knows its traces.
   void lazy_init() {
     if (!initialized_) {
       initialize();
     }
   }
   void initialize();
-  /// observe() once the arrival count has caught up to `event`: appends
-  /// it to the accepting leaves' histories and runs the anchored searches.
+  /// observe() once the arrival count has caught up to `event`, whose
+  /// appends the table has made: counts them and runs the anchored
+  /// searches.
   void observe_next(const Event& event);
-  [[nodiscard]] bool leaf_accepts(const pattern::Leaf& leaf,
-                                  const Event& event) const;
-  /// Recomputes the history counters of stats_ from the histories (after
-  /// an eviction, spill or fault; appends update them in place).
+  /// Recomputes the history counters of stats_ from the histories.
   void refresh_history_stats();
   /// Partner-kind requirement: a leaf on the send (receive) side of '<->'
   /// only binds kSend (kReceive) events.  Checked for anchors and, with
@@ -283,10 +275,6 @@ class OcepMatcher {
   /// The wall-clock deadline is polled every 256 steps to keep the common
   /// case a single integer compare.
   [[nodiscard]] bool budget_exhausted();
-  /// Evicts oldest-per-trace history entries until the byte figure is back
-  /// under half the cap (largest (leaf, trace) pair first; deterministic
-  /// tie-break on the lowest leaf then trace).
-  void enforce_history_budget();
   /// Per-observe telemetry publication: counter deltas against `before`,
   /// plus the per-terminating-event histograms when a search ran.
   void publish_telemetry(const MatcherStats& before);
@@ -333,28 +321,17 @@ class OcepMatcher {
   /// Non-const: faults spilled spans covering the checked windows.
   [[nodiscard]] bool limited_ok(std::uint32_t a_leaf, EventId a, EventId b);
 
-  /// Span-spill helpers (no-ops without a sink).  spill_pair offers the
-  /// prefix past `keep` of (leaf, trace) to the sink; returns the bytes
-  /// freed, 0 when the sink declined (caller falls back to eviction).
-  std::size_t spill_pair(std::uint32_t leaf, TraceId trace,
-                         std::size_t keep);
-  /// Faults the newest spilled span of (leaf, trace) back into RAM; on an
-  /// unreadable span drops its meta and counts spans_lost.  Either way
-  /// the meta is consumed (guaranteed progress for callers that loop).
-  bool fault_newest(std::uint32_t leaf, TraceId trace);
-  /// Faults spans of (leaf, trace) newest-first until the resident window
-  /// reaches down to `lo` (or nothing spilled covers it).
-  void ensure_history_loaded(std::uint32_t leaf, TraceId trace,
-                             EventIndex lo);
-  /// Releases every spilled span of a covered (leaf, trace) pair.
-  void release_spilled(std::uint32_t leaf, TraceId trace);
-
   const EventStore& store_;
   pattern::CompiledPattern pattern_;
   MatcherConfig config_;
   MatchCallback on_match_;
   MatcherTelemetry telemetry_;
   bool telemetry_on_ = false;
+  /// The table of a standalone matcher; null in a Monitor.
+  std::unique_ptr<HistoryTable> own_table_;
+  HistoryTable* table_ = nullptr;
+  /// This pattern's index: the span key of the classes it declares first.
+  std::uint32_t pattern_index_ = 0;
 
   /// Builds a selectivity-aware evaluation order (the pattern tree's Order
   /// attribute): starting from `seeds`, greedily append the leaf whose
@@ -363,10 +340,6 @@ class OcepMatcher {
   /// (Fig-4 restricted domain), a known process (single trace).
   [[nodiscard]] std::vector<std::uint32_t> make_order(
       std::vector<std::uint32_t> seeds) const;
-
-  /// The secondary-index key of a leaf for `event` (text variable first,
-  /// then type variable), or kEmptySymbol when the leaf is not keyed.
-  enum class KeyAttr : std::uint8_t { kNone, kText, kType };
 
   bool initialized_ = false;
   std::size_t traces_ = 0;
@@ -378,8 +351,11 @@ class OcepMatcher {
   std::vector<std::vector<std::uint32_t>> pin_orders_;
   /// One bit per terminating leaf.
   std::uint64_t terminating_mask_ = 0;
-  std::vector<bool> merge_allowed_;  // false for -lim-> quantified leaves
-  std::vector<LeafHistory> histories_;
+  /// Per leaf, its class's id in table_ and that class's history.
+  std::vector<std::uint32_t> class_of_;
+  std::vector<LeafHistory*> histories_;
+  /// The distinct classes of the leaves, ascending.
+  std::vector<std::uint32_t> classes_;
   /// Trace lookup for process attributes: (name, trace) pairs sorted.
   std::vector<std::pair<Symbol, TraceId>> trace_by_name_;
 
@@ -395,13 +371,6 @@ class OcepMatcher {
   std::vector<std::uint8_t> local_covered_;
   std::vector<std::uint32_t> local_marked_;
   Match match_;  // the match being reported
-
-  // Span-spill tier (core/span_sink.h); null = legacy evict-only mode.
-  SpanSink* span_sink_ = nullptr;
-  std::uint32_t pattern_index_ = 0;
-  /// Monotonic spill sequence, shared across leaves/traces so replaying
-  /// the same events re-issues identical span identities.  Checkpointed.
-  std::uint64_t next_span_seq_ = 0;
 
   // Overload governance (docs/GOVERNANCE.md).
   PatternGovernor governor_;

@@ -15,7 +15,10 @@ namespace ocep {
 
 Monitor::Monitor(StringPool& pool, const MonitorConfig& config,
                  ClockStorage storage)
-    : pool_(&pool), store_(storage), config_(config) {
+    : pool_(&pool),
+      store_(storage),
+      config_(config),
+      histories_(store_, config_.history_bytes_limit) {
   if (config_.metrics) {
     registry_ = std::make_unique<obs::Registry>();
     arrival_ns_ = &registry_->histogram(
@@ -81,10 +84,12 @@ std::size_t Monitor::add_pattern(std::string_view source,
   OCEP_ASSERT_MSG(events_seen_ == 0,
                   "patterns must be registered before the first event");
   pattern::CompiledPattern compiled = pattern::compile(source, *pool_);
-  matchers_.push_back(std::make_unique<OcepMatcher>(
-      store_, std::move(compiled), config, std::move(on_match)));
+  const std::size_t index = matchers_.size();
+  matchers_.push_back(std::unique_ptr<OcepMatcher>(
+      new OcepMatcher(store_, std::move(compiled), config,
+                      std::move(on_match), &histories_,
+                      static_cast<std::uint32_t>(index))));
   index_.add(matchers_.back()->pattern());
-  const std::size_t index = matchers_.size() - 1;
   if (registry_) {
     matchers_.back()->set_telemetry(make_telemetry(index));
     observe_ns_.push_back(&registry_->histogram(
@@ -106,6 +111,9 @@ void Monitor::on_traces(const std::vector<Symbol>& names) {
 void Monitor::on_event(const Event& event, const VectorClock& clock) {
   OCEP_ASSERT_MSG(traces_known_,
                   "on_traces must be delivered before the first event");
+  if (!histories_bound_) {
+    bind_histories();
+  }
   store_.append(event, clock);
   ++events_seen_;
   if (registry_) {
@@ -118,7 +126,9 @@ void Monitor::on_event(const Event& event, const VectorClock& clock) {
 }
 
 void Monitor::observe_offered(const Event& event, std::uint64_t position) {
-  for (const std::uint32_t i : index_.offered(event.type)) {
+  const DispatchIndex::Offer offer = index_.offered(event.type);
+  histories_.append(event, offer.classes);
+  for (const std::uint32_t i : offer.patterns) {
     if (registry_) {
       const metrics::Stopwatch watch;
       matchers_[i]->observe(event, position);
@@ -130,30 +140,35 @@ void Monitor::observe_offered(const Event& event, std::uint64_t position) {
   for (const std::unique_ptr<OcepMatcher>& matcher : matchers_) {
     matcher->advance(position + 1);
   }
+  histories_.enforce_budget();
+  if (histories_.generation() != synced_generation_) {
+    sync_history_stats();
+  }
 }
 
-void Monitor::set_span_sink(SpanSink* sink) {
-  for (std::size_t i = 0; i < matchers_.size(); ++i) {
-    matchers_[i]->set_span_sink(sink, static_cast<std::uint32_t>(i));
+void Monitor::bind_histories() {
+  if (histories_bound_) {
+    return;
+  }
+  histories_bound_ = true;
+  for (const std::unique_ptr<OcepMatcher>& matcher : matchers_) {
+    matcher->lazy_init();
+  }
+  for (std::uint32_t id = 0; id < histories_.size(); ++id) {
+    index_.add_class(id, histories_.leaf_class(id));
+  }
+}
+
+void Monitor::sync_history_stats() {
+  synced_generation_ = histories_.generation();
+  for (const std::unique_ptr<OcepMatcher>& matcher : matchers_) {
+    matcher->sync_history_stats();
   }
 }
 
 void Monitor::fault_all_spans() {
-  for (const std::unique_ptr<OcepMatcher>& matcher : matchers_) {
-    matcher->fault_all_spans();
-  }
-}
-
-void Monitor::for_each_spilled(
-    const std::function<void(std::uint32_t pattern, std::uint32_t leaf,
-                             TraceId trace, std::uint64_t seq)>& fn) const {
-  for (std::size_t i = 0; i < matchers_.size(); ++i) {
-    const auto pattern = static_cast<std::uint32_t>(i);
-    matchers_[i]->for_each_spilled(
-        [&](std::uint32_t leaf, TraceId trace, std::uint64_t seq) {
-          fn(pattern, leaf, trace, seq);
-        });
-  }
+  histories_.fault_all_spans();
+  sync_history_stats();
 }
 
 void Monitor::update_store_gauges() const {
@@ -178,17 +193,19 @@ HealthReport Monitor::health() const {
 
 namespace {
 
-constexpr std::string_view kCheckpointMagic = "OCEPCKP5";
+constexpr std::string_view kCheckpointMagic = "OCEPCKP6";
 
 }  // namespace
 
 void Monitor::checkpoint(std::ostream& out) {
   OCEP_ASSERT_MSG(traces_known_,
                   "nothing to checkpoint before traces are announced");
+  bind_histories();
   std::ostringstream body;
   dump(store_, *pool_, body);
   poet::put_varint(body, events_seen_);
   poet::put_varint(body, matchers_.size());
+  histories_.checkpoint(body);
   for (const std::unique_ptr<OcepMatcher>& matcher : matchers_) {
     matcher->checkpoint(body);
   }
@@ -205,8 +222,8 @@ void Monitor::restore(std::istream& in) {
       read_frame(in, kCheckpointMagic, kMaxFrameBody, "checkpoint");
 
   // Replay the embedded dump straight into the store, bypassing the
-  // matchers: their state is restored from the per-matcher blobs below,
-  // not recomputed.
+  // histories and matchers: their state is restored from the blobs
+  // below, not recomputed.
   struct RestoreSink final : EventSink {
     explicit RestoreSink(Monitor& m) : monitor(m) {}
     void on_traces(const std::vector<Symbol>& names) override {
@@ -236,9 +253,12 @@ void Monitor::restore(std::istream& in) {
     throw SerializationError(
         "checkpoint pattern count does not match the registered patterns");
   }
+  bind_histories();
+  histories_.restore(body);
   for (const std::unique_ptr<OcepMatcher>& matcher : matchers_) {
     matcher->restore(body);
   }
+  synced_generation_ = histories_.generation();
 }
 
 }  // namespace ocep

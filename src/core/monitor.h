@@ -14,12 +14,14 @@
 //   sim.run();
 //   monitor.matcher(0).subset().matches();  // representative subset
 //
-// Each event is offered only to the patterns with a leaf that can accept
-// its type (core/dispatch.h), in ascending pattern order; the others just
-// count it (OcepMatcher::advance).  All of this runs on the delivery
-// thread, inside on_event: one thread drives a Monitor, and when
-// on_event returns every pattern has observed the event.  A daemon gets
-// its parallelism from shards, one Monitor per tenant (net/shard.h).
+// The patterns share one history per event class (core/history_table.h):
+// each arrival is appended once to every class that accepts it, then
+// offered only to the patterns with a leaf that can accept its type
+// (core/dispatch.h), in ascending pattern order; the others just count it
+// (OcepMatcher::advance).  All of this runs on the delivery thread,
+// inside on_event: one thread drives a Monitor, and when on_event returns
+// every pattern has observed the event.  A daemon gets its parallelism
+// from shards, one Monitor per tenant (net/shard.h).
 #pragma once
 
 #include <functional>
@@ -30,6 +32,7 @@
 
 #include "core/dispatch.h"
 #include "core/governor.h"
+#include "core/history_table.h"
 #include "core/matcher.h"
 #include "obs/metrics.h"
 #include "poet/client.h"
@@ -42,6 +45,13 @@ struct MonitorConfig {
   /// readable via Monitor::metrics().  Off by default: the hot paths
   /// then pay one predictable branch per event.
   bool metrics = false;
+  /// Byte-accounted cap across the Monitor's leaf histories (including
+  /// the keyed index), 0 = unbounded.  Past the cap the largest
+  /// (history, trace) pair is spilled through the span sink, or evicted
+  /// without one — counted as `history_evicted` coverage loss by every
+  /// pattern reading the history — until the figure is back under half
+  /// the cap (docs/GOVERNANCE.md).
+  std::size_t history_bytes_limit = 0;
 };
 
 class Monitor final : public EventSink {
@@ -86,6 +96,12 @@ class Monitor final : public EventSink {
     return events_seen_;
   }
 
+  /// Approximate bytes held by the shared leaf histories: what
+  /// MonitorConfig::history_bytes_limit caps.
+  [[nodiscard]] std::size_t history_bytes() const noexcept {
+    return histories_.approx_bytes();
+  }
+
   /// True once announce_traces() ran (or a restore supplied the table) —
   /// the earliest point checkpoint() is legal.
   [[nodiscard]] bool traces_known() const noexcept { return traces_known_; }
@@ -102,29 +118,32 @@ class Monitor final : public EventSink {
     ingest_source_ = std::move(source);
   }
 
-  /// Attaches a spill sink (core/span_sink.h) to every matcher — each
-  /// matcher spills under its own pattern index.  Attach after
-  /// add_pattern and before the first event or restore, nullptr detaches.
-  /// The sink must outlive the monitor or the next set_span_sink(nullptr).
-  void set_span_sink(SpanSink* sink);
+  /// Attaches the spill sink (core/span_sink.h) of the shared histories:
+  /// a history's spans are keyed by the (pattern, leaf) that first
+  /// declared its class.  Attach after add_pattern and before the first
+  /// event or restore, nullptr detaches.  The sink must outlive the
+  /// monitor or the next set_span_sink(nullptr).
+  void set_span_sink(SpanSink* sink) { histories_.set_span_sink(sink); }
 
-  /// Faults every spilled span of every matcher back into RAM and
-  /// releases it from the sink — after this no matcher references the
-  /// sink's storage (used before tenant migration / sink teardown).
+  /// Faults every spilled span back into RAM and releases it from the
+  /// sink — after this no history references the sink's storage (used
+  /// before tenant migration / sink teardown).
   void fault_all_spans();
 
-  /// Enumerates every spilled span currently referenced by any matcher,
-  /// as (pattern, leaf, trace, seq) — the shard's rebuild path uses this
-  /// to reconcile the store's span index with what a restored
-  /// checkpoint actually references.
+  /// Enumerates every spilled span currently referenced, as (pattern,
+  /// leaf, trace, seq) — the shard's rebuild path uses this to reconcile
+  /// the store's span index with what a restored checkpoint actually
+  /// references.
   void for_each_spilled(
       const std::function<void(std::uint32_t pattern, std::uint32_t leaf,
-                               TraceId trace, std::uint64_t seq)>& fn) const;
+                               TraceId trace, std::uint64_t seq)>& fn) const {
+    histories_.for_each_spilled(fn);
+  }
 
   /// Serializes the monitor's full matching state — store contents, event
-  /// watermark, and every matcher's incremental state — as one
-  /// "OCEPCKP5" frame (common/frame.h), so a torn write or flipped bit is
-  /// detected on restore.  Layout in docs/ROBUSTNESS.md.
+  /// watermark, the shared histories and every matcher's incremental
+  /// state — as one "OCEPCKP6" frame (common/frame.h), so a torn write or
+  /// flipped bit is detected on restore.  Layout in docs/ROBUSTNESS.md.
   void checkpoint(std::ostream& out);
 
   /// Restores a checkpoint, which must be all of `in`, into this monitor.
@@ -163,17 +182,28 @@ class Monitor final : public EventSink {
   /// Builds the MatcherTelemetry instrument set for pattern `index`.
   [[nodiscard]] MatcherTelemetry make_telemetry(std::size_t index);
   void update_store_gauges() const;
-  /// Offers the event at arrival position `position` to its patterns and
-  /// brings every other pattern's count up to date.
+  /// Appends the event at arrival position `position` to its classes'
+  /// histories, offers it to its patterns, brings every other pattern's
+  /// count up to date and then holds the histories to their byte cap.
   void observe_offered(const Event& event, std::uint64_t position);
+  /// Interns every pattern's leaf classes, once the traces are known
+  /// (at the first arrival, checkpoint or restore).
+  void bind_histories();
+  /// Brings every pattern's history counters up to date after the table
+  /// changed a history other than by an append.
+  void sync_history_stats();
 
   StringPool* pool_;
   EventStore store_;
   MonitorConfig config_;
   std::function<IngestStats()> ingest_source_;
+  HistoryTable histories_;
   std::vector<std::unique_ptr<OcepMatcher>> matchers_;
-  /// Which patterns each event type is offered to.
+  /// Which patterns and classes each event type is offered to.
   DispatchIndex index_;
+  bool histories_bound_ = false;
+  /// histories_.generation() as of the last sync_history_stats().
+  std::uint64_t synced_generation_ = 0;
   bool traces_known_ = false;
   std::uint64_t events_seen_ = 0;
   std::unique_ptr<obs::Registry> registry_;

@@ -44,6 +44,7 @@ enum class TenantState : std::uint8_t {
 [[nodiscard]] const char* to_string(TenantState state) noexcept;
 
 struct TenantConfig {
+  /// Includes the byte cap on the tenant's shared leaf histories.
   MonitorConfig monitor;
   /// Governance knobs applied to every registered pattern
   /// (docs/GOVERNANCE.md); defaults are the do-nothing configuration.
@@ -76,7 +77,7 @@ class Tenant {
   /// SerializationError on corruption.
   void restore(std::istream& in);
 
-  /// Serializes patterns, monitor (OCEPCKP5), and session state, CRC
+  /// Serializes patterns, monitor (OCEPCKP6), and session state, CRC
   /// framed.  Safe mid-stream.
   void checkpoint(std::ostream& out);
 
@@ -189,7 +190,7 @@ class Tenant {
 
 /// Parsed tenant checkpoint: one "OCEPNTC2" frame (common/frame.h) whose
 /// body is varint pattern count, each pattern string, then the monitor
-/// blob (an OCEPCKP5 frame) and the session blob, each varint-length-
+/// blob (an OCEPCKP6 frame) and the session blob, each varint-length-
 /// prefixed.  Exposed so tests and tools can split the sections — the
 /// monitor blob is the byte-identity surface across resumed runs (session
 /// counters legitimately differ once a resync replayed data).

@@ -60,15 +60,17 @@ struct TenantStoreStats {
   std::uint64_t orphan_spans = 0;     ///< unreferenced spans seen at scan
 };
 
-/// Matcher fingerprint of one spilled leaf-history span.  Unlike deltas,
-/// spans carry no ordering constraint: the matcher's checkpoint names the
-/// exact seqs it may fault back, so a span record is valid wherever it
-/// sits in the log (which is what makes span relocation compaction-safe).
+/// Fingerprint of one spilled leaf-history span.  Unlike deltas, spans
+/// carry no ordering constraint: the monitor's checkpoint names the exact
+/// seqs it may fault back, so a span record is valid wherever it sits in
+/// the log (which is what makes span relocation compaction-safe).  A
+/// history shared by several leaves is named by the first leaf that
+/// declared its class (core/history_table.h).
 struct SpanKey {
   std::uint32_t pattern = 0;  ///< pattern index within the tenant
   std::uint32_t leaf = 0;     ///< leaf (event-class) index in the pattern
   std::uint64_t trace = 0;    ///< trace the entries belong to
-  std::uint64_t seq = 0;      ///< matcher-wide monotonic spill sequence
+  std::uint64_t seq = 0;      ///< monitor-wide monotonic spill sequence
   friend auto operator<=>(const SpanKey&, const SpanKey&) = default;
 };
 

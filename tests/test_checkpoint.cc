@@ -16,6 +16,7 @@
 #include "common/frame.h"
 #include "common/rng.h"
 #include "core/monitor.h"
+#include "memory_span_sink.h"
 #include "poet/dump.h"
 #include "poet/session.h"
 #include "random_computation.h"
@@ -165,14 +166,14 @@ TEST(Checkpoint, CorruptionIsDetectedNotTrusted) {
   EXPECT_THROW(restore_from("OCEPDMP1 definitely not a checkpoint"),
                SerializationError);
 
-  // A well-formed frame of the previous version ("OCEPCKP4"): refused at
+  // A well-formed frame of the previous version ("OCEPCKP5"): refused at
   // the version byte, not decoded under this version's layout.
   const DecodedFrame current =
-      decode_exact_frame(bytes, "OCEPCKP5", kMaxFrameBody);
+      decode_exact_frame(bytes, "OCEPCKP6", kMaxFrameBody);
   ASSERT_EQ(current.status, FrameStatus::kDone);
   try {
-    restore_from(encode_frame("OCEPCKP4", current.body));
-    ADD_FAILURE() << "an OCEPCKP4 checkpoint was restored";
+    restore_from(encode_frame("OCEPCKP5", current.body));
+    ADD_FAILURE() << "an OCEPCKP5 checkpoint was restored";
   } catch (const SerializationError& e) {
     EXPECT_EQ(e.byte_offset(), 7);
     const std::string what = e.what();
@@ -182,12 +183,13 @@ TEST(Checkpoint, CorruptionIsDetectedNotTrusted) {
 
   // Length fields announcing 3.75 GiB over five real bytes, in an old
   // layout ("OCEPCKP3", varint length and CRC) and in the frame layout
-  // under the previous and the current tag: refused, and nothing is
+  // under older tags and the current one: refused, and nothing is
   // allocated from the unverified length.
   const std::vector<std::string> huge = {
       std::string("OCEPCKP3\x80\x80\x80\x80\x0f\x00short", 19),
       std::string("OCEPCKP4\x00\x00\x00\xf0\x00\x00\x00\x00short", 21),
-      std::string("OCEPCKP5\x00\x00\x00\xf0\x00\x00\x00\x00short", 21)};
+      std::string("OCEPCKP5\x00\x00\x00\xf0\x00\x00\x00\x00short", 21),
+      std::string("OCEPCKP6\x00\x00\x00\xf0\x00\x00\x00\x00short", 21)};
   for (const std::string& blob : huge) {
     EXPECT_THROW(restore_from(blob), SerializationError);
   }
@@ -343,6 +345,66 @@ TEST(Checkpoint, SessionClientAndMonitorResumeAcrossRestart) {
   EXPECT_EQ(resumed.events_seen(), store.event_count());
   EXPECT_EQ(checkpoint_bytes(resumed), expected)
       << "restarted session diverged from the uninterrupted run";
+}
+
+// The shared histories ride the checkpoint once, with their byte cap and
+// span tier: two patterns read the same two classes, the cap spills them
+// through a sink, and a checkpoint taken mid-stream — with spans
+// outstanding — resumes byte-identical to the uninterrupted run.
+TEST(Checkpoint, SharedCappedSpilledHistoriesResumeByteIdentical) {
+  constexpr const char* kSharing =
+      "P := ['', A, '']; Q := ['', B, ''];\npattern := P || Q;\n";
+  StringPool pool;
+  testing::RandomComputationOptions options;
+  options.seed = 17;
+  options.traces = 8;
+  options.events = 1200;
+  const EventStore store = testing::random_computation(pool, options);
+  const std::uint64_t total = store.event_count();
+  MonitorConfig capped;
+  capped.history_bytes_limit = 1024;
+  const auto make = [&](Monitor& monitor, testing::MemorySpanSink& sink) {
+    monitor.add_pattern(kPattern);
+    monitor.add_pattern(kSharing);
+    monitor.set_span_sink(&sink);
+  };
+
+  testing::MemorySpanSink reference_sink;
+  Monitor reference(pool, capped, store.storage());
+  make(reference, reference_sink);
+  reference.on_traces(trace_names(store));
+  feed_range(reference, store, 0, total);
+  const std::string expected = checkpoint_bytes(reference);
+  ASSERT_GT(reference_sink.spills, 0U) << "the cap never spilled: vacuous";
+  ASSERT_GT(reference_sink.faults, 0U) << "nothing faulted back: vacuous";
+  ASSERT_GT(reference.matcher(1).stats().history_spilled, 0U);
+  EXPECT_LE(reference.history_bytes(), capped.history_bytes_limit);
+
+  for (const std::uint64_t split : {total / 3, total / 2, total - 7}) {
+    testing::MemorySpanSink sink;
+    Monitor first(pool, capped, store.storage());
+    make(first, sink);
+    first.on_traces(trace_names(store));
+    feed_range(first, store, 0, split);
+    std::size_t outstanding = 0;
+    first.for_each_spilled(
+        [&outstanding](std::uint32_t, std::uint32_t, TraceId,
+                       std::uint64_t) { ++outstanding; });
+    ASSERT_GT(outstanding, 0U) << "no span was spilled at " << split;
+    std::istringstream saved(checkpoint_bytes(first));
+
+    Monitor resumed(pool, capped, store.storage());
+    make(resumed, sink);
+    resumed.restore(saved);
+    feed_range(resumed, store, split, total);
+    EXPECT_EQ(checkpoint_bytes(resumed), expected)
+        << "resume at " << split << "/" << total
+        << " diverged from the uninterrupted run";
+    EXPECT_EQ(testing::match_signature(resumed, 0),
+              testing::match_signature(reference, 0));
+    EXPECT_EQ(testing::match_signature(resumed, 1),
+              testing::match_signature(reference, 1));
+  }
 }
 
 // Governance state must ride the checkpoint (format v2): a breaker that

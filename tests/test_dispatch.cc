@@ -17,6 +17,11 @@
 //        candidate.
 //   2. Standalone equivalence — each pattern's output from the Monitor
 //      equals that of an OcepMatcher that is fed every event itself.
+//
+// Both run over two pattern sets: the mixed set, and a sharing set whose
+// patterns read each other's leaf histories (core/history_table.h).  The
+// sharing set's digests were computed by a Monitor that kept one history
+// per (pattern, leaf).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -68,6 +73,27 @@ std::vector<std::string> mixed_patterns() {
   patterns.push_back(
       "P := [$p, A, $t]; Q := [$p, '', $t];\npattern := P -> Q;\n");
   return patterns;
+}
+
+/// Patterns whose leaves share classes, and near-misses that must not:
+/// a class read by several patterns (a process variable accepts any
+/// process, as a wildcard does), a pattern that differs from another only
+/// by a '-lim->'-quantified leaf (which keeps every occurrence), leaves
+/// that differ only by key attribute (text vs type variable), and
+/// patterns with two leaves of one class.
+std::vector<std::string> sharing_patterns() {
+  return {
+      "P := ['', A, '']; Q := ['', B, ''];\npattern := P -> Q;\n",
+      "P := ['', A, '']; Q := ['', C, ''];\npattern := P || Q;\n",
+      "P := [$p, A, '']; Q := [$p, B, ''];\npattern := P -> Q;\n",
+      "P := ['', A, '']; Q := ['', B, ''];\npattern := P -lim-> Q;\n",
+      "P := ['', A, '']; Q := ['', D, ''];\npattern := P -lim-> Q;\n",
+      "P := ['', $k, $t]; Q := ['', C, $t];\npattern := P -> Q;\n",
+      "P := ['', $k, '']; Q := ['', $k, y];\npattern := P || Q;\n",
+      "P := ['', '', $t]; Q := [T1, B, $t];\npattern := Q -> P;\n",
+      "P := ['', D, '']; Q := ['', D, ''];\npattern := P -> Q;\n",
+      "P := ['', C, x]; Q := ['', C, x];\npattern := P || Q;\n",
+  };
 }
 
 struct Callback {
@@ -151,9 +177,9 @@ struct Digests {
 /// all of them, with the callbacks digested in the order the Monitor made
 /// them.
 std::vector<Outcome> run_monitor(const EventStore& source, StringPool& pool,
+                                 const std::vector<std::string>& patterns,
                                  const MatcherConfig& matcher_config,
                                  Digests* digests) {
-  const std::vector<std::string> patterns = mixed_patterns();
   std::vector<Outcome> out(patterns.size());
   Fnv fnv;
   Fnv effort;
@@ -211,13 +237,17 @@ struct PinnedCase {
   bool governed;
   const char* output;
   const char* effort;
+  /// Over sharing_patterns() instead of mixed_patterns().
+  bool sharing = false;
 };
 
-/// The instance name (`seed41_dense`, ...), also what gtest prints for the
-/// parameter: its raw bytes would carry the digest pointers and padding,
-/// so the listed test names would change from build to build.
+/// The instance name (`seed41_dense`, `sharing_seed41_dense`, ...), also
+/// what gtest prints for the parameter: its raw bytes would carry the
+/// digest pointers and padding, so the listed test names would change
+/// from build to build.
 std::string case_name(const PinnedCase& c) {
-  return "seed" + std::to_string(c.seed) +
+  return std::string(c.sharing ? "sharing_" : "") + "seed" +
+         std::to_string(c.seed) +
          (c.storage == ClockStorage::kDense ? "_dense" : "_sparse") +
          (c.governed ? "_governed" : "");
 }
@@ -233,8 +263,9 @@ TEST_P(DispatchDigest, MonitorOutputIsPinned) {
   const MatcherConfig config =
       pinned.governed ? governed_config() : MatcherConfig{};
   Digests digests;
-  const std::vector<Outcome> outcome =
-      run_monitor(source, pool, config, &digests);
+  const std::vector<Outcome> outcome = run_monitor(
+      source, pool, pinned.sharing ? sharing_patterns() : mixed_patterns(),
+      config, &digests);
   EXPECT_EQ(digests.output, pinned.output);
   EXPECT_EQ(digests.effort, pinned.effort);
 
@@ -271,19 +302,22 @@ INSTANTIATE_TEST_SUITE_P(
         PinnedCase{41, ClockStorage::kDense, true, "c5ac0d2d43faf00c",
                    "ee9c5a46d315762f"},
         PinnedCase{42, ClockStorage::kSparse, true, "11e0e3c60181bb7d",
-                   "89ff43d7350f657a"}),
+                   "89ff43d7350f657a"},
+        PinnedCase{41, ClockStorage::kDense, false, "75704601f2360384",
+                   "eb9ad4911ab08558", true},
+        PinnedCase{42, ClockStorage::kSparse, false, "e54e66e6e7364708",
+                   "d147d835a00048c2", true},
+        PinnedCase{43, ClockStorage::kDense, true, "e234a1b4b3593e0a",
+                   "a794f73d1b098971", true}),
     [](const auto& param_info) { return case_name(param_info.param); });
 
 class DispatchStandalone : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(DispatchStandalone, EachPatternMatchesAMatcherFedEveryEvent) {
-  StringPool pool;
-  // Odd seeds run on the sparse timestamp backend.
-  const ClockStorage storage =
-      GetParam() % 2 == 1 ? ClockStorage::kSparse : ClockStorage::kDense;
-  const EventStore source = make_source(pool, GetParam(), storage);
-  const std::vector<std::string> patterns = mixed_patterns();
-
+/// Checks each of `patterns`' output from one Monitor against standalone
+/// matchers fed every event.
+void expect_standalone_equivalence(const EventStore& source,
+                                   StringPool& pool,
+                                   const std::vector<std::string>& patterns) {
   // The reference: one matcher per pattern over a store that grows with
   // the stream, every matcher fed every event as soon as it is stored.
   EventStore store(source.storage());
@@ -314,7 +348,7 @@ TEST_P(DispatchStandalone, EachPatternMatchesAMatcherFedEveryEvent) {
   }
 
   const std::vector<Outcome> synchronous =
-      run_monitor(source, pool, MatcherConfig{}, nullptr);
+      run_monitor(source, pool, patterns, MatcherConfig{}, nullptr);
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     SCOPED_TRACE("pattern " + std::to_string(i) + ": " + patterns[i]);
     EXPECT_EQ(synchronous[i].callbacks, standalone[i].callbacks);
@@ -323,8 +357,48 @@ TEST_P(DispatchStandalone, EachPatternMatchesAMatcherFedEveryEvent) {
   }
 }
 
+TEST_P(DispatchStandalone, EachPatternMatchesAMatcherFedEveryEvent) {
+  StringPool pool;
+  // Odd seeds run on the sparse timestamp backend.
+  const ClockStorage storage =
+      GetParam() % 2 == 1 ? ClockStorage::kSparse : ClockStorage::kDense;
+  const EventStore source = make_source(pool, GetParam(), storage);
+  {
+    SCOPED_TRACE("mixed patterns");
+    expect_standalone_equivalence(source, pool, mixed_patterns());
+  }
+  {
+    SCOPED_TRACE("sharing patterns");
+    expect_standalone_equivalence(source, pool, sharing_patterns());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DispatchStandalone,
                          ::testing::Values(51, 52, 53));
+
+/// bench/pipeline's sixteen `P -> Q` patterns over types A..D read only
+/// four classes: their Monitor holds exactly the histories of a Monitor
+/// with `A -> B` and `C -> D` alone.
+TEST(DispatchSharing, PipelinePatternsShareFourHistories) {
+  StringPool pool;
+  const EventStore source = make_source(pool, 44, ClockStorage::kDense);
+  Monitor all(pool);
+  for (char x = 'A'; x <= 'D'; ++x) {
+    for (char y = 'A'; y <= 'D'; ++y) {
+      all.add_pattern(std::string("P := ['', ") + x + ", '']; Q := ['', " +
+                      y + ", ''];\npattern := P -> Q;\n");
+    }
+  }
+  replay(source, all);
+  Monitor two(pool);
+  two.add_pattern("P := ['', A, '']; Q := ['', B, ''];\npattern := P -> Q;\n");
+  two.add_pattern("P := ['', C, '']; Q := ['', D, ''];\npattern := P -> Q;\n");
+  replay(source, two);
+  ASSERT_GT(two.history_bytes(), 0U);
+  EXPECT_EQ(all.history_bytes(), two.history_bytes());
+  EXPECT_EQ(all.history_bytes(),
+            two.matcher(0).history_bytes() + two.matcher(1).history_bytes());
+}
 
 }  // namespace
 }  // namespace ocep

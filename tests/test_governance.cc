@@ -293,10 +293,10 @@ TEST(Governance, ByteCapBoundsHistoryAndCountsEvictions) {
   const std::size_t full_bytes = unbounded.matcher(0).history_bytes();
   ASSERT_GT(full_bytes, 4096U) << "workload too small to exercise the cap";
 
-  MatcherConfig capped;
+  MonitorConfig capped;
   capped.history_bytes_limit = 4096;
-  Monitor bounded(pool, store.storage());
-  bounded.add_pattern(kBenign, capped);
+  Monitor bounded(pool, capped, store.storage());
+  bounded.add_pattern(kBenign);
   feed_all(bounded, store);
 
   EXPECT_LE(bounded.matcher(0).history_bytes(), capped.history_bytes_limit);

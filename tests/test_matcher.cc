@@ -2,18 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <set>
-#include <span>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "baseline/naive_matcher.h"
 #include "computation_builder.h"
 #include "core/matcher.h"
-#include "core/span_sink.h"
+#include "core/monitor.h"
+#include "memory_span_sink.h"
 #include "pattern/compiled.h"
 #include "poet/replay.h"
 #include "random_computation.h"
@@ -390,46 +388,13 @@ TEST(Matcher, ObserveIsDeterministic) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-/// A span sink that keeps spans in memory, for tests that need the spill
-/// tier without a tenant store.
-class MemorySpanSink final : public SpanSink {
- public:
-  bool spill(std::uint32_t /*pattern*/, std::uint32_t leaf, TraceId trace,
-             std::uint64_t seq,
-             std::span<const HistoryEntry> entries) override {
-    spans_[{leaf, trace, seq}].assign(entries.begin(), entries.end());
-    ++spills;
-    return true;
-  }
-  bool fault(std::uint32_t /*pattern*/, std::uint32_t leaf, TraceId trace,
-             std::uint64_t seq, std::vector<HistoryEntry>& out) override {
-    const auto it = spans_.find({leaf, trace, seq});
-    if (it == spans_.end()) {
-      return false;
-    }
-    out = it->second;
-    ++faults;
-    return true;
-  }
-  void release(std::uint32_t /*pattern*/, std::uint32_t leaf, TraceId trace,
-               std::uint64_t seq) override {
-    spans_.erase({leaf, trace, seq});
-  }
-
-  std::uint64_t spills = 0;
-  std::uint64_t faults = 0;
-
- private:
-  std::map<std::tuple<std::uint32_t, TraceId, std::uint64_t>,
-           std::vector<HistoryEntry>>
-      spans_;
-};
-
 // A keyed leaf whose witness lives only in a spilled span: the keyed
 // sweep must visit every trace with spans, because the keys of spilled
 // entries are unknown until they are faulted back — and after a restore
 // they are not even recomputed for the slices.  Checkpointing between the
-// spill and the match must not change what is found.
+// spill and the match must not change what is found.  The byte cap and
+// the span tier belong to a Monitor's history table, so this runs on a
+// one-pattern Monitor.
 TEST(Matcher, KeyedWitnessInSpilledSpanIsFoundAcrossRestore) {
   StringPool pool;
   ComputationBuilder b(pool, {"T0", "T1", "T2"});
@@ -462,58 +427,68 @@ TEST(Matcher, KeyedWitnessInSpilledSpanIsFoundAcrossRestore) {
       run.callbacks.emplace_back(fresh, match.bindings);
     };
   };
-  const auto finish = [](Run& run, const OcepMatcher& matcher) {
-    for (const Match& match : matcher.subset().matches()) {
+  const auto finish = [](Run& run, const Monitor& monitor) {
+    for (const Match& match : monitor.matcher(0).subset().matches()) {
       run.subset.push_back(match.bindings);
     }
   };
-  const auto feed = [&store](OcepMatcher& matcher, std::size_t begin,
+  std::vector<Symbol> names;
+  for (TraceId t = 0; t < store.trace_count(); ++t) {
+    names.push_back(store.trace_name(t));
+  }
+  const auto feed = [&store](Monitor& monitor, std::size_t begin,
                              std::size_t end) {
     for (std::size_t pos = begin; pos < end; ++pos) {
-      matcher.observe(store.event(store.arrival(pos)), pos);
+      const EventId id = store.arrival(pos);
+      monitor.on_event(store.event(id), store.clock(id));
     }
   };
 
   MatcherConfig unbounded;
   unbounded.merge_redundant_history = false;  // every P is its own witness
   Run full;
-  OcepMatcher reference(store, pattern::compile(kKeyed, pool), unbounded,
-                        callback_into(full));
+  Monitor reference(pool, store.storage());
+  reference.add_pattern(kKeyed, unbounded, callback_into(full));
+  reference.on_traces(names);
   feed(reference, 0, store.event_count());
   finish(full, reference);
   // Every Q but 'none' matches, and k23's pin on T2 adds a fifth.
   ASSERT_EQ(full.callbacks.size(), 5U);
 
-  MatcherConfig capped = unbounded;
+  MonitorConfig capped;
   capped.history_bytes_limit = 1024;
 
   // Without a sink the cap evicts: the spilled witnesses are gone.
   Run lossy;
-  OcepMatcher evicting(store, pattern::compile(kKeyed, pool), capped,
-                       callback_into(lossy));
+  Monitor evicting(pool, capped, store.storage());
+  evicting.add_pattern(kKeyed, unbounded, callback_into(lossy));
+  evicting.on_traces(names);
   feed(evicting, 0, store.event_count());
   EXPECT_LT(lossy.callbacks.size(), full.callbacks.size())
       << "no witness was only in the spilled prefix: the test is vacuous";
 
-  // With a sink: spill, checkpoint, restore into a fresh matcher on the
+  // With a sink: spill, checkpoint, restore into a fresh monitor on the
   // same sink, and finish there.
-  MemorySpanSink sink;
+  testing::MemorySpanSink sink;
   Run spilled;
-  OcepMatcher first(store, pattern::compile(kKeyed, pool), capped,
-                    callback_into(spilled));
-  first.set_span_sink(&sink, 0);
+  Monitor first(pool, capped, store.storage());
+  first.add_pattern(kKeyed, unbounded, callback_into(spilled));
+  first.set_span_sink(&sink);
+  first.on_traces(names);
   feed(first, 0, split);
   ASSERT_GT(sink.spills, 0U);
   std::stringstream saved;
   first.checkpoint(saved);
 
-  OcepMatcher resumed(store, pattern::compile(kKeyed, pool), capped,
-                      callback_into(spilled));
-  resumed.set_span_sink(&sink, 0);
+  Monitor resumed(pool, capped, store.storage());
+  resumed.add_pattern(kKeyed, unbounded, callback_into(spilled));
+  resumed.set_span_sink(&sink);
   resumed.restore(saved);
   std::size_t spans = 0;
   resumed.for_each_spilled(
-      [&spans](std::uint32_t, TraceId, std::uint64_t) { ++spans; });
+      [&spans](std::uint32_t, std::uint32_t, TraceId, std::uint64_t) {
+        ++spans;
+      });
   ASSERT_GT(spans, 0U) << "nothing was spilled at the checkpoint";
   feed(resumed, split, store.event_count());
   finish(spilled, resumed);
@@ -522,11 +497,12 @@ TEST(Matcher, KeyedWitnessInSpilledSpanIsFoundAcrossRestore) {
   EXPECT_EQ(spilled.subset, full.subset);
 
   // The same stream without the checkpoint finds the same.
-  MemorySpanSink live_sink;
+  testing::MemorySpanSink live_sink;
   Run live;
-  OcepMatcher uninterrupted(store, pattern::compile(kKeyed, pool), capped,
-                            callback_into(live));
-  uninterrupted.set_span_sink(&live_sink, 0);
+  Monitor uninterrupted(pool, capped, store.storage());
+  uninterrupted.add_pattern(kKeyed, unbounded, callback_into(live));
+  uninterrupted.set_span_sink(&live_sink);
+  uninterrupted.on_traces(names);
   feed(uninterrupted, 0, store.event_count());
   finish(live, uninterrupted);
   EXPECT_EQ(live.callbacks, full.callbacks);

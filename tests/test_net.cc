@@ -152,13 +152,16 @@ std::string admin_request(std::uint16_t port, const std::string& method,
 /// Streams the golden store as `tenant`, retrying while the server still
 /// considers a predecessor connection attached (detach is asynchronous).
 net::StreamResult stream_golden(std::uint16_t port, const std::string& tenant,
-                                const net::StreamOptions& options = {}) {
+                                const net::StreamOptions& options = {},
+                                std::vector<std::string> patterns = {}) {
   StringPool pool;
   const EventStore store = golden_store(pool);
   net::ConnectorConfig config;
   config.port = port;
   config.tenant = tenant;
-  config.patterns = {golden_pattern()};
+  config.patterns =
+      patterns.empty() ? std::vector<std::string>{golden_pattern()}
+                       : std::move(patterns);
   for (int attempt = 0; attempt < 200; ++attempt) {
     const net::StreamResult result =
         net::stream_store(store, pool, config, options);
@@ -1325,19 +1328,37 @@ net::ServerConfig store_config(const std::string& dir) {
   return config;
 }
 
+/// Reads zk962's Snapshot and Update classes: next to the golden pattern
+/// it shares every leaf history it reads.
+constexpr const char* kSharedSnapshotPattern =
+    "Snapshot := [$l, Take_Snapshot, $tag];\n"
+    "Update := [$l, Make_Update, ''];\n"
+    "pattern := Snapshot -> Update;\n";
+
 // The shutdown/restart acceptance bar: SIGTERM (request_shutdown — same
 // code path) mid-stream flushes the delta log, a restarted server
 // replays base+deltas, the producer resumes at the watermark, and the
-// final state is byte-identical to an uninterrupted run.
+// final state is byte-identical to an uninterrupted run.  The tenant's
+// two patterns share histories that a tight per-tenant history cap
+// spills to the log, so the spans of shared histories cross the restart
+// too.
 TEST(NetStore, ShutdownRestartResumesByteIdentical) {
   const std::string dir =
       ::testing::TempDir() + "ocep_net_store_" + std::to_string(::getpid());
   fs_store::remove_all(dir);
   constexpr std::uint64_t kHalf = 171;
+  const std::vector<std::string> patterns = {golden_pattern(),
+                                             kSharedSnapshotPattern};
+  const auto spilling_config = [](const std::string& store_dir) {
+    net::ServerConfig config = store_config(store_dir);
+    config.detach_linger_ms = 10000;
+    config.pool_bytes = 64 << 10;
+    config.tenant.monitor.history_bytes_limit = 512;
+    return config;
+  };
 
   std::atomic<std::uint64_t> released{0};
-  net::ServerConfig config = store_config(dir);
-  config.detach_linger_ms = 10000;
+  net::ServerConfig config = spilling_config(dir);
   config.observe_hook = [&released](std::string_view, std::uint64_t) {
     released.fetch_add(1, std::memory_order_relaxed);
   };
@@ -1349,7 +1370,7 @@ TEST(NetStore, ShutdownRestartResumesByteIdentical) {
   net::ConnectorConfig cc;
   cc.port = port1;
   cc.tenant = "durable";
-  cc.patterns = {golden_pattern()};
+  cc.patterns = patterns;
   {
     net::Connector connector(cc);
     ASSERT_EQ(connector.ack().status, net::AckStatus::kFresh);
@@ -1367,16 +1388,16 @@ TEST(NetStore, ShutdownRestartResumesByteIdentical) {
     st->stop();  // SIGTERM path: drain + flush the delta log
   }
   EXPECT_GT(st->server.counter_value("store.delta_records"), 0U);
+  EXPECT_GT(st->server.counter_value("store.span_records"), 0U)
+      << "the history cap never spilled: vacuous";
 
   // Restart against the same store root and finish from the watermark.
-  net::ServerConfig config2 = store_config(dir);
-  config2.detach_linger_ms = 10000;
-  ServerThread st2(std::move(config2));
+  ServerThread st2(spilling_config(dir));
   ASSERT_TRUE(wait_counter(st2.server, "net.tenants_restored", 1));
   net::StreamOptions rest;
   rest.skip_below = kHalf;
   const net::StreamResult second =
-      stream_golden(st2.server.port(), "durable", rest);
+      stream_golden(st2.server.port(), "durable", rest, patterns);
   ASSERT_EQ(second.ack.status, net::AckStatus::kResumed)
       << second.ack.message;
   ASSERT_EQ(second.ack.resume_position, kHalf);
@@ -1389,11 +1410,18 @@ TEST(NetStore, ShutdownRestartResumesByteIdentical) {
   EXPECT_EQ(resumed->state(), net::TenantState::kComplete);
   EXPECT_EQ(resumed->monitor().events_seen(), 342U);
   EXPECT_EQ(testing::match_signature(resumed->monitor(), 0), golden_clean());
+  EXPECT_EQ(testing::match_signature(resumed->monitor(), 1),
+            testing::clean_matches(store, pool, kSharedSnapshotPattern));
+  EXPECT_GT(resumed->monitor().matcher(1).stats().history_spilled, 0U)
+      << "no history the patterns share was spilled: vacuous";
 
-  // Byte-identity of the matching state against an uninterrupted run.
-  ServerThread st3(base_config());
+  // Byte-identity of the matching state against an uninterrupted run
+  // under the same cap and span tier.
+  const std::string reference_dir = dir + "_reference";
+  fs_store::remove_all(reference_dir);
+  ServerThread st3(spilling_config(reference_dir));
   const net::StreamResult uninterrupted =
-      stream_golden(st3.server.port(), "durable");
+      stream_golden(st3.server.port(), "durable", {}, patterns);
   ASSERT_TRUE(uninterrupted.fin_received);
   st3.stop();
   net::Tenant* reference = st3.server.find_tenant("durable");

@@ -539,7 +539,7 @@ TEST(ReplStandby, CompactingPrimaryStaysDivergenceFree) {
   config.pool_bytes = 64 << 10;
   config.store_segment_bytes = 16 << 10;
   config.store_rebase_bytes = 2048;
-  config.tenant.matcher.history_bytes_limit = 512;
+  config.tenant.monitor.history_bytes_limit = 512;
   config.detach_linger_ms = 10000;
   ServerThread st(std::move(config));
 

@@ -1296,6 +1296,10 @@ class StoreBackedSink final : public SpanSink {
 
 constexpr const char* kSpillPattern =
     "P := ['', A, '']; Q := ['', B, ''];\npattern := P -> Q;\n";
+/// Reads the classes of kSpillPattern (A and B) through its own leaves, so
+/// the two patterns share every history the byte cap spills.
+constexpr const char* kSharingPattern =
+    "P := ['', A, '']; Q := ['', B, ''];\npattern := P || Q;\n";
 
 TEST(SpanSpillEquivalence, FaultBackMatchesUnboundedRamRun) {
   StringPool pool;
@@ -1309,48 +1313,56 @@ TEST(SpanSpillEquivalence, FaultBackMatchesUnboundedRamRun) {
     traces.push_back(events.trace_name(t));
   }
   const auto feed = [&events, &traces](Monitor& monitor) {
+    monitor.add_pattern(kSpillPattern);
+    monitor.add_pattern(kSharingPattern);
     monitor.on_traces(traces);
     for (std::uint64_t pos = 0; pos < events.event_count(); ++pos) {
       const EventId id = events.arrival(pos);
       monitor.on_event(events.event(id), events.clock(id));
     }
   };
+  const auto signatures = [](Monitor& monitor) {
+    return std::vector<std::vector<std::string>>{
+        ocep::testing::match_signature(monitor, 0),
+        ocep::testing::match_signature(monitor, 1)};
+  };
 
   Monitor unbounded(pool, events.storage());
-  unbounded.add_pattern(kSpillPattern);
   feed(unbounded);
-  const std::vector<std::string> full =
-      ocep::testing::match_signature(unbounded, 0);
-  ASSERT_GT(unbounded.matcher(0).history_bytes(), 4096U)
+  const std::vector<std::vector<std::string>> full = signatures(unbounded);
+  ASSERT_GT(unbounded.history_bytes(), 4096U)
       << "workload too small to exercise the cap";
+  ASSERT_EQ(unbounded.history_bytes(), unbounded.matcher(0).history_bytes())
+      << "the patterns do not share their histories";
 
   // Same byte cap twice: plain eviction loses matches; the span sink
   // must spill instead and fault back to the exact unbounded result.
-  MatcherConfig capped;
+  MonitorConfig capped;
   capped.history_bytes_limit = 4096;
 
-  Monitor evicting(pool, events.storage());
-  evicting.add_pattern(kSpillPattern, capped);
+  Monitor evicting(pool, capped, events.storage());
   feed(evicting);
-  const std::vector<std::string> lossy =
-      ocep::testing::match_signature(evicting, 0);
-  EXPECT_TRUE(ocep::testing::is_subset_of(lossy, full));
+  const std::vector<std::vector<std::string>> lossy = signatures(evicting);
+  EXPECT_TRUE(ocep::testing::is_subset_of(lossy[0], full[0]));
+  EXPECT_TRUE(ocep::testing::is_subset_of(lossy[1], full[1]));
 
   const std::string dir = scratch_dir("spill_equiv");
   TenantStore tenants(log_config(dir));
-  tenants.append_genesis("t", {kSpillPattern});
+  tenants.append_genesis("t", {kSpillPattern, kSharingPattern});
   BufferPool frames(8 * 1024);
   StoreBackedSink sink(tenants, frames, "t");
-  Monitor spilling(pool, events.storage());
-  spilling.add_pattern(kSpillPattern, capped);
+  Monitor spilling(pool, capped, events.storage());
   spilling.set_span_sink(&sink);
   feed(spilling);
 
   EXPECT_GT(sink.spills, 0U) << "cap never pressured the sink — vacuous";
-  EXPECT_EQ(ocep::testing::match_signature(spilling, 0), full)
+  EXPECT_GT(spilling.matcher(1).stats().history_spilled, 0U)
+      << "no shared history spilled — vacuous";
+  EXPECT_EQ(spilling.matcher(0).stats().history_spilled,
+            spilling.matcher(1).stats().history_spilled);
+  EXPECT_EQ(signatures(spilling), full)
       << "spill-then-fault-back must be byte-identical to unbounded RAM";
-  EXPECT_LE(spilling.matcher(0).history_bytes(),
-            capped.history_bytes_limit);
+  EXPECT_LE(spilling.history_bytes(), capped.history_bytes_limit);
   tenants.sync();
   EXPECT_TRUE(verify_log(dir).ok());
 }

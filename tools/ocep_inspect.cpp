@@ -17,6 +17,8 @@
 // --health, the replay additionally reports the governance snapshot
 // (docs/GOVERNANCE.md) — breaker states, budget aborts, evictions — under
 // the budget/breaker/byte-cap flags above (all unlimited by default).
+// --history-bytes caps the replay Monitor's leaf histories as a whole, as
+// ocep_served's flag of that name caps each tenant's.
 //
 // With --store, verifies a tenant store directory (a daemon's --store-dir
 // root, or one shard-N log inside it) without touching it: per-tenant
@@ -211,7 +213,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(flags.get_int("breaker-window", 1024));
     matcher_config.breaker.cooldown_observes =
         static_cast<std::uint64_t>(flags.get_int("breaker-cooldown", 256));
-    matcher_config.history_bytes_limit =
+    const auto history_bytes =
         static_cast<std::size_t>(flags.get_int("history-bytes", 0));
     flags.check_unused();
     if (!compare_dir.empty()) {
@@ -304,6 +306,7 @@ int main(int argc, char** argv) {
       // Linearizer so delivery/ingest telemetry is populated too.
       MonitorConfig config;
       config.metrics = metrics;
+      config.history_bytes_limit = history_bytes;
       Monitor monitor(pool, config, store.storage());
       if (!pattern_text.empty()) {
         monitor.add_pattern(pattern_text, matcher_config);

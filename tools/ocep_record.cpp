@@ -8,10 +8,12 @@
 // with ocep_match, mirroring the paper's collect-once / replay-many
 // methodology.
 //
-// Live mode: `--serve HOST:PORT --tenant NAME [--pattern FILE |
-// --pattern-text SRC] [--write-chunk N]` streams the recorded computation
+// Live mode: `--serve HOST:PORT --tenant NAME [--pattern FILE]
+// [--pattern-text SRC] [--write-chunk N]` streams the recorded computation
 // to a running ocep_served daemon over the session protocol instead of
-// writing a dump, and waits for the server's FIN verdict.
+// writing a dump, and waits for the server's FIN verdict.  The tenant
+// registers the --pattern file's pattern, then the --pattern-text one,
+// when given.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -69,7 +71,7 @@ int main(int argc, char** argv) {
     const std::string serve = flags.get_string("serve", "");
     const std::string tenant = flags.get_string("tenant", app);
     const std::string pattern_path = flags.get_string("pattern", "");
-    std::string pattern_text = flags.get_string("pattern-text", "");
+    const std::string pattern_text = flags.get_string("pattern-text", "");
     const auto write_chunk =
         static_cast<std::size_t>(flags.get_int("write-chunk", 0));
     flags.check_unused();
@@ -112,12 +114,12 @@ int main(int argc, char** argv) {
     const sim::RunResult result = sim.run();
 
     if (!serve.empty()) {
-      if (pattern_text.empty() && !pattern_path.empty()) {
-        pattern_text = read_file(pattern_path);
-      }
       net::ConnectorConfig connector;
       std::tie(connector.host, connector.port) = split_endpoint(serve);
       connector.tenant = tenant;
+      if (!pattern_path.empty()) {
+        connector.patterns.push_back(read_file(pattern_path));
+      }
       if (!pattern_text.empty()) {
         connector.patterns.push_back(pattern_text);
       }

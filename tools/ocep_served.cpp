@@ -37,6 +37,11 @@
 // /promote (or SIGUSR1), restarts itself as a full primary over the
 // replicated store — clients reconnect and resume via the session
 // resync path, exactly as after a crash restart of the old primary.
+//
+// Governance (docs/GOVERNANCE.md): the --budget-* and --breaker-* flags
+// apply to every pattern of every tenant; --history-bytes caps each
+// tenant's leaf histories, which the tenant's patterns share, as one
+// budget per tenant (docs/SERVER.md).
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -132,7 +137,9 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(flags.get_int("breaker-window", 1024));
     matcher.breaker.cooldown_observes =
         static_cast<std::uint32_t>(flags.get_int("breaker-cooldown", 256));
-    matcher.history_bytes_limit =
+    // One cap per tenant: it bounds the tenant Monitor's shared leaf
+    // histories, whatever the number of patterns reading them.
+    config.tenant.monitor.history_bytes_limit =
         static_cast<std::size_t>(flags.get_int("history-bytes", 0));
     // Live rebalancing (docs/SERVER.md "Rebalancing"): with --rebalance
     // the admin thread migrates hot tenants between shards and the
