@@ -122,7 +122,8 @@ void time_pattern(const EventStore& store, StringPool& pool,
   OcepMatcher matcher(store, std::move(compiled), config);
 
   std::uint64_t last_hits = 0;
-  std::uint64_t last_searches = 0;
+  MatcherStats last;
+  MatcherStats worst;  // the worst arrival's deltas
   metrics::Stopwatch watch;
   for (const EventId id : store.arrival_order()) {
     const Event& event = store.event(id);
@@ -135,10 +136,20 @@ void time_pattern(const EventStore& store, StringPool& pool,
       last_hits = stats.leaf_hits;
       populations.hits.add(us);
     }
-    if (stats.searches != last_searches) {
-      last_searches = stats.searches;
+    if (stats.searches != last.searches) {
       populations.searched.add(us);
+      if (stats.searches - last.searches > worst.searches) {
+        worst.searches = stats.searches - last.searches;
+        worst.pins_run = stats.pins_run - last.pins_run;
+        worst.nodes_explored = stats.nodes_explored - last.nodes_explored;
+      }
+      last = stats;
     }
+  }
+  if (worst.searches > totals.worst_searches) {
+    totals.worst_searches = worst.searches;
+    totals.worst_pins_run = worst.pins_run;
+    totals.worst_nodes = worst.nodes_explored;
   }
   const MatcherStats& stats = matcher.stats();
   totals.events += stats.events_observed;

@@ -82,10 +82,16 @@ struct MatchTotals {
   std::uint64_t backjumps = 0;
   std::uint64_t history_entries = 0;
   std::uint64_t history_merged = 0;
+  /// The arrival that ran the most searches (the first on ties): its
+  /// searches, the coverage pins among them, and its nodes explored.
+  std::uint64_t worst_searches = 0;
+  std::uint64_t worst_pins_run = 0;
+  std::uint64_t worst_nodes = 0;
 };
 
 /// Replays the workload's store through an OcepMatcher, timing every
 /// observe() call; appends samples (microseconds) into `populations`.
+/// The worst_* totals are the maximum of their own and this run's.
 void time_pattern(const EventStore& store, StringPool& pool,
                   const std::string& pattern_text, MatcherConfig config,
                   Populations& populations, MatchTotals& totals);

@@ -51,6 +51,11 @@ int main(int argc, char** argv) {
         totals.matches_reported += rep_totals.matches_reported;
         totals.searches += rep_totals.searches;
         totals.nodes_explored += rep_totals.nodes_explored;
+        if (rep_totals.worst_searches > totals.worst_searches) {
+          totals.worst_searches = rep_totals.worst_searches;
+          totals.worst_pins_run = rep_totals.worst_pins_run;
+          totals.worst_nodes = rep_totals.worst_nodes;
+        }
         if (params.verbose) {
           std::printf("#   rep %u: events=%" PRIu64 " searches=%" PRIu64
                       " nodes=%" PRIu64 " matches=%" PRIu64 "\n",
@@ -59,6 +64,12 @@ int main(int argc, char** argv) {
                       rep_totals.matches_reported);
         }
       }
+      if (params.verbose) {
+        std::printf("#   %u traces, worst arrival: searches=%" PRIu64
+                    " pins_run=%" PRIu64 " nodes=%" PRIu64 "\n",
+                    traces, totals.worst_searches, totals.worst_pins_run,
+                    totals.worst_nodes);
+      }
       print_row(std::to_string(traces), totals.events, populations.searched,
                 totals.matches_reported);
       report.begin_row(std::to_string(traces));
@@ -66,6 +77,9 @@ int main(int argc, char** argv) {
       report.add("cycle", static_cast<std::uint64_t>(cycle));
       report.add("deadlocks_found", deadlocks_found);
       report.add_totals(totals);
+      report.add("worst_searches", totals.worst_searches);
+      report.add("worst_pins_run", totals.worst_pins_run);
+      report.add("worst_nodes", totals.worst_nodes);
       report.add_latency("searched", populations.searched);
       report.add_latency("all", populations.all);
       if (deadlocks_found != params.reps) {

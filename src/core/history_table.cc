@@ -171,19 +171,15 @@ void HistoryTable::fault_newest(std::uint32_t id, TraceId trace) {
   sink_->release(slot.pattern, slot.leaf, trace, meta.seq);
 }
 
-void HistoryTable::ensure_loaded(std::uint32_t id, TraceId trace,
-                                 EventIndex lo) {
-  LeafHistory& history = this->history(id);
-  while (history.has_spilled(trace)) {
-    const std::span<const HistoryEntry> resident = history.on_trace(trace);
-    if (!resident.empty() && resident.front().index <= lo) {
-      return;  // the resident window already reaches the bound
-    }
-    if (history.spilled_on(trace).back().last_index < lo) {
-      return;  // everything still spilled is older than needed
-    }
-    fault_newest(id, trace);  // consumes a meta either way: terminates
+bool HistoryTable::fault_next(std::uint32_t id, TraceId trace,
+                              EventIndex lo) {
+  const LeafHistory& history = this->history(id);
+  if (!history.has_spilled(trace) ||
+      history.spilled_on(trace).back().last_index < lo) {
+    return false;
   }
+  fault_newest(id, trace);  // consumes a meta either way: callers' loops end
+  return true;
 }
 
 void HistoryTable::fault_all_spans() {

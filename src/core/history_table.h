@@ -147,11 +147,12 @@ class HistoryTable {
   void set_span_sink(SpanSink* sink) noexcept { sink_ = sink; }
   [[nodiscard]] bool spills() const noexcept { return sink_ != nullptr; }
 
-  /// Faults spans of (`id`, `trace`) newest-first until the resident
-  /// window reaches down to `lo` (or nothing spilled covers it).
-  /// Afterwards every span still spilled there holds only indices below
-  /// `lo`, so a later fault grows the resident view only below `lo`.
-  void ensure_loaded(std::uint32_t id, TraceId trace, EventIndex lo);
+  /// Faults the newest spilled span of (`id`, `trace`) back when it can
+  /// hold an index >= `lo`; false when no spilled span there can.  Spans
+  /// are older than the resident entries, so a fault grows every view of
+  /// the trace below its resident part: a search faults one span at a
+  /// time, only when its latest-first scan runs off the resident entries.
+  bool fault_next(std::uint32_t id, TraceId trace, EventIndex lo);
 
   /// Faults every spilled span back into RAM and releases it at the sink
   /// (before a migration freeze, so the checkpoint is self-contained).

@@ -28,6 +28,7 @@ class Compiler {
     if (out_.leaves.empty()) {
       throw PatternError("pattern has no event occurrences");
     }
+    find_symmetry(out_);
     return std::move(out_);
   }
 

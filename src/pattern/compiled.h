@@ -63,6 +63,19 @@ struct CompiledPattern {
   /// "terminating events".
   std::vector<std::uint32_t> terminating;
 
+  /// Leaf symmetry (DESIGN.md §4 "Symmetric patterns").  An automorphism
+  /// is a leaf permutation π that maps every leaf's [process, type, text]
+  /// onto π(leaf)'s — literals equal, variables renamed by one consistent
+  /// bijection — and the constraint set onto itself.  Per leaf, the
+  /// terminating leaf whose search answers it (itself for a
+  /// representative and for every non-terminating leaf), and, for a leaf
+  /// answered by another, one automorphism π with π(representative) =
+  /// leaf (empty otherwise).  A leaf the bounded search could not place
+  /// is its own representative.  Both lists are empty when every
+  /// terminating leaf is its own representative.
+  std::vector<std::uint32_t> orbit_rep;
+  std::vector<std::vector<std::uint32_t>> orbit_map;
+
   [[nodiscard]] std::size_t size() const noexcept { return leaves.size(); }
 };
 
@@ -71,5 +84,12 @@ struct CompiledPattern {
 /// '<->' between compound operands, no terminating leaf, ...).
 [[nodiscard]] CompiledPattern compile(std::string_view source,
                                       StringPool& pool);
+
+/// Fills `pattern.orbit_rep` and `pattern.orbit_map` from its leaves and
+/// constraints (compile() calls it).  Each automorphism is found by a
+/// pruned backtracking search; all searches of one pattern share a fixed
+/// step budget, past which the remaining leaves are their own
+/// representatives.
+void find_symmetry(CompiledPattern& pattern);
 
 }  // namespace ocep::pattern

@@ -32,6 +32,10 @@ struct RandomComputationOptions {
   ClockStorage storage = ClockStorage::kDense;
   /// Texts are drawn from {"", "x", "y", ...} of this size ("" = index 0).
   std::uint32_t text_alphabet = 3;
+  /// Draws texts from {"", "T0", "T1", ...} — "" and the trace names —
+  /// instead, so a variable can chain an event's text to another's
+  /// process, as a deadlock cycle's blocked sends name their peers.
+  bool trace_name_texts = false;
 };
 
 inline EventStore random_computation(StringPool& pool,
@@ -50,9 +54,15 @@ inline EventStore random_computation(StringPool& pool,
   }
   std::vector<Symbol> texts;
   texts.push_back(kEmptySymbol);
-  for (std::uint32_t i = 1; i < options.text_alphabet; ++i) {
-    texts.push_back(
-        pool.intern(std::string(1, static_cast<char>('w' + i))));
+  if (options.trace_name_texts) {
+    for (TraceId t = 0; t < options.traces; ++t) {
+      texts.push_back(store.trace_name(t));
+    }
+  } else {
+    for (std::uint32_t i = 1; i < options.text_alphabet; ++i) {
+      texts.push_back(
+          pool.intern(std::string(1, static_cast<char>('w' + i))));
+    }
   }
 
   struct InFlight {

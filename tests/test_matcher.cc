@@ -509,5 +509,84 @@ TEST(Matcher, KeyedWitnessInSpilledSpanIsFoundAcrossRestore) {
   EXPECT_EQ(live.subset, full.subset);
 }
 
+// Spilled spans are faulted only when a search's latest-first scan runs
+// off the resident entries.  Once every pair is covered, a `P -> Q`
+// arrival whose newest P candidate is resident faults nothing (the old
+// rule faulted every span down to P's lower bound, index 1, on every
+// search); a Q that only an old, spilled P precedes still faults it back
+// and matches as the uncapped run does.
+TEST(Matcher, SpilledSpansFaultOnlyWhenASearchReachesThem) {
+  StringPool pool;
+  ComputationBuilder b(pool, {"T0", "T1", "T2"});
+  for (int i = 0; i < 5; ++i) {
+    b.local(0, "A");
+  }
+  const std::uint64_t old_message = b.send(0, "S");
+  for (int i = 0; i < 40; ++i) {
+    b.local(0, "A");
+  }
+  // Phase 2: each Q on T1 follows the newest P on T0.
+  const std::size_t covered_at = b.store().event_count() + 4;
+  for (int round = 0; round < 10; ++round) {
+    b.local(0, "A");
+    b.recv(1, b.send(0, "S"), "R");
+    b.local(1, "B");
+  }
+  // Phase 3: a Q on T2 that only the five oldest P precede.
+  const std::size_t late_at = b.store().event_count();
+  b.recv(2, old_message, "R");
+  b.local(2, "B");
+  const EventStore& store = b.store();
+  constexpr const char* kPattern =
+      "P := ['', A, '']; Q := ['', B, ''];\npattern := P -> Q;\n";
+
+  std::vector<Symbol> names;
+  for (TraceId t = 0; t < store.trace_count(); ++t) {
+    names.push_back(store.trace_name(t));
+  }
+  const auto feed = [&store](Monitor& monitor, std::size_t begin,
+                             std::size_t end) {
+    for (std::size_t pos = begin; pos < end; ++pos) {
+      const EventId id = store.arrival(pos);
+      monitor.on_event(store.event(id), store.clock(id));
+    }
+  };
+  using Callbacks = std::vector<std::pair<bool, std::vector<EventId>>>;
+  const auto callback_into = [](Callbacks& out) {
+    return [&out](const Match& match, bool fresh) {
+      out.emplace_back(fresh, match.bindings);
+    };
+  };
+  MatcherConfig exact;
+  exact.merge_redundant_history = false;
+
+  Callbacks full;
+  Monitor reference(pool, store.storage());
+  reference.add_pattern(kPattern, exact, callback_into(full));
+  reference.on_traces(names);
+  feed(reference, 0, store.event_count());
+
+  MonitorConfig capped;
+  capped.history_bytes_limit = 256;
+  testing::MemorySpanSink sink;
+  Callbacks spilled;
+  Monitor monitor(pool, capped, store.storage());
+  monitor.add_pattern(kPattern, exact, callback_into(spilled));
+  monitor.set_span_sink(&sink);
+  monitor.on_traces(names);
+  feed(monitor, 0, covered_at);
+  ASSERT_EQ(spilled.size(), 1U);
+  ASSERT_GT(sink.spills, 0U) << "nothing was spilled: the test is vacuous";
+  const std::uint64_t faulted = monitor.matcher(0).stats().history_faulted;
+  feed(monitor, covered_at, late_at);
+  EXPECT_EQ(spilled.size(), 10U);
+  EXPECT_EQ(monitor.matcher(0).stats().history_faulted, faulted)
+      << "a search whose candidate was resident faulted a span";
+  feed(monitor, late_at, store.event_count());
+  EXPECT_GT(monitor.matcher(0).stats().history_faulted, faulted)
+      << "the late Q's only witness was not faulted back";
+  EXPECT_EQ(spilled, full);
+}
+
 }  // namespace
 }  // namespace ocep
