@@ -1,16 +1,17 @@
 // Remote online monitoring over a byte channel: the instrumented system
-// streams events through the POET wire protocol as it runs; the monitor
+// streams events as session frames (poet/session.h) as it runs; the monitor
 // lives at the other end of a pipe (stand-in for a socket to another
 // machine) and reports violations while the system is still executing.
 //
 //   ./build/examples/remote_monitor [--followers N] [--requests R]
 //
-// Producer thread:  Sim --live sink--> WireWriter --> pipe
-// Consumer (main):  pipe --> WireReader --> Monitor --> reports
+// Producer thread:  Sim --live sink--> SessionServer --> pipe
+// Consumer (main):  pipe --> SessionClient --> Monitor --> reports
 #include <unistd.h>
 
 #include <cstdio>
 #include <memory>
+#include <ostream>
 #include <thread>
 
 #include "apps/apps.h"
@@ -19,31 +20,50 @@
 #include "common/fd_stream.h"
 #include "common/flags.h"
 #include "core/monitor.h"
-#include "poet/wire.h"
+#include "poet/session.h"
 #include "sim/sim.h"
 
 using namespace ocep;
 
 namespace {
 
-/// Live sink that forwards every simulated event onto the wire.
-class WireForwarder final : public EventSink {
+/// Writes session frames to the pipe.
+class StreamSink final : public ByteSink {
  public:
-  WireForwarder(std::ostream& out, const StringPool& pool)
-      : out_(out), pool_(pool) {}
-
-  void on_traces(const std::vector<Symbol>& names) override {
-    writer_ = std::make_unique<WireWriter>(out_, pool_, names);
+  explicit StreamSink(std::ostream& out) : out_(out) {}
+  void write(std::string_view bytes) override {
+    out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  void on_event(const Event& event, const VectorClock& clock) override {
-    writer_->write(event, clock);
-  }
-  void finish() { writer_->finish(); }
 
  private:
   std::ostream& out_;
+};
+
+/// Live sink that streams every simulated event as session frames.
+class SessionForwarder final : public EventSink {
+ public:
+  SessionForwarder(ByteSink& out, const StringPool& pool)
+      : out_(out), pool_(pool) {}
+
+  void on_traces(const std::vector<Symbol>& names) override {
+    server_ = std::make_unique<SessionServer>(out_, pool_, names);
+  }
+  void on_event(const Event& event, const VectorClock& clock) override {
+    server_->write(event, clock);
+  }
+  void finish() { server_->finish(); }
+
+ private:
+  ByteSink& out_;
   const StringPool& pool_;
-  std::unique_ptr<WireWriter> writer_;
+  std::unique_ptr<SessionServer> server_;
+};
+
+/// A pipe loses nothing, so no resync is ever requested; one that were
+/// would go unanswered and the client would report a degraded stream.
+class NoResync final : public ResyncTransport {
+ public:
+  void request_resync(const ResyncRequest&) override {}
 };
 
 }  // namespace
@@ -73,7 +93,8 @@ int main(int argc, char** argv) {
       sim::Sim sim(pool, config);
       apps::setup_leader_follower(sim, params);
       FdOStream out(fds[1]);
-      WireForwarder forwarder(out.get(), pool);
+      StreamSink pipe(out.get());
+      SessionForwarder forwarder(pipe, pool);
       sim.set_live_sink(&forwarder);
       sim.run();
       forwarder.finish();
@@ -93,15 +114,24 @@ int main(int argc, char** argv) {
           std::printf("[remote] stale snapshot for request '%s'\n",
                       std::string(pool.view(snapshot.text)).c_str());
         });
+    NoResync no_resync;
+    SessionClient client(monitor, pool, no_resync);
     FdIStream in(fds[0]);
-    WireReader reader(in.get(), pool, monitor);
-    const std::uint64_t delivered = reader.read_all();
+    char chunk[4096];
+    while (in.get().read(chunk, sizeof(chunk)) || in.get().gcount() > 0) {
+      client.feed(std::string_view(chunk,
+                                   static_cast<std::size_t>(in.get().gcount())));
+    }
+    client.finish_input();
     producer.join();
     ::close(fds[0]);
+    if (!client.done() || client.degraded()) {
+      throw Error("the session stream arrived incomplete");
+    }
 
-    std::printf("[remote] monitored %llu events over the wire, "
+    std::printf("[remote] monitored %llu events over the session, "
                 "%llu incidents\n",
-                static_cast<unsigned long long>(delivered),
+                static_cast<unsigned long long>(monitor.events_seen()),
                 static_cast<unsigned long long>(incidents));
     return incidents > 0 ? 0 : 1;
   } catch (const Error& error) {

@@ -8,6 +8,12 @@
 #include "poet/varint.h"
 
 namespace ocep {
+namespace {
+
+/// A half-open probe searches with the full budget divided by this.
+constexpr std::uint32_t kProbeBudgetDivisor = 2;
+
+}  // namespace
 
 const char* to_string(BreakerState state) noexcept {
   switch (state) {
@@ -17,22 +23,19 @@ const char* to_string(BreakerState state) noexcept {
       return "open";
     case BreakerState::kHalfOpen:
       return "half-open";
-    case BreakerState::kQuarantined:
-      return "quarantined";
   }
   return "unknown";
 }
 
 SearchBudget PatternGovernor::probe_budget() const noexcept {
   SearchBudget probe = budget_;
-  const std::uint32_t divisor =
-      std::max<std::uint32_t>(breaker_.probe_divisor, 1);
   if (probe.max_steps > 0) {
-    probe.max_steps = std::max<std::uint64_t>(probe.max_steps / divisor, 1);
+    probe.max_steps =
+        std::max<std::uint64_t>(probe.max_steps / kProbeBudgetDivisor, 1);
   }
   if (probe.deadline_ns > 0) {
     probe.deadline_ns =
-        std::max<std::uint64_t>(probe.deadline_ns / divisor, 1);
+        std::max<std::uint64_t>(probe.deadline_ns / kProbeBudgetDivisor, 1);
   }
   return probe;
 }
@@ -40,8 +43,6 @@ SearchBudget PatternGovernor::probe_budget() const noexcept {
 bool PatternGovernor::admit(std::uint64_t observe_index,
                             SearchBudget& effective) {
   switch (state_) {
-    case BreakerState::kQuarantined:
-      return false;
     case BreakerState::kOpen:
       if (observe_index - opened_at_ < breaker_.cooldown_observes) {
         return false;
@@ -91,13 +92,6 @@ void PatternGovernor::on_search_result(std::uint64_t observe_index,
   }
 }
 
-void PatternGovernor::quarantine(std::string reason) {
-  state_ = BreakerState::kQuarantined;
-  last_error_ = std::move(reason);
-  ++trips_;
-  failures_.clear();
-}
-
 void PatternGovernor::record_error(std::string reason) {
   last_error_ = std::move(reason);
 }
@@ -116,7 +110,7 @@ void PatternGovernor::checkpoint(std::ostream& out) const {
 
 void PatternGovernor::restore(std::istream& in) {
   const std::uint64_t raw_state = poet::get_varint(in);
-  if (raw_state > static_cast<std::uint64_t>(BreakerState::kQuarantined)) {
+  if (raw_state > static_cast<std::uint64_t>(BreakerState::kHalfOpen)) {
     throw SerializationError("corrupt checkpoint: unknown breaker state " +
                              std::to_string(raw_state));
   }

@@ -16,9 +16,7 @@
 //    whose searches blow the budget `trip_failures` times inside a rolling
 //    `window_observes` window trips open: its observes degrade to O(1)
 //    history appends.  After `cooldown_observes` it half-opens and probes
-//    with a reduced budget; success closes it, failure re-opens it.
-//    kQuarantined is terminal (quarantine()); the Monitor itself never
-//    enters it, but a checkpoint that holds it still restores.
+//    with half the budget; success closes it, failure re-opens it.
 //  * HealthReport — the one-stop degradation snapshot: per-pattern breaker
 //    state and budget/eviction counters, and the ingestion-side shed
 //    counters, so operators see every coverage loss in one place
@@ -62,15 +60,12 @@ struct BreakerConfig {
   std::uint64_t window_observes = 1024;
   /// Observes the breaker stays open before half-opening a probe.
   std::uint64_t cooldown_observes = 256;
-  /// Probe budget while half-open: full budget divided by this.
-  std::uint32_t probe_divisor = 2;
 };
 
 enum class BreakerState : std::uint8_t {
-  kClosed,       ///< normal operation, full budget
-  kOpen,         ///< tripped: observes degrade to history appends
-  kHalfOpen,     ///< probing with a reduced budget
-  kQuarantined,  ///< terminal: pattern errored and was shut down
+  kClosed,    ///< normal operation, full budget
+  kOpen,      ///< tripped: observes degrade to history appends
+  kHalfOpen,  ///< probing with half the budget
 };
 
 [[nodiscard]] const char* to_string(BreakerState state) noexcept;
@@ -87,17 +82,13 @@ class PatternGovernor {
   }
 
   /// Gate for one observe's search phase.  Returns false when the search
-  /// must be shed (breaker open or pattern quarantined); otherwise fills
-  /// `effective` with the full (closed) or probe (half-open) budget.
+  /// must be shed (breaker open); otherwise fills `effective` with the
+  /// full (closed) or probe (half-open) budget.
   [[nodiscard]] bool admit(std::uint64_t observe_index,
                            SearchBudget& effective);
 
   /// Outcome of an admitted search phase: `aborted` when the budget blew.
   void on_search_result(std::uint64_t observe_index, bool aborted);
-
-  /// Terminal shutdown (kQuarantined).  Only a restored checkpoint or a
-  /// fresh matcher leaves this state.
-  void quarantine(std::string reason);
 
   /// Records a contained error (e.g. a throwing MatchCallback) without a
   /// state change; surfaces in the health report.

@@ -251,11 +251,11 @@ void OcepMatcher::observe_next(const Event& event) {
   }
   ++stats_.leaf_hits;
   // The governor gates the whole search phase of this observe: an open
-  // or quarantined breaker degrades it to the O(1) appends above, and an
-  // admitted search runs under one shared budget across every anchor and
-  // pin (at most one abort per observe).  The breaker clock is the
-  // event's arrival count, so the outcome is identical across checkpoint
-  // splits and the events a Monitor skips.
+  // breaker degrades it to the O(1) appends above, and an admitted search
+  // runs under one shared budget across every anchor and pin (at most one
+  // abort per observe).  The breaker clock is the event's arrival count, so
+  // the outcome is identical across checkpoint splits and the events a
+  // Monitor skips.
   const std::uint64_t anchors = accepting & terminating_mask_;
   if (anchors != 0) {
     SearchBudget effective;
@@ -493,19 +493,17 @@ void OcepMatcher::run_anchor(std::uint32_t anchor_leaf, const Event& event) {
     found_.insert(found_.end(), binding_.begin(), binding_.end());
   }
 
-  if (!config_.pin_coverage) {
-    return;
-  }
-
   // --- Coverage pinning (§IV-B representative subset) -------------------
+  // A pair covered earlier in the run, by any anchor, needs no pin: this
+  // bounds the total work, and per-anchor free searches still report
+  // every violation occurrence.
   std::uint32_t matches = 1;  // this anchor's, so far
   for (std::uint32_t leaf = 0; leaf < k; ++leaf) {
     if (leaf == anchor_leaf) {
       continue;  // the anchor is fixed to this event's trace
     }
-    if (config_.global_coverage &&
-        (kImages ? pins_covered(anchor_leaf, leaf)
-                 : subset_.covered_traces(leaf) == traces_)) {
+    if (kImages ? pins_covered(anchor_leaf, leaf)
+                : subset_.covered_traces(leaf) == traces_) {
       // Every pair of the leaf is covered: each pin below would be
       // skipped, so skip them all at once.
       if (search_aborted_) {
@@ -531,9 +529,8 @@ void OcepMatcher::run_anchor(std::uint32_t anchor_leaf, const Event& event) {
       }
       next = t + 1;
       if (local_covered_[static_cast<std::size_t>(leaf) * traces_ + t] != 0 ||
-          (config_.global_coverage &&
-           (kImages ? pin_covered(anchor_leaf, leaf, t)
-                    : subset_.covered(leaf, t))) ||
+          (kImages ? pin_covered(anchor_leaf, leaf, t)
+                   : subset_.covered(leaf, t)) ||
           (histories_[leaf]->on_trace(t).empty() &&
            !histories_[leaf]->has_spilled(t))) {
         ++stats_.pins_skipped;
@@ -589,9 +586,8 @@ void OcepMatcher::report_images(std::uint32_t rep) {
     for (const std::uint32_t pair : local_marked_) {
       const std::uint32_t m = local_covered_[pair] - 1;
       if (m == imaged ||
-          (config_.global_coverage &&
-           subset_.covered(map[pair / traces_],
-                           static_cast<TraceId>(pair % traces_)))) {
+          subset_.covered(map[pair / traces_],
+                          static_cast<TraceId>(pair % traces_))) {
         continue;
       }
       report_image(m);

@@ -56,12 +56,6 @@ struct MatcherConfig {
   /// Conflict-directed backjumping (the paper's goBackward with recorded
   /// conflicts).  Off = plain chronological backtracking.
   bool backjumping = true;
-  /// Pinned coverage searches guaranteeing the representative subset.
-  bool pin_coverage = true;
-  /// Skip pins for (leaf, trace) pairs already covered earlier in the run
-  /// (bounds total work; per-anchor free searches still report every
-  /// violation occurrence).
-  bool global_coverage = true;
   /// Overload governance (docs/GOVERNANCE.md).  All defaults are the
   /// do-nothing configuration: unlimited budget, breaker disabled —
   /// guaranteed zero-cost and zero-semantics.  (The history byte cap is

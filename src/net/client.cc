@@ -11,7 +11,7 @@ Connector::Connector(const ConnectorConfig& config) : config_(config) {
   fd_ = tcp_connect(config_.host, config_.port);
   const std::string hello = [&] {
     HandshakeRequest request;
-    request.flags = config_.want_resume ? kFlagResume : 0;
+    request.flags = kFlagResume;
     request.tenant = config_.tenant;
     request.patterns = config_.patterns;
     return encode_handshake(request);
@@ -183,7 +183,7 @@ StreamResult stream_store(const EventStore& store, const StringPool& pool,
   }
   GateSink gate(connector);
   gate.open = options.skip_below == 0;  // HELLO suppressed when resuming
-  SessionServer session(gate, pool, names, options.session);
+  SessionServer session(gate, pool, names);
 
   const std::uint64_t total = store.event_count();
   const std::uint64_t limit =

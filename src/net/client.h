@@ -27,9 +27,6 @@ struct ConnectorConfig {
   std::uint16_t port = 0;
   std::string tenant;
   std::vector<std::string> patterns;
-  /// Announce willingness to resume (kFlagResume); the ack then carries
-  /// the server's release watermark.
-  bool want_resume = true;
   /// Per-write timeout; a server stuck longer than this fails the write.
   int io_timeout_ms = 30000;
   /// Split every outbound buffer into chunks of this many bytes (0 = send
@@ -37,8 +34,10 @@ struct ConnectorConfig {
   std::size_t write_chunk = 0;
 };
 
-/// One ingest connection.  Construct (connects + handshakes), check
-/// ack().status, then hand it to a SessionServer as its ByteSink.
+/// One ingest connection.  Construct (connects + handshakes, always
+/// announcing kFlagResume, so the ack carries the server's release
+/// watermark), check ack().status, then hand it to a SessionServer as its
+/// ByteSink.
 class Connector final : public ByteSink {
  public:
   explicit Connector(const ConnectorConfig& config);
@@ -98,7 +97,6 @@ class Connector final : public ByteSink {
 /// One-call producer: streams `store` to a server as tenant
 /// `config.tenant`, answering resyncs, and (optionally) waits for the FIN.
 struct StreamOptions {
-  SessionConfig session;
   /// Events between reverse-channel polls.
   std::uint64_t poll_every = 64;
   /// Stop after this many events without BYE or FIN — simulates a

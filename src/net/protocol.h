@@ -45,10 +45,6 @@ struct HandshakeRequest {
   /// Pattern sources registered for this tenant, in order.  On re-attach
   /// and checkpoint-resume the set must match the registered one.
   std::vector<std::string> patterns;
-
-  [[nodiscard]] bool want_resume() const noexcept {
-    return (flags & kFlagResume) != 0;
-  }
 };
 
 enum class AckStatus : std::uint8_t {

@@ -14,9 +14,6 @@ namespace {
 
 constexpr std::string_view kTenantCkpMagic = "OCEPNTC2";
 constexpr std::size_t kMaxCheckpointPatterns = 1024;
-/// Ticks granted to a finalizing session before it is declared wedged
-/// (mirrors the chaos harness settle bound).
-constexpr std::uint64_t kSettleTicks = 65536;
 
 }  // namespace
 
@@ -66,12 +63,7 @@ void Tenant::build(const std::vector<std::string>& patterns) {
   }
   tap_ = std::make_unique<TapSink>(*this);
   transport_ = std::make_unique<QueuedTransport>();
-  SessionConfig session = config_.session;
-  if (session.linearizer.shed_type == kEmptySymbol) {
-    session.linearizer.shed_type = pool_->intern("__shed");
-  }
-  session_ =
-      std::make_unique<SessionClient>(*tap_, *pool_, *transport_, session);
+  session_ = std::make_unique<SessionClient>(*tap_, *pool_, *transport_);
   if (monitor_->metrics_enabled()) {
     session_->bind_metrics(monitor_->metrics());
   }

@@ -13,7 +13,7 @@
 // Lifecycle:  streaming -> complete          (BYE seen, every event in)
 //             streaming -> degraded          (disconnect linger expired;
 //                                             the session free-runs and
-//                                             flushes under shed policy)
+//                                             sheds its gaps at the flush)
 //             streaming -> shed              (governance: byte budget or
 //                                             corrupt-frame budget blown)
 // Checkpoint/restore serializes the *pair* (monitor, session) so a
@@ -49,7 +49,6 @@ struct TenantConfig {
   /// Governance knobs applied to every registered pattern
   /// (docs/GOVERNANCE.md); defaults are the do-nothing configuration.
   MatcherConfig matcher;
-  SessionConfig session;
 };
 
 /// Test/bench hook: observes every event released into a tenant monitor,
@@ -91,7 +90,7 @@ class Tenant {
 
   /// Feeds received forward-stream bytes into the session.
   void feed(std::string_view bytes);
-  /// Advances session time without bytes (resync backoff, stall aging).
+  /// Advances session time without bytes (gap aging, resync backoff).
   void tick();
 
   /// Resync requests the session issued since the last take; the server

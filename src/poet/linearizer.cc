@@ -7,25 +7,18 @@
 #include "common/assert.h"
 #include "common/error.h"
 #include "common/string_pool.h"
+#include "poet/event_record.h"
 #include "poet/varint.h"
 
 namespace ocep {
 
 Linearizer::Linearizer(std::size_t trace_count, EventSink& sink,
-                       LinearizerConfig config)
+                       Symbol shed_type)
     : sink_(sink),
-      config_(config),
+      shed_type_(shed_type),
       delivered_(trace_count, 0),
       held_(trace_count),
-      last_clock_(trace_count, VectorClock(trace_count)),
-      stalled_(trace_count, false) {
-  if (config_.high_watermark > 0 && config_.low_watermark == 0) {
-    config_.low_watermark = config_.high_watermark / 2;
-  }
-  OCEP_ASSERT_MSG(config_.low_watermark <= config_.high_watermark ||
-                      config_.high_watermark == 0,
-                  "low watermark above high watermark");
-}
+      last_clock_(trace_count, VectorClock(trace_count)) {}
 
 void Linearizer::bind_metrics(obs::Registry& registry) {
   OCEP_ASSERT_MSG(offered_total_ == 0,
@@ -47,8 +40,6 @@ void Linearizer::bind_metrics(obs::Registry& registry) {
                           "offers elapsed while an event sat buffered");
   pending_gauge_ =
       &registry.gauge("linearizer.pending", "", "events currently buffered");
-  stalled_gauge_ = &registry.gauge("linearizer.stalled_traces", "",
-                                   "traces stalled past the horizon");
 }
 
 OfferResult Linearizer::offer(const Event& event, VectorClock clock) {
@@ -61,10 +52,6 @@ OfferResult Linearizer::offer(const Event& event, VectorClock clock) {
   const bool already_held =
       !regressed && held_[event.id.trace].count(event.id.index) != 0;
   if (regressed || already_held) {
-    if (config_.strict) {
-      OCEP_ASSERT_MSG(!regressed, "duplicate or regressed event index");
-      OCEP_ASSERT_MSG(!already_held, "duplicate buffered event");
-    }
     ++duplicates_;
     if (duplicate_counter_ != nullptr) {
       duplicate_counter_->add(1);
@@ -77,11 +64,6 @@ OfferResult Linearizer::offer(const Event& event, VectorClock clock) {
     deliver(event, clock);
     drain();
     result = OfferResult::kDelivered;
-  } else if (config_.policy == OverflowPolicy::kBlock &&
-             config_.high_watermark > 0 &&
-             pending_count_ >= config_.high_watermark) {
-    ++blocked_;
-    result = OfferResult::kBlocked;
   } else {
     held_[event.id.trace].emplace(
         event.id.index, Held{event, std::move(clock), offered_total_});
@@ -95,13 +77,11 @@ OfferResult Linearizer::offer(const Event& event, VectorClock clock) {
     result = OfferResult::kBuffered;
   }
 
-  update_stalls();
-  apply_policy();
   if (offered_counter_ != nullptr) {
     offered_counter_->add(1);
     queue_depth_->record(pending_count_);
   }
-  update_gauges();
+  update_gauge();
   return result;
 }
 
@@ -165,7 +145,7 @@ void Linearizer::synthesize_through(TraceId trace, EventIndex index) {
     Event placeholder;
     placeholder.id = EventId{trace, delivered_[trace] + 1};
     placeholder.kind = EventKind::kLocal;
-    placeholder.type = config_.shed_type;
+    placeholder.type = shed_type_;
     VectorClock clock = last_clock_[trace];
     clock.tick(trace);
     ++sheds_;
@@ -173,47 +153,6 @@ void Linearizer::synthesize_through(TraceId trace, EventIndex index) {
       shed_counter_->add(1);
     }
     deliver(placeholder, clock);
-  }
-}
-
-void Linearizer::update_stalls() {
-  if (config_.stall_horizon == 0) {
-    return;
-  }
-  for (TraceId t = 0; t < held_.size(); ++t) {
-    bool now_stalled = false;
-    if (!held_[t].empty()) {
-      const std::uint64_t waited =
-          offered_total_ - held_[t].begin()->second.offered_at;
-      now_stalled = waited > config_.stall_horizon;
-    }
-    if (now_stalled && !stalled_[t]) {
-      ++stall_events_;
-      ++stalled_count_;
-    } else if (!now_stalled && stalled_[t]) {
-      --stalled_count_;
-    }
-    stalled_[t] = now_stalled;
-  }
-}
-
-void Linearizer::apply_policy() {
-  if (config_.policy != OverflowPolicy::kShed) {
-    return;
-  }
-  if (config_.high_watermark > 0 && pending_count_ > config_.high_watermark) {
-    shed_to(config_.low_watermark);
-  }
-  while (stalled_count_ > 0) {
-    const std::size_t before = delivered_total_;
-    if (!fill_cross_trace_needs()) {
-      fill_trace_gaps();
-    }
-    drain();
-    update_stalls();
-    if (delivered_total_ == before) {
-      break;  // no progress possible; leave the stall visible in stats
-    }
   }
 }
 
@@ -270,16 +209,12 @@ void Linearizer::shed_to(std::size_t target_pending) {
       break;  // no progress; give up rather than loop forever
     }
   }
-  update_stalls();
-  update_gauges();
+  update_gauge();
 }
 
-void Linearizer::update_gauges() {
+void Linearizer::update_gauge() {
   if (pending_gauge_ != nullptr) {
     pending_gauge_->set(static_cast<std::int64_t>(pending_count_));
-  }
-  if (stalled_gauge_ != nullptr) {
-    stalled_gauge_->set(static_cast<std::int64_t>(stalled_count_));
   }
 }
 
@@ -289,20 +224,17 @@ IngestStats Linearizer::ingest_stats() const {
   stats.delivered = delivered_total_;
   stats.duplicates = duplicates_;
   stats.sheds = sheds_;
-  stats.stall_events = stall_events_;
-  stats.blocked = blocked_;
   stats.pending = pending_count_;
   stats.max_pending = max_pending_;
-  stats.stalled_traces = stalled_count_;
   return stats;
 }
 
 // --- checkpoint -------------------------------------------------------------
 //
 // Layout (varints unless noted): trace count, per-trace delivered
-// watermark, per-trace last delivered clock (full rows), the eight
-// counters, then the held events with symbols spelled out as strings so
-// the restoring pool need not match the dumping one.
+// watermark, per-trace last delivered clock (full rows), the six
+// counters, then each held event as a length-prefixed event record
+// (poet/event_record.h) followed by its offer sequence number.
 
 void Linearizer::checkpoint(std::ostream& out, const StringPool& pool) const {
   const std::size_t n = delivered_.size();
@@ -319,21 +251,11 @@ void Linearizer::checkpoint(std::ostream& out, const StringPool& pool) const {
   poet::put_varint(out, delivered_total_);
   poet::put_varint(out, duplicates_);
   poet::put_varint(out, sheds_);
-  poet::put_varint(out, stall_events_);
-  poet::put_varint(out, blocked_);
   poet::put_varint(out, max_pending_);
   poet::put_varint(out, pending_count_);
   for (TraceId t = 0; t < n; ++t) {
     for (const auto& [index, held] : held_[t]) {
-      poet::put_varint(out, t);
-      poet::put_varint(out, index);
-      poet::put_varint(out, static_cast<std::uint64_t>(held.event.kind));
-      poet::put_string(out, pool.view(held.event.type));
-      poet::put_string(out, pool.view(held.event.text));
-      poet::put_varint(out, held.event.message);
-      for (TraceId s = 0; s < n; ++s) {
-        poet::put_varint(out, held.clock[s]);
-      }
+      put_event_record(out, held.event, held.clock, pool);
       poet::put_varint(out, held.offered_at);
     }
   }
@@ -367,33 +289,16 @@ void Linearizer::restore(std::istream& in, StringPool& pool) {
   delivered_total_ = poet::get_varint(in);
   duplicates_ = poet::get_varint(in);
   sheds_ = poet::get_varint(in);
-  stall_events_ = poet::get_varint(in);
-  blocked_ = poet::get_varint(in);
   max_pending_ = poet::get_varint(in);
   const std::uint64_t held_count = poet::get_varint(in);
   for (std::uint64_t i = 0; i < held_count; ++i) {
-    const std::uint64_t t64 = poet::get_varint(in);
-    if (t64 >= n) {
-      throw SerializationError("corrupt checkpoint: held trace out of range");
-    }
-    const auto t = static_cast<TraceId>(t64);
     Held held;
-    held.event.id.trace = t;
-    held.event.id.index = static_cast<EventIndex>(poet::get_varint(in));
-    const std::uint64_t kind = poet::get_varint(in);
-    if (kind > static_cast<std::uint64_t>(EventKind::kBlockedSend)) {
-      throw SerializationError("corrupt checkpoint: bad held event kind");
+    get_event_record(in, pool, held.event, held.clock);
+    if (held.clock.size() != n) {
+      throw SerializationError("corrupt checkpoint: held clock width");
     }
-    held.event.kind = static_cast<EventKind>(kind);
-    held.event.type = pool.intern(poet::get_string(in));
-    held.event.text = pool.intern(poet::get_string(in));
-    held.event.message = poet::get_varint(in);
-    std::vector<std::uint32_t> entries(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      entries[s] = static_cast<std::uint32_t>(poet::get_varint(in));
-    }
-    held.clock = VectorClock(std::move(entries));
     held.offered_at = poet::get_varint(in);
+    const TraceId t = held.event.id.trace;
     const EventIndex index = held.event.id.index;
     if (index <= delivered_[t] ||
         !held_[t].emplace(index, std::move(held)).second) {
@@ -401,8 +306,7 @@ void Linearizer::restore(std::istream& in, StringPool& pool) {
     }
     ++pending_count_;
   }
-  update_stalls();
-  update_gauges();
+  update_gauge();
 }
 
 }  // namespace ocep

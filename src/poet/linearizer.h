@@ -1,4 +1,4 @@
-// Online causal-delivery queue with bounded degradation.
+// Online causal-delivery queue.
 //
 // The POET server may observe instrumented events from the target system in
 // an order that is not a linearization of the partial order (reports from
@@ -9,24 +9,19 @@
 //   delivered[t] == index(e) - 1   and
 //   delivered[s] >= V_e[s]  for every s != t.
 //
-// On a lossy channel predecessors may never arrive, so unbounded buffering
-// turns one lost frame into an unbounded stall.  This linearizer therefore
-// degrades on purpose, under explicit policy:
+// Two degradations keep a lossy channel from corrupting or wedging it:
 //
 //   * duplicates — a re-offered (trace, index) pair (retransmission,
 //     overlapping snapshot) is counted and dropped instead of corrupting
-//     the delivery order; `strict` mode keeps the old assert for tests.
-//   * watermarks — when pending exceeds `high_watermark` the policy runs:
-//     kShed synthesizes placeholder events for the missing predecessors
-//     until pending falls to `low_watermark`; kBlock refuses the offer and
-//     leaves recovery (a resync) to the caller.
-//   * stalls — a trace whose buffered head has waited more than
-//     `stall_horizon` offers is stalled; under kShed its gap is filled.
+//     the delivery order.
+//   * shed_to() — the caller's flush: it synthesizes placeholder events
+//     for missing predecessors until at most a target number of events is
+//     held.  The session calls shed_to(0) at the end of a free-run stream.
 //
-// Shed placeholders are real deliverable events (kind kLocal, type
-// `shed_type`, clock extending the trace's last delivered row), so every
-// downstream invariant — store append asserts included — still holds; the
-// degradation is visible in the stats, never silent.
+// Shed placeholders are real deliverable events (kind kLocal, the
+// constructor's `shed_type`, clock extending the trace's last delivered
+// row), so every downstream invariant — store append asserts included —
+// still holds; the degradation is visible in the stats, never silent.
 #pragma once
 
 #include <cstdint>
@@ -42,36 +37,11 @@
 
 namespace ocep {
 
-/// What to do when held events exceed the high watermark (or a stall is
-/// detected): synthesize the missing predecessors, or refuse new input
-/// until the caller resolves the gap (typically via a session resync).
-enum class OverflowPolicy : std::uint8_t { kBlock, kShed };
-
-struct LinearizerConfig {
-  /// Pending events above this trigger the overflow policy; 0 = unbounded
-  /// (the pre-fault-tolerance behaviour).
-  std::size_t high_watermark = 0;
-  /// Shed target once the high watermark trips; defaults to half the high
-  /// watermark when left 0.
-  std::size_t low_watermark = 0;
-  /// Offers a buffered head may wait before its trace counts as stalled;
-  /// 0 disables stall detection.
-  std::uint64_t stall_horizon = 0;
-  OverflowPolicy policy = OverflowPolicy::kShed;
-  /// Assert on duplicate offers (legacy behaviour, death-testable) instead
-  /// of counting and dropping them.
-  bool strict = false;
-  /// Type attribute stamped on synthesized placeholder events.
-  Symbol shed_type = kEmptySymbol;
-};
-
-/// Outcome of one offer(), so transport layers can react (e.g. trigger a
-/// resync on kBlocked instead of spinning).
+/// Outcome of one offer().
 enum class OfferResult : std::uint8_t {
   kDelivered,  ///< delivered immediately (and possibly unblocked others)
   kBuffered,   ///< held until its predecessors arrive
   kDuplicate,  ///< already delivered or already held; dropped
-  kBlocked,    ///< refused: buffer at high watermark under kBlock policy
 };
 
 /// Ingestion health counters, shared vocabulary between the linearizer and
@@ -81,12 +51,9 @@ struct IngestStats {
   std::uint64_t offered = 0;
   std::uint64_t delivered = 0;
   std::uint64_t duplicates = 0;
-  std::uint64_t sheds = 0;         ///< placeholder events synthesized
-  std::uint64_t stall_events = 0;  ///< not-stalled -> stalled transitions
-  std::uint64_t blocked = 0;       ///< offers refused under kBlock
+  std::uint64_t sheds = 0;  ///< placeholder events synthesized
   std::uint64_t pending = 0;
   std::uint64_t max_pending = 0;
-  std::uint64_t stalled_traces = 0;  ///< currently stalled
   // Session/wire-level (filled by SessionClient, zero otherwise).
   std::uint64_t frames_corrupt = 0;
   std::uint64_t frames_gap = 0;
@@ -103,24 +70,24 @@ class StringPool;
 class Linearizer {
  public:
   /// Delivered events are forwarded to `sink`, which must outlive this.
+  /// Placeholders that shed_to() synthesizes carry type `shed_type`.
   Linearizer(std::size_t trace_count, EventSink& sink,
-             LinearizerConfig config = {});
+             Symbol shed_type = kEmptySymbol);
 
   /// Attaches delivery telemetry to `registry` (linearizer.* instruments:
   /// offered/delivered/held/duplicate/shed counters, queue_depth and
-  /// delivery_lag histograms, pending and stalled_traces gauges).  Call
-  /// before the first offer(); the registry must outlive this.
+  /// delivery_lag histograms, the pending gauge).  Call before the first
+  /// offer(); the registry must outlive this.
   void bind_metrics(obs::Registry& registry);
 
   /// Offers one event; delivers it (and any unblocked buffered events) if
   /// its causal predecessors have all been delivered, buffers it otherwise.
-  /// Duplicates and watermark overflow degrade per the config instead of
-  /// corrupting state; the result says what happened.
+  /// A duplicate is counted and dropped; the result says what happened.
   OfferResult offer(const Event& event, VectorClock clock);
 
   /// Force-delivers buffered events by synthesizing missing predecessors
-  /// until at most `target_pending` events remain held.  Exposed so
-  /// transports can flush after a failed resync or at end of stream.
+  /// until at most `target_pending` events remain held.  Transports flush
+  /// with it at the end of a stream whose gaps no resync could fill.
   void shed_to(std::size_t target_pending);
 
   /// Number of events buffered but not yet deliverable.
@@ -141,7 +108,8 @@ class Linearizer {
 
   /// Serializes watermarks, held events, and counters.  Restore with
   /// restore() on a freshly constructed linearizer with the same trace
-  /// count; symbols travel as strings so the pools may differ.
+  /// count; held events travel as session event records
+  /// (poet/event_record.h), so the pools may differ.
   void checkpoint(std::ostream& out, const StringPool& pool) const;
   void restore(std::istream& in, StringPool& pool);
 
@@ -159,24 +127,18 @@ class Linearizer {
   void synthesize_through(TraceId trace, EventIndex index);
   void fill_trace_gaps();
   bool fill_cross_trace_needs();
-  void update_stalls();
-  void apply_policy();
-  void update_gauges();
+  void update_gauge();
 
   EventSink& sink_;
-  LinearizerConfig config_;
+  Symbol shed_type_;
   std::vector<std::uint32_t> delivered_;           // per-trace high-water mark
   std::vector<std::map<EventIndex, Held>> held_;   // per-trace buffered events
   std::vector<VectorClock> last_clock_;  // last delivered row per trace
-  std::vector<bool> stalled_;
-  std::size_t stalled_count_ = 0;
   std::size_t pending_count_ = 0;
   std::size_t delivered_total_ = 0;
   std::uint64_t offered_total_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t sheds_ = 0;
-  std::uint64_t stall_events_ = 0;
-  std::uint64_t blocked_ = 0;
   std::uint64_t max_pending_ = 0;
   // Telemetry sinks (null when unbound).
   obs::Counter* offered_counter_ = nullptr;
@@ -187,7 +149,6 @@ class Linearizer {
   obs::Histogram* queue_depth_ = nullptr;   ///< pending after each offer
   obs::Histogram* delivery_lag_ = nullptr;  ///< offers waited while buffered
   obs::Gauge* pending_gauge_ = nullptr;
-  obs::Gauge* stalled_gauge_ = nullptr;
 };
 
 }  // namespace ocep

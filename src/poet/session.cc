@@ -9,6 +9,7 @@
 #include "common/bytes.h"
 #include "common/crc32c.h"
 #include "common/error.h"
+#include "poet/event_record.h"
 #include "poet/varint.h"
 
 namespace ocep {
@@ -18,8 +19,10 @@ namespace {
 // payloads, used to find the next frame boundary after corruption.
 constexpr char kMarker[2] = {'\xa7', '\x0c'};
 
-/// Events per SNAPSHOT frame.
+/// Events per SNAPSHOT frame, at most; the frame bound may cut a frame
+/// shorter.  Below 128, so the count's varint is one byte.
 constexpr std::uint64_t kSnapshotChunk = 64;
+static_assert(kSnapshotChunk < 128);
 
 enum class Payload : std::uint8_t {
   kHello = 1,
@@ -33,9 +36,8 @@ enum class Payload : std::uint8_t {
 // --- SessionServer ----------------------------------------------------------
 
 SessionServer::SessionServer(ByteSink& out, const StringPool& pool,
-                             const std::vector<Symbol>& names,
-                             SessionConfig config)
-    : out_(out), pool_(pool), config_(config), names_(names) {
+                             const std::vector<Symbol>& names)
+    : out_(out), pool_(pool), names_(names) {
   OCEP_ASSERT_MSG(!names_.empty(), "session needs at least one trace");
   std::string payload;
   payload.push_back(static_cast<char>(Payload::kHello));
@@ -44,21 +46,6 @@ SessionServer::SessionServer(ByteSink& out, const StringPool& pool,
     put_string(payload, pool_.view(name));
   }
   emit_frame(payload);
-}
-
-void SessionServer::append_event_body(std::string& out,
-                                      const Retained& retained) const {
-  const Event& event = retained.event;
-  put_varint(out, event.id.trace);
-  put_varint(out, event.id.index);
-  put_varint(out, static_cast<std::uint64_t>(event.kind));
-  put_string(out, pool_.view(event.type));
-  put_string(out, pool_.view(event.text));
-  put_varint(out, event.message);
-  put_varint(out, retained.clock.size());
-  for (const std::uint32_t entry : retained.clock) {
-    put_varint(out, entry);
-  }
 }
 
 void SessionServer::write(const Event& event, const VectorClock& clock) {
@@ -73,7 +60,7 @@ void SessionServer::write(const Event& event, const VectorClock& clock) {
   std::string payload;
   payload.push_back(static_cast<char>(Payload::kEvent));
   put_varint(payload, position);
-  append_event_body(payload, retained_.back());
+  append_event_record(payload, event, clock.entries(), pool_);
   emit_frame(payload);
   ++stats_.events_written;
 }
@@ -89,11 +76,15 @@ void SessionServer::finish() {
 
 void SessionServer::handle_resync(const ResyncRequest& request) {
   ++stats_.resyncs_served;
-  // Chunked so every snapshot frame respects the payload bound.  Even an
-  // empty chunk is sent: it carries the trace table and totals, which is
-  // exactly what a client that lost HELLO or BYE needs.
+  // Chunked so every snapshot frame respects the payload bound: at most
+  // kSnapshotChunk events, and no more than fit the bound alongside the
+  // trace table, but always at least one.  Even an empty chunk is sent: it
+  // carries the trace table and totals, which is exactly what a client
+  // that lost HELLO or BYE needs.
   std::uint64_t position =
       std::min<std::uint64_t>(request.next_position, retained_.size());
+  std::string events;
+  std::string record;
   bool first = true;
   while (first || position < retained_.size()) {
     first = false;
@@ -107,12 +98,22 @@ void SessionServer::handle_resync(const ResyncRequest& request) {
     put_varint(payload, retained_.size());
     payload.push_back(finished_ ? '\1' : '\0');
     put_varint(payload, position);
-    const std::uint64_t count = std::min<std::uint64_t>(
-        kSnapshotChunk, retained_.size() - position);
-    put_varint(payload, count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      append_event_body(payload, retained_[position + i]);
+    events.clear();
+    std::uint64_t count = 0;
+    while (count < kSnapshotChunk && position + count < retained_.size()) {
+      record.clear();
+      const Retained& next = retained_[position + count];
+      append_event_record(record, next.event, next.clock, pool_);
+      // + 1: the count varint that precedes the records.
+      if (count > 0 && payload.size() + 1 + events.size() + record.size() >
+                           kMaxFramePayload) {
+        break;
+      }
+      events += record;
+      ++count;
     }
+    put_varint(payload, count);
+    payload += events;
     position += count;
     emit_frame(payload);
     ++stats_.snapshot_frames;
@@ -120,8 +121,8 @@ void SessionServer::handle_resync(const ResyncRequest& request) {
 }
 
 void SessionServer::emit_frame(std::string_view payload) {
-  OCEP_ASSERT_MSG(payload.size() <= config_.max_frame_payload,
-                  "frame payload exceeds the configured bound");
+  OCEP_ASSERT_MSG(payload.size() <= kMaxFramePayload,
+                  "frame payload exceeds the frame bound");
   std::string header;
   put_varint(header, next_seq_++);
   put_varint(header, payload.size());
@@ -140,10 +141,11 @@ void SessionServer::emit_frame(std::string_view payload) {
 // --- SessionClient ----------------------------------------------------------
 
 SessionClient::SessionClient(EventSink& sink, StringPool& pool,
-                             ResyncTransport& transport, SessionConfig config)
-    : sink_(sink), pool_(pool), transport_(transport), config_(config) {
-  OCEP_ASSERT(config_.backoff_initial > 0);
-}
+                             ResyncTransport& transport)
+    : sink_(sink),
+      pool_(pool),
+      transport_(transport),
+      shed_type_(pool.intern(kShedType)) {}
 
 void SessionClient::bind_metrics(obs::Registry& registry) {
   registry_ = &registry;
@@ -246,7 +248,7 @@ bool SessionClient::try_parse_frame() {
     return true;
   }
   const std::size_t pos = start + sizeof(kMarker) + header_reader.pos();
-  if (len > config_.max_frame_payload) {
+  if (len > kMaxFramePayload) {
     note_corrupt(1);
     buffer_pos_ = start + 1;
     return true;
@@ -321,7 +323,10 @@ void SessionClient::announce_traces(const std::vector<std::string>& names) {
   }
   trace_names_ = symbols;
   traces_known_ = true;
-  linearizer_.emplace(trace_names_.size(), sink_, config_.linearizer);
+  frames_corrupt_ += std::erase_if(decoded_, [this](const auto& entry) {
+    return !fits_trace_table(entry.second);
+  });
+  linearizer_.emplace(trace_names_.size(), sink_, shed_type_);
   if (registry_ != nullptr) {
     linearizer_->bind_metrics(*registry_);
   }
@@ -348,63 +353,16 @@ void SessionClient::handle_hello(std::string_view payload) {
   announce_traces(names);
 }
 
-namespace {
-
-struct ParsedEvent {
-  Event event;  ///< type/text left kEmptySymbol; views below need interning
-  std::string_view type;
-  std::string_view text;
-  std::vector<std::uint32_t> clock;
-};
-
-bool parse_event_body(ByteReader& cursor, ParsedEvent& out) {
-  const std::uint64_t trace = cursor.varint();
-  const std::uint64_t index = cursor.varint();
-  const std::uint64_t kind = cursor.varint();
-  out.type = cursor.str();
-  out.text = cursor.str();
-  const std::uint64_t message = cursor.varint();
-  const std::uint64_t clock_size = cursor.varint();
-  if (!cursor.ok() || index == 0 || clock_size == 0 ||
-      clock_size > std::numeric_limits<TraceId>::max() ||
-      trace >= clock_size ||
-      kind > static_cast<std::uint64_t>(EventKind::kBlockedSend) ||
-      index > std::numeric_limits<EventIndex>::max()) {
-    return false;
-  }
-  out.clock.resize(clock_size);
-  for (std::uint64_t s = 0; s < clock_size; ++s) {
-    const std::uint64_t entry = cursor.varint();
-    if (entry > std::numeric_limits<std::uint32_t>::max()) {
-      return false;
-    }
-    out.clock[s] = static_cast<std::uint32_t>(entry);
-  }
-  if (!cursor.ok() || out.clock[trace] != index) {
-    return false;
-  }
-  out.event.id = EventId{static_cast<TraceId>(trace),
-                         static_cast<EventIndex>(index)};
-  out.event.kind = static_cast<EventKind>(kind);
-  out.event.message = message;
-  return true;
-}
-
-}  // namespace
-
 void SessionClient::handle_event(std::string_view payload) {
   ByteReader cursor(payload);
   const std::uint64_t position = cursor.varint();
-  ParsedEvent parsed;
-  if (!cursor.ok() || !parse_event_body(cursor, parsed) || !cursor.done()) {
+  EventRecord parsed;
+  if (!cursor.ok() || !parse_event_record(cursor, parsed) || !cursor.done()) {
     ++frames_corrupt_;
     return;
   }
   Decoded decoded;
-  decoded.event = parsed.event;
-  decoded.event.type = pool_.intern(parsed.type);
-  decoded.event.text = pool_.intern(parsed.text);
-  decoded.clock = VectorClock(std::move(parsed.clock));
+  take_event_record(parsed, pool_, decoded.event, decoded.clock);
   accept_event(position, std::move(decoded));
 }
 
@@ -441,16 +399,13 @@ void SessionClient::handle_snapshot(std::string_view payload) {
     snapshot_counter_->add(1);
   }
   for (std::uint64_t i = 0; i < count; ++i) {
-    ParsedEvent parsed;
-    if (!parse_event_body(cursor, parsed)) {
+    EventRecord parsed;
+    if (!parse_event_record(cursor, parsed)) {
       ++frames_corrupt_;
       return;
     }
     Decoded decoded;
-    decoded.event = parsed.event;
-    decoded.event.type = pool_.intern(parsed.type);
-    decoded.event.text = pool_.intern(parsed.text);
-    decoded.clock = VectorClock(std::move(parsed.clock));
+    take_event_record(parsed, pool_, decoded.event, decoded.clock);
     accept_event(baseline + i, std::move(decoded));
   }
 }
@@ -468,15 +423,25 @@ void SessionClient::handle_bye(std::string_view payload) {
   total_known_ = true;
 }
 
+bool SessionClient::fits_trace_table(const Decoded& decoded) const {
+  return decoded.clock.size() == trace_names_.size();
+}
+
 void SessionClient::accept_event(std::uint64_t position, Decoded decoded) {
+  if (traces_known_ && !fits_trace_table(decoded)) {
+    // A well-framed record from a producer that disagrees with itself:
+    // corrupt, so its position stays a gap for the resync path.
+    ++frames_corrupt_;
+    return;
+  }
   if (position < next_release_ || decoded_.count(position) != 0) {
     ++dup_positions_;
     return;
   }
   if (free_run_ && traces_known_) {
     // Degraded mode: hand everything straight to the linearizer, which
-    // buffers/sheds under its own policy.  Watermark still advances so
-    // stats and resume stay meaningful.
+    // holds what it cannot deliver until the end-of-stream flush.
+    // Watermark still advances so stats and resume stay meaningful.
     next_release_ = std::max(next_release_, position + 1);
     linearizer_->offer(decoded.event, std::move(decoded.clock));
     return;
@@ -544,13 +509,13 @@ void SessionClient::advance_clock() {
   if (!resync_in_flight_) {
     // A closed channel cannot deliver the missing bytes on its own; skip
     // the grace period and ask immediately.
-    if (input_done_ || ticks_ - gap_since_ >= config_.resync_grace) {
+    if (input_done_ || ticks_ - gap_since_ >= kResyncGrace) {
       issue_resync();
     }
     return;
   }
   if (ticks_ >= resync_deadline_) {
-    if (resync_attempts_ >= config_.max_resync_attempts) {
+    if (resync_attempts_ >= kMaxResyncAttempts) {
       ++resync_failures_;
       enter_free_run();
       return;
@@ -565,14 +530,13 @@ void SessionClient::issue_resync() {
   if (resync_counter_ != nullptr) {
     resync_counter_->add(1);
   }
-  // Exponential backoff, doubling per attempt and capped; saturating so a
-  // generous attempt budget cannot overflow the shift.
-  std::uint64_t backoff = std::max<std::uint64_t>(1, config_.backoff_initial);
-  for (std::uint32_t i = 1; i < resync_attempts_ && backoff < config_.backoff_max;
+  // Exponential backoff, doubling per attempt and capped.
+  std::uint64_t backoff = kResyncBackoffInitial;
+  for (std::uint32_t i = 1; i < resync_attempts_ && backoff < kResyncBackoffMax;
        ++i) {
     backoff *= 2;
   }
-  backoff = std::min(backoff, std::max<std::uint64_t>(1, config_.backoff_max));
+  backoff = std::min(backoff, kResyncBackoffMax);
   resync_deadline_ = ticks_ + backoff;
   resync_in_flight_ = true;
   transport_.request_resync(
@@ -663,12 +627,19 @@ IngestStats SessionClient::stats() const {
 // --- SessionClient checkpoint ----------------------------------------------
 //
 // Layout: version varint, traces_known flag + names, watermarks and
-// counters, decoded-but-unreleased events, then the embedded linearizer's
-// own checkpoint.  Restoring reconnects by letting the normal gap logic
-// request a resync from the restored watermark.
+// counters, decoded-but-unreleased events (position, then a length-
+// prefixed event record, poet/event_record.h), then the embedded
+// linearizer's own checkpoint.  Restoring reconnects by letting the normal
+// gap logic request a resync from the restored watermark.  Restore
+// accepts only kCheckpointVersion: a layout change takes the next version,
+// and no reader for an older one is kept.
+
+namespace {
+constexpr std::uint64_t kCheckpointVersion = 2;
+}  // namespace
 
 void SessionClient::checkpoint(std::ostream& out) const {
-  poet::put_varint(out, 1);  // version
+  poet::put_varint(out, kCheckpointVersion);
   poet::put_varint(out, traces_known_ ? 1 : 0);
   if (traces_known_) {
     poet::put_varint(out, trace_names_.size());
@@ -693,16 +664,7 @@ void SessionClient::checkpoint(std::ostream& out) const {
   poet::put_varint(out, decoded_.size());
   for (const auto& [position, decoded] : decoded_) {
     poet::put_varint(out, position);
-    poet::put_varint(out, decoded.event.id.trace);
-    poet::put_varint(out, decoded.event.id.index);
-    poet::put_varint(out, static_cast<std::uint64_t>(decoded.event.kind));
-    poet::put_string(out, pool_.view(decoded.event.type));
-    poet::put_string(out, pool_.view(decoded.event.text));
-    poet::put_varint(out, decoded.event.message);
-    poet::put_varint(out, decoded.clock.size());
-    for (TraceId s = 0; s < decoded.clock.size(); ++s) {
-      poet::put_varint(out, decoded.clock[s]);
-    }
+    put_event_record(out, decoded.event, decoded.clock, pool_);
   }
   if (traces_known_) {
     linearizer_->checkpoint(out, pool_);
@@ -715,7 +677,7 @@ void SessionClient::checkpoint(std::ostream& out) const {
 void SessionClient::restore(std::istream& in) {
   OCEP_ASSERT_MSG(ticks_ == 0 && buffer_.empty(),
                   "restore requires a fresh session client");
-  if (poet::get_varint(in) != 1) {
+  if (poet::get_varint(in) != kCheckpointVersion) {
     throw SerializationError("unsupported session checkpoint version");
   }
   const bool had_traces = poet::get_varint(in) == 1;
@@ -731,7 +693,7 @@ void SessionClient::restore(std::istream& in) {
     traces_known_ = true;
     // The sink is expected to have been restored separately (it already
     // knows the trace table), so no on_traces here.
-    linearizer_.emplace(trace_names_.size(), sink_, config_.linearizer);
+    linearizer_.emplace(trace_names_.size(), sink_, shed_type_);
     if (registry_ != nullptr) {
       linearizer_->bind_metrics(*registry_);
     }
@@ -754,29 +716,10 @@ void SessionClient::restore(std::istream& in) {
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t position = poet::get_varint(in);
     Decoded decoded;
-    const std::uint64_t trace = poet::get_varint(in);
-    const std::uint64_t index = poet::get_varint(in);
-    const std::uint64_t kind = poet::get_varint(in);
-    if (kind > static_cast<std::uint64_t>(EventKind::kBlockedSend) ||
-        index == 0 || index > std::numeric_limits<EventIndex>::max()) {
-      throw SerializationError("corrupt checkpoint: bad decoded event");
+    get_event_record(in, pool_, decoded.event, decoded.clock);
+    if (had_traces && !fits_trace_table(decoded)) {
+      throw SerializationError("corrupt checkpoint: decoded clock width");
     }
-    decoded.event.id =
-        EventId{static_cast<TraceId>(trace), static_cast<EventIndex>(index)};
-    decoded.event.kind = static_cast<EventKind>(kind);
-    decoded.event.type = pool_.intern(poet::get_string(in));
-    decoded.event.text = pool_.intern(poet::get_string(in));
-    decoded.event.message = poet::get_varint(in);
-    const std::uint64_t clock_size = poet::get_varint(in);
-    if (trace >= clock_size ||
-        clock_size > std::numeric_limits<TraceId>::max()) {
-      throw SerializationError("corrupt checkpoint: bad decoded clock");
-    }
-    std::vector<std::uint32_t> entries(clock_size);
-    for (std::uint64_t s = 0; s < clock_size; ++s) {
-      entries[s] = static_cast<std::uint32_t>(poet::get_varint(in));
-    }
-    decoded.clock = VectorClock(std::move(entries));
     if (!decoded_.emplace(position, std::move(decoded)).second) {
       throw SerializationError("corrupt checkpoint: duplicate position");
     }

@@ -1,19 +1,20 @@
-// Sessionized, loss-tolerant event transport (the fault-tolerance layer on
-// top of the POET wire idea, paper §V-A).
+// Sessionized, loss-tolerant event transport: the one stream format that
+// carries POET's linearized events from a producer to a monitor (paper
+// §V-A).
 //
-// The plain wire format (poet/wire.h) assumes a clean channel: one flipped
-// bit desynchronizes the stream and the reader dies.  A *session* instead
-// wraps every message in a self-contained frame:
+// The channel may drop, duplicate, reorder, corrupt or cut bytes, so the
+// session wraps every message in a self-contained frame:
 //
 //   marker(2) | seq varint | len varint | crc32c(4, LE) | payload
 //
 // The CRC covers the seq and len varints plus the payload, so corruption is
 // detected per frame; the reader then scans forward to the next marker and
-// keeps going.  Unlike the wire format, session payloads are independently
-// decodable — events carry full vector clocks and inline attribute strings
-// instead of deltas and symbol-table references, because delta encoding
-// couples frames and turns one loss into a cascade.  Sessions trade bytes
-// for recoverability; the loss-free dump/wire formats keep their deltas.
+// keeps going.  Payloads are independently decodable — events are
+// poet/event_record.h records with full vector clocks and inline attribute
+// strings instead of deltas and symbol-table references, because delta
+// encoding couples frames and turns one loss into a cascade.  Sessions
+// trade bytes for recoverability; the loss-free dump format keeps its
+// deltas.
 //
 // Every event frame carries the event's global arrival position.  The
 // client releases decoded events in contiguous position order, which makes
@@ -25,10 +26,11 @@
 // answers with snapshot frames — trace table, totals, and the missing
 // events with full clocks, chunked to respect the frame size bound —
 // re-encoded over the same lossy forward channel.  Retries use bounded
-// exponential backoff with a configurable attempt budget; on exhaustion the
-// client *free-runs*: it releases what it has and lets the linearizer's
-// shed policy synthesize the rest, so the run completes degraded-but-
-// reported, never silently diverged and never deadlocked.
+// exponential backoff under a fixed attempt budget; on exhaustion the
+// client *free-runs*: it releases what it has, and at the end of the
+// stream the linearizer's shed_to(0) synthesizes the rest, so the run
+// completes degraded-but-reported, never silently diverged and never
+// deadlocked.
 #pragma once
 
 #include <cstdint>
@@ -72,22 +74,24 @@ class ResyncTransport {
   virtual void request_resync(const ResyncRequest& request) = 0;
 };
 
-struct SessionConfig {
-  /// Upper bound on one frame's payload; longer advertised lengths are
-  /// treated as corruption.  Snapshots are chunked to respect it.
-  std::uint32_t max_frame_payload = 1U << 16U;
-  /// Ticks (feed/tick calls) a position gap may persist before the client
-  /// requests a resync.
-  std::uint64_t resync_grace = 8;
-  /// Backoff before the first resync retry, doubling per attempt.
-  std::uint64_t backoff_initial = 16;
-  std::uint64_t backoff_max = 1024;
-  /// Resync attempts before the client gives up and free-runs.
-  std::uint32_t max_resync_attempts = 8;
-  /// Degradation policy of the embedded linearizer (watermarks, shed/block,
-  /// placeholder type are all configured here).
-  LinearizerConfig linearizer;
-};
+/// Upper bound on one frame's payload, shared by both ends: the server
+/// chunks snapshots to respect it and the client treats a longer
+/// advertised length as corruption.
+inline constexpr std::uint32_t kMaxFramePayload = 1U << 16U;
+/// Ticks (feed/tick calls) a position gap may persist before the client
+/// requests a resync.
+inline constexpr std::uint64_t kResyncGrace = 8;
+/// Backoff before the first resync retry, doubling per attempt up to the
+/// cap.
+inline constexpr std::uint64_t kResyncBackoffInitial = 16;
+inline constexpr std::uint64_t kResyncBackoffMax = 1024;
+/// Resync attempts before the client gives up and free-runs.
+inline constexpr std::uint32_t kMaxResyncAttempts = 8;
+/// Ticks a finalizing session gets, after finish_input(), to reach a
+/// terminal state before its caller declares it wedged.
+inline constexpr std::uint64_t kSettleTicks = 65536;
+/// Type of the placeholder events the client's linearizer synthesizes.
+inline constexpr std::string_view kShedType = "__shed";
 
 /// Server half: encodes events into session frames and answers resyncs
 /// from a retained copy of the stream.  Retention is currently unbounded
@@ -105,7 +109,7 @@ class SessionServer {
   /// Emits the HELLO frame announcing `names`.  `out` and `pool` must
   /// outlive the server.
   SessionServer(ByteSink& out, const StringPool& pool,
-                const std::vector<Symbol>& names, SessionConfig config = {});
+                const std::vector<Symbol>& names);
 
   /// Streams one event (in linearization order, per-trace indexes
   /// contiguous from 1, global positions implicit and contiguous).
@@ -115,7 +119,10 @@ class SessionServer {
   void finish();
 
   /// Answers a client resync: snapshot frames with the trace table, the
-  /// stream totals, and every retained event from `next_position` on.
+  /// stream totals, and every retained event from `next_position` on, at
+  /// most 64 events and kMaxFramePayload bytes per frame (at least one
+  /// event each, so one event's record must fit the bound with the trace
+  /// table).
   void handle_resync(const ResyncRequest& request);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -127,11 +134,9 @@ class SessionServer {
   };
 
   void emit_frame(std::string_view payload);
-  void append_event_body(std::string& out, const Retained& retained) const;
 
   ByteSink& out_;
   const StringPool& pool_;
-  SessionConfig config_;
   std::vector<Symbol> names_;
   std::vector<Retained> retained_;
   std::uint64_t next_seq_ = 0;
@@ -142,12 +147,12 @@ class SessionServer {
 /// Client half: reassembles frames from a lossy byte stream, releases
 /// events to an embedded Linearizer in global-position order, and drives
 /// the resync state machine.  Feed bytes with feed(); call tick() when
-/// idle so stall detection and backoff advance; finish_input() once the
-/// channel is known closed.
+/// idle so gap aging and backoff advance; finish_input() once the channel
+/// is known closed.
 class SessionClient {
  public:
-  SessionClient(EventSink& sink, StringPool& pool, ResyncTransport& transport,
-                SessionConfig config = {});
+  /// Interns kShedType into `pool` for the linearizer's placeholders.
+  SessionClient(EventSink& sink, StringPool& pool, ResyncTransport& transport);
 
   /// Registers session + linearizer instruments (session.*, linearizer.*,
   /// including linearizer.resyncs).  Call before the first feed().
@@ -156,8 +161,8 @@ class SessionClient {
   /// Appends received bytes and processes every complete frame.
   void feed(std::string_view bytes);
 
-  /// Advances session time without new bytes (idle poll): ages gaps,
-  /// fires due resyncs, detects stalls.
+  /// Advances session time without new bytes (idle poll): ages gaps and
+  /// fires due resyncs.
   void tick();
 
   /// Declares the forward channel closed: any outstanding gap goes through
@@ -188,7 +193,8 @@ class SessionClient {
 
   /// Serializes the ingestion state (release watermark, decoded-but-
   /// unreleased events, linearizer holds and counters) so a restarted
-  /// client can resume and re-request the tail via resync.
+  /// client can resume and re-request the tail via resync.  restore()
+  /// accepts only the current checkpoint version (2).
   void checkpoint(std::ostream& out) const;
   void restore(std::istream& in);
 
@@ -205,6 +211,9 @@ class SessionClient {
   void handle_event(std::string_view payload);
   void handle_snapshot(std::string_view payload);
   void handle_bye(std::string_view payload);
+  /// True when the record's clock has one entry per announced trace;
+  /// the linearizer asserts it, so a record that fails is corrupt.
+  [[nodiscard]] bool fits_trace_table(const Decoded& decoded) const;
   void accept_event(std::uint64_t position, Decoded decoded);
   void announce_traces(const std::vector<std::string>& names);
   void release_ready();
@@ -219,7 +228,7 @@ class SessionClient {
   EventSink& sink_;
   StringPool& pool_;
   ResyncTransport& transport_;
-  SessionConfig config_;
+  Symbol shed_type_;
   obs::Registry* registry_ = nullptr;
   std::optional<Linearizer> linearizer_;
   std::vector<Symbol> trace_names_;

@@ -71,11 +71,6 @@ ChaosResult run_chaos(const EventStore& source, StringPool& pool,
   Monitor monitor(pool, source.storage());
   monitor.add_pattern(pattern_text);
 
-  SessionConfig session = options.session;
-  if (session.linearizer.shed_type == kEmptySymbol) {
-    session.linearizer.shed_type = pool.intern("__shed");
-  }
-
   std::vector<Symbol> names;
   for (TraceId t = 0; t < source.trace_count(); ++t) {
     names.push_back(source.trace_name(t));
@@ -85,8 +80,8 @@ ChaosResult run_chaos(const EventStore& source, StringPool& pool,
   feed.chunk = options.feed_chunk;
   FaultyChannel channel(feed, options.faults);
   QueueTransport transport;
-  SessionServer server(channel, pool, names, session);
-  SessionClient client(monitor, pool, transport, session);
+  SessionServer server(channel, pool, names);
+  SessionClient client(monitor, pool, transport);
   monitor.set_ingest_source([&client] { return client.stats(); });
   feed.client = &client;
   feed.drain();  // the HELLO buffered while the client did not exist yet
@@ -115,7 +110,7 @@ ChaosResult run_chaos(const EventStore& source, StringPool& pool,
   client.finish_input();
   serve();
   std::uint64_t ticks = 0;
-  while (!client.done() && ticks < options.settle_ticks) {
+  while (!client.done() && ticks < kSettleTicks) {
     client.tick();
     serve();
     ++ticks;

@@ -28,14 +28,9 @@ namespace ocep::testing {
 
 struct ChaosOptions {
   FaultSpec faults;
-  SessionConfig session;
   /// Bytes per SessionClient::feed() call; small values exercise partial-
   /// frame reassembly.  0 = hand each delivered frame over in one piece.
   std::size_t feed_chunk = 0;
-  /// Safety bound on post-stream ticks before the harness gives up and
-  /// reports done = false (a livelocked client, which the chaos tests
-  /// treat as failure).
-  std::uint64_t settle_ticks = 65536;
 };
 
 struct ChaosResult {
@@ -56,6 +51,9 @@ struct ChaosResult {
 
 /// Replays `source` (in arrival order) through the faulty session and a
 /// monitor matching `pattern_text`.  Deterministic in options.faults.seed.
+/// A client still short of a terminal state kSettleTicks ticks after the
+/// stream ended reports done = false (livelocked, which the chaos tests
+/// treat as failure).
 [[nodiscard]] ChaosResult run_chaos(const EventStore& source,
                                     StringPool& pool,
                                     const std::string& pattern_text,

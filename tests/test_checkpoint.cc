@@ -292,7 +292,7 @@ TEST(Checkpoint, SessionClientAndMonitorResumeAcrossRestart) {
     }
     std::vector<ResyncRequest> requests;
   } transport;
-  SessionServer server(capture, pool, names, SessionConfig{});
+  SessionServer server(capture, pool, names);
   for (std::uint64_t pos = 0; pos < store.event_count(); ++pos) {
     const EventId id = store.arrival(pos);
     server.write(store.event(id), store.clock(id));
@@ -307,7 +307,7 @@ TEST(Checkpoint, SessionClientAndMonitorResumeAcrossRestart) {
   const std::size_t cut = stream.size() / 2 + 13;
   Monitor first(pool, store.storage());
   first.add_pattern(kPattern);
-  SessionClient client_a(first, pool, transport, SessionConfig{});
+  SessionClient client_a(first, pool, transport);
   client_a.feed(std::string_view(stream).substr(0, cut));
   std::ostringstream saved_monitor;
   first.checkpoint(saved_monitor);
@@ -319,7 +319,7 @@ TEST(Checkpoint, SessionClientAndMonitorResumeAcrossRestart) {
   resumed.add_pattern(kPattern);
   std::istringstream monitor_in(saved_monitor.str());
   resumed.restore(monitor_in);
-  SessionClient client_b(resumed, pool, transport, SessionConfig{});
+  SessionClient client_b(resumed, pool, transport);
   std::istringstream client_in(saved_client.str());
   client_b.restore(client_in);
   EXPECT_EQ(client_b.next_position(), client_a.next_position());

@@ -149,18 +149,6 @@ TEST(Governor, FailedProbeReopensTheBreaker) {
   EXPECT_TRUE(governor.admit(9, effective));
 }
 
-TEST(Governor, QuarantineIsTerminal) {
-  PatternGovernor governor;
-  governor.configure(SearchBudget{}, BreakerConfig{});
-  governor.quarantine("callback exploded");
-  EXPECT_EQ(governor.state(), BreakerState::kQuarantined);
-  EXPECT_EQ(governor.last_error(), "callback exploded");
-  SearchBudget effective;
-  for (std::uint64_t i = 1; i < 100000; i *= 3) {
-    EXPECT_FALSE(governor.admit(i, effective));
-  }
-}
-
 TEST(Governor, CheckpointRoundTripsTheDynamicState) {
   PatternGovernor governor;
   SearchBudget budget;
@@ -187,6 +175,19 @@ TEST(Governor, CheckpointRoundTripsTheDynamicState) {
   // Same cooldown clock: still shedding at 51, probing at 52.
   EXPECT_FALSE(restored.admit(51, effective));
   EXPECT_TRUE(restored.admit(52, effective));
+}
+
+TEST(Governor, RestoreRefusesAnUnknownState) {
+  PatternGovernor governor;
+  std::ostringstream out;
+  governor.checkpoint(out);
+  std::string bytes = out.str();
+  ASSERT_EQ(bytes[0], static_cast<char>(BreakerState::kClosed));
+  // States 0-2 are closed, open and half-open; nothing else is a state.
+  bytes[0] = 3;
+  std::istringstream in(bytes);
+  PatternGovernor restored;
+  EXPECT_THROW(restored.restore(in), SerializationError);
 }
 
 // ---------------------------------------------------------------------------

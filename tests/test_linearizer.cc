@@ -4,10 +4,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/string_pool.h"
 #include "poet/linearizer.h"
@@ -178,22 +179,35 @@ TEST(Linearizer, DuplicateOfBufferedEventIsDropped) {
   EXPECT_EQ(linearizer.ingest_stats().duplicates, 1U);
 }
 
-TEST(LinearizerDeathTest, StrictModeAbortsOnDuplicate) {
+// A checkpointed held event is a session event record, so restore applies
+// the frame decoder's checks: an event whose own clock entry disagrees with
+// its index is refused, not restored.
+TEST(Linearizer, CheckpointRefusesHeldEventWhoseClockDisagreesWithItsIndex) {
   StringPool pool;
-  EventStore store;
-  const TraceId t0 = store.add_trace(pool.intern("P0"));
-  Event local;
-  local.id = EventId{t0, 1};
-  local.kind = EventKind::kLocal;
-  const VectorClock clock(std::vector<std::uint32_t>{1});
+  Event recv;
+  recv.id = EventId{1, 1};
+  recv.kind = EventKind::kReceive;
+  recv.message = 1;
+  // clock[1] should equal the index, 1; P0's entry keeps the event held.
+  const VectorClock bad_clock(std::vector<std::uint32_t>{1, 2});
 
-  CheckingSink sink(1);
-  LinearizerConfig config;
-  config.strict = true;
-  Linearizer linearizer(1, sink, config);
-  EXPECT_EQ(linearizer.offer(local, clock), OfferResult::kDelivered);
-  EXPECT_DEATH(static_cast<void>(linearizer.offer(local, clock)),
-               "duplicate or regressed event index");
+  CheckingSink sink(2);
+  Linearizer linearizer(2, sink);
+  ASSERT_EQ(linearizer.offer(recv, bad_clock), OfferResult::kBuffered);
+  std::ostringstream out;
+  linearizer.checkpoint(out, pool);
+
+  CheckingSink restored_sink(2);
+  Linearizer restored(2, restored_sink);
+  std::istringstream in(out.str());
+  try {
+    restored.restore(in, pool);
+    FAIL() << "a held event with an inconsistent clock was restored";
+  } catch (const SerializationError& error) {
+    EXPECT_NE(std::string(error.what()).find("bad event record"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 /// Sink for degraded runs: checks causal delivery like CheckingSink but
@@ -229,20 +243,18 @@ class DegradedSink final : public EventSink {
   std::uint64_t placeholders_ = 0;
 };
 
-class LinearizerProperty
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, OverflowPolicy>> {
-};
+class LinearizerProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Adversarial ingestion: cross-trace shuffles, dropped events (gaps that
-// only shedding or blocking can resolve), and duplicated offers.  Whatever
-// happens, causal delivery must hold for every released event and the
-// counters must reconcile exactly with the offered totals:
+// only the end-of-stream flush can resolve), and duplicated offers.
+// Whatever happens, causal delivery must hold for every released event
+// and the counters must reconcile exactly with the offered totals:
 //
-//   offered == (delivered - sheds) + pending + duplicates + blocked
+//   offered == (delivered - sheds) + pending + duplicates
 //
-// (sheds are synthesized, never offered; a blocked offer was refused).
+// (sheds are synthesized, never offered).
 TEST_P(LinearizerProperty, CountersReconcileUnderAdversarialStreams) {
-  const auto& [seed, policy] = GetParam();
+  const std::uint64_t seed = GetParam();
   StringPool pool;
   testing::RandomComputationOptions options;
   options.seed = seed;
@@ -272,38 +284,26 @@ TEST_P(LinearizerProperty, CountersReconcileUnderAdversarialStreams) {
     }
   }
 
-  LinearizerConfig config;
-  config.high_watermark = 24;
-  config.stall_horizon = 64;
-  config.policy = policy;
-  config.shed_type = pool.intern("__shed");
-  DegradedSink sink(store.trace_count(), config.shed_type);
-  Linearizer linearizer(store.trace_count(), sink, config);
+  const Symbol shed_type = pool.intern("__shed");
+  DegradedSink sink(store.trace_count(), shed_type);
+  Linearizer linearizer(store.trace_count(), sink, shed_type);
 
   std::uint64_t duplicates = 0;
-  std::uint64_t blocked = 0;
   for (const EventId id : stream) {
-    switch (linearizer.offer(store.event(id), store.clock(id))) {
-      case OfferResult::kDuplicate:
-        ++duplicates;
-        break;
-      case OfferResult::kBlocked:
-        ++blocked;
-        break;
-      case OfferResult::kDelivered:
-      case OfferResult::kBuffered:
-        break;
+    if (linearizer.offer(store.event(id), store.clock(id)) ==
+        OfferResult::kDuplicate) {
+      ++duplicates;
     }
   }
 
   const auto reconcile = [&](const IngestStats& stats) {
     EXPECT_EQ(stats.offered, stream.size());
     EXPECT_EQ(stats.duplicates, duplicates);
-    EXPECT_EQ(stats.blocked, blocked);
     EXPECT_EQ(stats.pending, linearizer.pending());
     EXPECT_GE(stats.delivered, stats.sheds);
-    EXPECT_EQ(stats.offered, (stats.delivered - stats.sheds) + stats.pending +
-                                 stats.duplicates + stats.blocked);
+    EXPECT_EQ(stats.offered,
+              (stats.delivered - stats.sheds) + stats.pending +
+                  stats.duplicates);
     EXPECT_GE(stats.max_pending, stats.pending);
   };
   reconcile(linearizer.ingest_stats());
@@ -316,25 +316,14 @@ TEST_P(LinearizerProperty, CountersReconcileUnderAdversarialStreams) {
   reconcile(stats);
   EXPECT_EQ(sink.total(), linearizer.delivered());
   EXPECT_EQ(sink.placeholders(), stats.sheds);
-  // Under kShed the watermark must have actually bounded the buffer (the
-  // +1 is the offer that trips the policy before it sheds).
-  if (policy == OverflowPolicy::kShed) {
-    EXPECT_LE(stats.max_pending, config.high_watermark + 1);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, LinearizerProperty,
-    ::testing::Combine(::testing::Values(std::uint64_t{71}, std::uint64_t{72},
-                                         std::uint64_t{73}, std::uint64_t{74},
-                                         std::uint64_t{75}, std::uint64_t{76}),
-                       ::testing::Values(OverflowPolicy::kShed,
-                                         OverflowPolicy::kBlock)),
+    ::testing::Values(std::uint64_t{71}, std::uint64_t{72}, std::uint64_t{73},
+                      std::uint64_t{74}, std::uint64_t{75}, std::uint64_t{76}),
     [](const auto& param_info) {
-      return std::string(std::get<1>(param_info.param) == OverflowPolicy::kShed
-                             ? "shed"
-                             : "block") +
-             "_seed" + std::to_string(std::get<0>(param_info.param));
+      return "shed_seed" + std::to_string(param_info.param);
     });
 
 TEST(Replay, DeliversWholeStoreInLinearization) {

@@ -200,7 +200,7 @@ TEST(NetProtocol, HandshakeRoundTripsIncrementally) {
   EXPECT_EQ(pos, wire.size());
   EXPECT_EQ(decoded.tenant, "tenant-a");
   EXPECT_EQ(decoded.patterns, request.patterns);
-  EXPECT_TRUE(decoded.want_resume());
+  EXPECT_EQ(decoded.flags, net::kFlagResume);
 }
 
 TEST(NetProtocol, AckCarriesOwningShardAndDefaultsToZero) {
@@ -456,8 +456,6 @@ TEST(NetServe, MultiClientConcurrentGoldenEquivalence) {
 
 TEST(NetServe, ByteAtATimeTrickleReassembles) {
   ServerThread st(base_config());
-  net::StreamOptions options;
-  options.session.max_frame_payload = 1U << 12U;
   const std::uint16_t port = st.server.port();
 
   StringPool pool;
@@ -467,8 +465,7 @@ TEST(NetServe, ByteAtATimeTrickleReassembles) {
   config.tenant = "trickle";
   config.patterns = {golden_pattern()};
   config.write_chunk = 1;  // one byte per send()
-  const net::StreamResult result =
-      net::stream_store(store, pool, config, options);
+  const net::StreamResult result = net::stream_store(store, pool, config);
   ASSERT_TRUE(result.fin_received);
   EXPECT_FALSE(result.fin.degraded);
   st.stop();

@@ -1,18 +1,23 @@
 // Tests for the sessionized lossy-wire transport (poet/session.h): frame
 // round trips, per-frame corruption containment, the resync handshake,
-// budget exhaustion and degraded flush, plus the positioned
-// SerializationError contract of the loss-free formats.
+// budget exhaustion and degraded flush, the session checkpoint version,
+// plus the positioned SerializationError contract of the loss-free
+// formats.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "apps/apps.h"
+#include "apps/patterns.h"
+#include "common/bytes.h"
 #include "common/error.h"
+#include "core/monitor.h"
 #include "poet/dump.h"
 #include "poet/session.h"
-#include "poet/wire.h"
 #include "random_computation.h"
+#include "sim/sim.h"
 
 namespace ocep {
 namespace {
@@ -47,33 +52,40 @@ class CollectingSink final : public EventSink {
   void on_traces(const std::vector<Symbol>& names) override {
     trace_names = names;
   }
-  void on_event(const Event& event, const VectorClock&) override {
+  void on_event(const Event& event, const VectorClock& clock) override {
     events.push_back(event);
+    clocks.push_back(clock);
   }
   std::vector<Symbol> trace_names;
   std::vector<Event> events;
+  std::vector<VectorClock> clocks;
 };
 
-struct Rig {
-  explicit Rig(std::uint64_t seed = 11, std::uint32_t events = 150)
-      : store(make_store(pool, seed, events)) {
-    for (TraceId t = 0; t < store.trace_count(); ++t) {
-      names.push_back(store.trace_name(t));
-    }
+std::vector<Symbol> names_of(const EventStore& store) {
+  std::vector<Symbol> names;
+  for (TraceId t = 0; t < store.trace_count(); ++t) {
+    names.push_back(store.trace_name(t));
   }
+  return names;
+}
+
+struct Rig {
+  explicit Rig(std::uint64_t seed = 11, std::uint32_t events = 150,
+               std::uint32_t traces = 4)
+      : store(make_store(pool, seed, events, traces)), names(names_of(store)) {}
 
   static EventStore make_store(StringPool& pool, std::uint64_t seed,
-                               std::uint32_t events) {
+                               std::uint32_t events, std::uint32_t traces) {
     testing::RandomComputationOptions options;
     options.seed = seed;
     options.events = events;
+    options.traces = traces;
     return testing::random_computation(pool, options);
   }
 
   /// Streams the whole computation through a server into `capture`.
-  SessionServer make_server(FrameCapture& capture,
-                            SessionConfig config = {}) {
-    SessionServer server(capture, pool, names, config);
+  SessionServer make_server(FrameCapture& capture) {
+    SessionServer server(capture, pool, names);
     for (std::uint64_t pos = 0; pos < store.event_count(); ++pos) {
       const EventId id = store.arrival(pos);
       server.write(store.event(id), store.clock(id));
@@ -258,23 +270,20 @@ TEST(Session, ReorderedFramesNeedNoResync) {
 TEST(Session, ResyncBudgetExhaustionDegradesLoudly) {
   Rig rig;
   FrameCapture capture;
-  SessionConfig config;
-  config.resync_grace = 2;
-  config.backoff_initial = 2;
-  config.backoff_max = 8;
-  config.max_resync_attempts = 3;
-  SessionServer server = rig.make_server(capture, config);
+  SessionServer server = rig.make_server(capture);
   // Lose some frames AND the reverse channel: recovery is impossible.
   capture.frames.erase(capture.frames.begin() + 10,
                        capture.frames.begin() + 14);
 
   CollectingSink sink;
   BlackHoleTransport transport;
-  SessionClient client(sink, rig.pool, transport, config);
+  SessionClient client(sink, rig.pool, transport);
   for (const std::string& frame : capture.frames) {
     client.feed(frame);
   }
   client.finish_input();
+  // kMaxResyncAttempts attempts, backing off from kResyncBackoffInitial to
+  // kResyncBackoffMax ticks, spend about 3,060 ticks in all.
   for (std::uint64_t tick = 0; tick < 4096 && !client.done(); ++tick) {
     client.tick();
   }
@@ -284,7 +293,7 @@ TEST(Session, ResyncBudgetExhaustionDegradesLoudly) {
   EXPECT_GE(transport.swallowed, 1U);
   const IngestStats stats = client.stats();
   EXPECT_GE(stats.resync_failures, 1U);
-  EXPECT_LE(stats.resyncs, config.max_resync_attempts);
+  EXPECT_EQ(stats.resyncs, kMaxResyncAttempts);
   // Everything that did arrive was still delivered, in order.
   EXPECT_GT(sink.events.size(), 0U);
 }
@@ -333,6 +342,297 @@ TEST(Session, ChunkedFeedReassemblesFrames) {
   EXPECT_TRUE(client.done());
   EXPECT_FALSE(client.degraded());
   expect_full_delivery(rig, sink);
+}
+
+TEST(Session, OversizedFrameHeaderIsCorruptWithoutBufferingItsPayload) {
+  Rig rig(31, 40);
+  FrameCapture capture;
+  SessionServer server = rig.make_server(capture);
+  // A header announcing one byte more than the bound, with no payload
+  // behind it: the client must reject it at once instead of waiting for
+  // kMaxFramePayload + 1 bytes, which would swallow the real frames that
+  // follow as payload.
+  std::string bogus = capture.frames[0].substr(0, 2);  // the frame marker
+  bogus += '\0';                                       // seq 0
+  std::string len;
+  put_varint(len, std::uint64_t{kMaxFramePayload} + 1);
+  bogus += len;
+  bogus.append(4, '\0');  // a CRC slot
+
+  CollectingSink sink;
+  QueueTransport transport;
+  SessionClient client(sink, rig.pool, transport);
+  client.feed(bogus);
+  EXPECT_GE(client.stats().frames_corrupt, 1U);
+  EXPECT_EQ(client.stats().bytes_skipped, bogus.size());
+  pump(client, server, capture, transport);
+
+  EXPECT_TRUE(client.done());
+  EXPECT_FALSE(client.degraded());
+  expect_full_delivery(rig, sink);
+  EXPECT_EQ(client.stats().resyncs, 0U);
+}
+
+// A well-framed EVENT whose clock has fewer entries than the trace table
+// announces is corrupt, whether it arrives after the HELLO or before it:
+// the linearizer never sees it, and a resync refills its position.
+TEST(Session, RecordThatDisagreesWithTheTraceTableIsCorrupt) {
+  Rig rig(43, 40);
+  ASSERT_EQ(rig.store.trace_count(), 4U);
+  // A two-trace producer's first EVENT frame: seq 1, position 0.
+  FrameCapture narrow;
+  SessionServer narrow_server(narrow, rig.pool,
+                              {rig.names[0], rig.names[1]});
+  Event local;
+  local.id = EventId{0, 1};
+  local.kind = EventKind::kLocal;
+  narrow_server.write(local, VectorClock(std::vector<std::uint32_t>{1, 0}));
+
+  for (const bool before_hello : {false, true}) {
+    SCOPED_TRACE(before_hello ? "before the HELLO" : "after the HELLO");
+    FrameCapture capture;
+    SessionServer server = rig.make_server(capture);
+    capture.frames[1] = narrow.frames[1];  // in place of the real position 0
+    if (before_hello) {
+      std::swap(capture.frames[0], capture.frames[1]);
+    }
+    CollectingSink sink;
+    QueueTransport transport;
+    SessionClient client(sink, rig.pool, transport);
+    pump(client, server, capture, transport);
+    EXPECT_EQ(client.stats().frames_corrupt, 1U);
+    EXPECT_TRUE(client.done());
+    EXPECT_FALSE(client.degraded());
+    expect_full_delivery(rig, sink);
+  }
+}
+
+// A resync answered from position 0 over a wide computation: 64 events of
+// 1,100-entry clocks overflow the frame bound, so the server must cut each
+// SNAPSHOT frame by bytes as well as by event count.
+TEST(Session, SnapshotFramesFitTheBoundAtWideClocks) {
+  Rig rig(37, 1500, 1100);
+  FrameCapture capture;
+  SessionServer server = rig.make_server(capture);
+  const std::size_t streamed = capture.frames.size();
+  server.handle_resync(ResyncRequest{1, 0});
+  ASSERT_GT(capture.frames.size(), streamed);
+  for (std::size_t i = streamed; i < capture.frames.size(); ++i) {
+    // marker(2) + seq varint + len varint + crc(4) frame the payload.
+    EXPECT_LE(capture.frames[i].size(), kMaxFramePayload + 2 + 10 + 10 + 4);
+  }
+  EXPECT_GT(capture.frames.size() - streamed,
+            (rig.store.event_count() + 63) / 64)
+      << "no snapshot frame was cut short by the byte bound";
+
+  // HELLO and the snapshot frames alone carry the whole stream.
+  CollectingSink sink;
+  QueueTransport transport;
+  SessionClient client(sink, rig.pool, transport);
+  client.feed(capture.frames[0]);
+  for (std::size_t i = streamed; i < capture.frames.size(); ++i) {
+    client.feed(capture.frames[i]);
+  }
+  client.finish_input();
+  EXPECT_TRUE(client.done());
+  EXPECT_FALSE(client.degraded());
+  expect_full_delivery(rig, sink);
+}
+
+// --- the session as the stream format ---------------------------------------
+//
+// These keep the names of the tests of the loss-free wire format that the
+// session replaced: the session now streams every event, so it owes the
+// same guarantees.
+
+class WireRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
+
+// A client on a fresh pool receives every event's kind, type, text,
+// message and full clock, and the trace names, not just ids in order.
+TEST_P(WireRoundTrip, PreservesEventsAndClocks) {
+  Rig rig(GetParam(), 300, 5);
+  FrameCapture capture;
+  SessionServer server = rig.make_server(capture);
+  EXPECT_EQ(server.stats().events_written, rig.store.event_count());
+
+  StringPool fresh;  // the client interns into its own pool
+  CollectingSink sink;
+  QueueTransport transport;
+  SessionClient client(sink, fresh, transport);
+  pump(client, server, capture, transport);
+  ASSERT_TRUE(client.done());
+  ASSERT_EQ(sink.events.size(), rig.store.event_count());
+
+  for (std::uint64_t pos = 0; pos < rig.store.event_count(); ++pos) {
+    const EventId id = rig.store.arrival(pos);
+    const Event& original = rig.store.event(id);
+    const Event& received = sink.events[pos];
+    EXPECT_EQ(received.id, original.id);
+    EXPECT_EQ(received.kind, original.kind);
+    EXPECT_EQ(received.message, original.message);
+    EXPECT_EQ(fresh.view(received.type), rig.pool.view(original.type));
+    EXPECT_EQ(fresh.view(received.text), rig.pool.view(original.text));
+    EXPECT_EQ(sink.clocks[pos], rig.store.clock(id));
+  }
+  ASSERT_EQ(sink.trace_names.size(), rig.store.trace_count());
+  for (TraceId t = 0; t < rig.store.trace_count(); ++t) {
+    EXPECT_EQ(fresh.view(sink.trace_names[t]),
+              rig.pool.view(rig.store.trace_name(t)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WireRoundTrip,
+                         ::testing::Values(81, 82, 83, 84));
+
+// A Monitor behind a session client, with its own string pool (a separate
+// process's view), reports the same matches as a live Monitor.
+TEST(Wire, MonitorOverTheWireMatchesLiveMonitoring) {
+  StringPool pool;
+  sim::SimConfig config;
+  config.seed = 91;
+  sim::Sim sim(pool, config);
+  apps::OrderingParams params;
+  params.followers = 6;
+  params.requests_each = 25;
+  params.bug_percent = 4;
+  apps::setup_leader_follower(sim, params);
+  Monitor live(pool);
+  live.add_pattern(apps::ordering_pattern());
+  sim.set_live_sink(&live);
+  ASSERT_EQ(sim.run().reason, sim::EndReason::kCompleted);
+
+  FrameCapture capture;
+  SessionServer server(capture, pool, names_of(sim.store()));
+  for (const EventId id : sim.store().arrival_order()) {
+    server.write(sim.store().event(id), sim.store().clock(id));
+  }
+  server.finish();
+
+  StringPool remote_pool;
+  Monitor remote(remote_pool);
+  remote.add_pattern(apps::ordering_pattern());
+  QueueTransport transport;
+  SessionClient client(remote, remote_pool, transport);
+  pump(client, server, capture, transport);
+  ASSERT_TRUE(client.done());
+
+  ASSERT_EQ(remote.events_seen(), sim.store().event_count());
+  const auto& live_subset = live.matcher(0).subset().matches();
+  const auto& remote_subset = remote.matcher(0).subset().matches();
+  ASSERT_GT(live_subset.size(), 0U);
+  ASSERT_EQ(live_subset.size(), remote_subset.size());
+  for (std::size_t i = 0; i < live_subset.size(); ++i) {
+    EXPECT_EQ(live_subset[i].bindings, remote_subset[i].bindings);
+  }
+}
+
+// Each event frame of a clean stream releases its event at once.
+TEST(Wire, ReadOneDeliversIncrementally) {
+  Rig rig(85, 20, 3);
+  FrameCapture capture;
+  SessionServer server = rig.make_server(capture);
+
+  StringPool fresh;
+  CollectingSink sink;
+  QueueTransport transport;
+  SessionClient client(sink, fresh, transport);
+  client.feed(capture.frames[0]);  // HELLO
+  EXPECT_EQ(sink.trace_names.size(), rig.store.trace_count());
+  EXPECT_TRUE(sink.events.empty());
+  for (std::uint64_t pos = 0; pos < rig.store.event_count(); ++pos) {
+    client.feed(capture.frames[pos + 1]);
+    ASSERT_EQ(sink.events.size(), pos + 1);
+  }
+  EXPECT_FALSE(client.done()) << "done before the BYE announced the total";
+  client.feed(capture.frames.back());  // BYE
+  EXPECT_TRUE(client.done());
+  EXPECT_EQ(transport.requests.size(), 0U);
+}
+
+// Garbage carries no trace table and no event; a stream cut inside a frame
+// delivers what precedes the cut and counts the partial frame corrupt once
+// the channel closes.
+TEST(Wire, RejectsGarbageAndTruncation) {
+  {
+    StringPool pool;
+    CollectingSink sink;
+    BlackHoleTransport transport;
+    SessionClient client(sink, pool, transport);
+    const std::string garbage = "not a session stream at all";
+    client.feed(garbage);
+    client.finish_input();
+    EXPECT_TRUE(sink.trace_names.empty());
+    EXPECT_TRUE(sink.events.empty());
+    EXPECT_EQ(client.stats().bytes_skipped, garbage.size());
+    EXPECT_FALSE(client.done());
+  }
+  {
+    Rig rig(86, 30, 3);
+    FrameCapture capture;
+    SessionServer server(capture, rig.pool, rig.names);
+    const std::uint64_t kept = 10;
+    for (std::uint64_t pos = 0; pos <= kept; ++pos) {
+      const EventId id = rig.store.arrival(pos);
+      server.write(rig.store.event(id), rig.store.clock(id));
+    }
+    // No finish(): a dead producer, cut three bytes into its last frame.
+    std::string stream;
+    for (const std::string& frame : capture.frames) {
+      stream += frame;
+    }
+    stream.resize(stream.size() - capture.frames.back().size() + 3);
+
+    CollectingSink sink;
+    BlackHoleTransport transport;
+    SessionClient client(sink, rig.pool, transport);
+    client.feed(stream);
+    EXPECT_EQ(sink.events.size(), kept);
+    EXPECT_EQ(client.stats().frames_corrupt, 0U) << "a partial frame may "
+                                                    "still complete";
+    client.finish_input();
+    EXPECT_EQ(client.stats().frames_corrupt, 1U);
+    EXPECT_EQ(sink.events.size(), kept);
+    EXPECT_GE(transport.swallowed, 1U) << "the cut must ask for a resync";
+  }
+}
+
+// --- session checkpoint ------------------------------------------------------
+
+TEST(SessionCheckpoint, RefusesVersionOne) {
+  Rig rig(41, 30);
+  FrameCapture capture;
+  SessionServer server = rig.make_server(capture);
+  CollectingSink sink;
+  QueueTransport transport;
+  SessionClient client(sink, rig.pool, transport);
+  for (std::size_t i = 0; i + 1 < capture.frames.size() / 2; ++i) {
+    client.feed(capture.frames[i]);
+  }
+  std::ostringstream out;
+  client.checkpoint(out);
+  std::string blob = out.str();
+  ASSERT_EQ(blob[0], '\2');
+  {
+    std::istringstream in(blob);
+    CollectingSink resumed;
+    SessionClient restored(resumed, rig.pool, transport);
+    EXPECT_NO_THROW(restored.restore(in));
+  }
+  // Version 1 spelled events its own way and carried two more linearizer
+  // counters; it is refused, not misread.
+  blob[0] = '\1';
+  std::istringstream in(blob);
+  CollectingSink resumed;
+  SessionClient restored(resumed, rig.pool, transport);
+  try {
+    restored.restore(in);
+    FAIL() << "a version-1 session checkpoint was restored";
+  } catch (const SerializationError& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("unsupported session checkpoint version"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 // --- positioned SerializationError (error.h satellite) ---------------------

@@ -183,9 +183,8 @@ int main(int argc, char** argv) {
                 "  ticks-to-recover %" PRIu64 "\n",
                 ingest.resyncs, ingest.resync_failures, ingest.snapshots,
                 ingest.recoveries, ingest.recovery_ticks);
-    std::printf("linearizer: duplicates %" PRIu64 "  sheds %" PRIu64
-                "  stall events %" PRIu64 "\n",
-                ingest.duplicates, ingest.sheds, ingest.stall_events);
+    std::printf("linearizer: duplicates %" PRIu64 "  sheds %" PRIu64 "\n",
+                ingest.duplicates, ingest.sheds);
     std::printf("matches: clean %zu  faulty %zu\n", clean.size(),
                 result.matches.size());
     if (!quiet) {

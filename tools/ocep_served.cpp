@@ -1,7 +1,7 @@
 // ocep_served — run the monitor as a network daemon (docs/SERVER.md).
 //
 //   ocep_served [--host H] [--port P] [--admin-port P] [--shards N]
-//               [--metrics] [--store-dir DIR]
+//               [--store-dir DIR]
 //               [--flush-interval-ms N] [--spill-bytes N]
 //               [--pool-bytes N] [--rebase-bytes N] [--idle-timeout-ms N]
 //               [--linger-ms N] [--max-tenant-bytes N]
@@ -16,8 +16,8 @@
 // ocep_chaos --serve) and multiplexes their session streams into
 // per-tenant monitors; with --shards N it runs N reactor threads behind
 // SO_REUSEPORT listeners with tenant-affinity placement (docs/SERVER.md).
-// The admin plane answers GET /metrics (Prometheus, merged across
-// shards), GET /healthz (JSON), and POST /checkpoint.
+// The admin plane answers GET /metrics (Prometheus, merged across the
+// shard registries), GET /healthz (JSON), and POST /checkpoint.
 //
 // Durability (docs/ROBUSTNESS.md "Durability"): with --store-dir every
 // shard group-commits its tenants' input each --flush-interval-ms (and
@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
     config.admin_port =
         static_cast<std::uint16_t>(flags.get_int("admin-port", 7441));
     config.shards = static_cast<std::size_t>(flags.get_int("shards", 1));
-    config.tenant.monitor.metrics = flags.get_bool("metrics", false);
     config.store_dir = flags.get_string("store-dir", "");
     config.flush_interval_ms =
         static_cast<std::uint64_t>(flags.get_int("flush-interval-ms", 50));
